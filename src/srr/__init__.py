@@ -31,13 +31,11 @@ from .layers import (
     mssa,
     patchify,
     stacked_attention_heads,
-    tokenize,
 )
 from .model import (
     Model,
     ModelConfig,
     ProbeRecord,
-    forward,
     init_model,
     load_checkpoint,
     param_count,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
+from .linalg import _softmax, cross_entropy_np
 
 __all__ = [
     "Tensor",
@@ -291,9 +292,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def softmax_cols(scores: Tensor) -> Tensor:
     """Softmax over axis -2 (column-normalized), fused forward/backward."""
-    shifted = scores.data - scores.data.max(axis=-2, keepdims=True)
-    expd = np.exp(shifted)
-    sm = expd / expd.sum(axis=-2, keepdims=True)
+    sm = _softmax(scores.data, -2)
     out = Tensor(sm, _parents=(scores,))
 
     def vjp(g):
@@ -389,15 +388,11 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError("cross-entropy expects a (batch, classes) logit matrix")
     labels = np.asarray(labels)
     B = logits.data.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(B), labels]
-    out = Tensor(np.mean(lse - picked), _parents=(logits,))
+    out = Tensor(cross_entropy_np(logits.data, labels), _parents=(logits,))
 
     def vjp(g):
         if logits.requires_grad:
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
+            probs = _softmax(logits.data, 1)
             probs[np.arange(B), labels] -= 1.0
             logits._accumulate(float(g) * probs / B)
 

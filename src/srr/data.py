@@ -9,7 +9,7 @@ augmentations can be drawn per batch.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class DatasetSpec:
             raise ConfigError(f"unknown dataset source {self.source!r}")
         if self.source == "synthetic" and self.classes < 2:
             raise ConfigError("synthetic datasets need at least 2 classes")
+        if self.n_train < 1 or self.n_val < 1:
+            raise ConfigError("n_train and n_val must be at least 1")
 
 
 @dataclass

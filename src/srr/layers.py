@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import linalg
 from .errors import ConfigError, ShapeError
+from .rates import split_heads
 
 __all__ = [
     "CRATE_C",
@@ -32,7 +33,6 @@ __all__ = [
     "attention_update",
     "ista_step",
     "layer_norm",
-    "tokenize",
     "patchify",
 ]
 
@@ -72,18 +72,6 @@ def _concat_rows(parts):
     return np.concatenate(parts, axis=-2)
 
 
-def _ncols(U) -> int:
-    return U.shape[-1]
-
-
-def _head_blocks(U, num_heads: int):
-    cols = _ncols(U)
-    if cols % num_heads != 0:
-        raise ShapeError(f"{cols} basis columns do not split into {num_heads} heads")
-    p = cols // num_heads
-    return [U[:, k * p : (k + 1) * p] for k in range(num_heads)]
-
-
 @dataclass
 class LayerParams:
     """Weights of one layer.
@@ -114,7 +102,7 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
     output (training-time dropout).
     """
     parts = []
-    for k, Uk in enumerate(_head_blocks(U, num_heads)):
+    for k, Uk in enumerate(split_heads(U, num_heads)):
         A = _mT(Uk) @ Z
         S = _softmax_cols(_mT(A) @ A)
         if attn_masks is not None:
@@ -132,7 +120,7 @@ def mssa(Z, U, num_heads: int):
     factorizations are tested against each other.
     """
     total = None
-    for k, Uk in enumerate(_head_blocks(U, num_heads)):
+    for k, Uk in enumerate(split_heads(U, num_heads)):
         A = _mT(Uk) @ Z
         S = _softmax_cols(_mT(A) @ A)
         term = Uk @ (A @ S)
@@ -157,7 +145,7 @@ def attention_update(Z, params: LayerParams, variant: str, gamma: float, attn_ma
             raise ConfigError(f"variant {variant!r} requires an output matrix W")
         out = params.W @ stack
     elif variant == CRATE_T:
-        if _ncols(params.U) != d:
+        if params.U.shape[-1] != d:
             raise ConfigError("transposed output requires a square basis (d = K*p)")
         out = _mT(params.U) @ stack
     elif variant == CRATE_IDENTITY:
@@ -216,23 +204,3 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     x = images.reshape(B, gh, patch, gw, patch, C)
     x = x.transpose(0, 1, 3, 2, 4, 5).reshape(B, gh * gw, patch * patch * C)
     return np.swapaxes(x, -1, -2)
-
-
-def tokenize(image: np.ndarray, patch: int, embed: np.ndarray, pos: np.ndarray, cls: np.ndarray) -> np.ndarray:
-    """Image -> token matrix: patchify, embed, prepend CLS, add positions.
-
-    Output is d x (1 + HW/patch^2) with the CLS token in column 0.
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ShapeError(f"expected an H x W x C image, got shape {image.shape}")
-    cols = patchify(image[None], patch)[0]  # (F, T)
-    if embed.shape[1] != cols.shape[0]:
-        raise ShapeError(
-            f"embedding expects {embed.shape[1]}-dim patches, got {cols.shape[0]}"
-        )
-    tok = embed @ cols
-    tok = np.concatenate([np.asarray(cls, dtype=np.float64).reshape(-1, 1), tok], axis=1)
-    if pos.shape != tok.shape:
-        raise ShapeError(f"positional table {pos.shape} does not match tokens {tok.shape}")
-    return tok + pos

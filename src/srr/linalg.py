@@ -59,9 +59,24 @@ def softmax_columns(scores: np.ndarray) -> np.ndarray:
         raise ShapeError("softmax_columns expects at least a 2-d array")
     if not np.isfinite(scores).all():
         raise NumericError("scores contain non-finite entries")
-    shifted = scores - scores.max(axis=-2, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-2, keepdims=True)
+    return _softmax(scores, -2)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis`` with the maximum subtracted first.  No input
+    checks: the training path lets non-finite values through so that a
+    diverging step is recorded rather than raised."""
+    expd = np.exp(x - x.max(axis=axis, keepdims=True))
+    return expd / expd.sum(axis=axis, keepdims=True)
+
+
+def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of integer labels under row-wise softmax of a
+    (B, C) logit matrix."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(len(labels)), labels]
+    return float(np.mean(lse - picked))
 
 
 def spectral_norm(mat: np.ndarray, iters: int = 500, tol: float = 1e-12) -> float:

@@ -10,15 +10,14 @@ the variant has one), and the classification head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import rates
 from .errors import ConfigError
-from .linalg import rng_for, spectral_norm
+from .linalg import cross_entropy_np, rng_for, spectral_norm
 from .model import Model
-from .training import cross_entropy_np
 
 __all__ = [
     "MeasureVector",
@@ -175,14 +174,9 @@ def _probe_srr(model: Model, dataset, rate_cfg: rates.RateConfig | None, probe_s
     n = min(probe_samples, len(dataset.train_y))
     x = np.asarray(dataset.train_x[:n], dtype=np.float64)
     tokens = model.embed_inputs(x)
-    n_tok = tokens.shape[-1]
-    if rate_cfg is None:
-        pc = rates.RateConfig(d=model.cfg.d, N=n_tok, K=model.cfg.K)
-    else:
-        pc = rates.RateConfig(
-            d=model.cfg.d, N=n_tok, K=model.cfg.K,
-            eps_sq=rate_cfg.eps_sq, lambda_sparsity=rate_cfg.lambda_sparsity,
-        )
+    pc = rates.RateConfig(d=model.cfg.d, N=tokens.shape[-1], K=model.cfg.K)
+    if rate_cfg is not None:
+        pc = replace(pc, eps_sq=rate_cfg.eps_sq, lambda_sparsity=rate_cfg.lambda_sparsity)
     _, probes, _ = model.run(tokens, probe=True, probe_rate=pc, ln_identity=True)
     return float(np.mean([p.srr for p in probes]))
 

@@ -10,14 +10,14 @@ each layer's raw (post-ISTA) output against that layer's own basis.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import layers as ly
 from . import rates
-from .autodiff import Tensor, as_tensor, concat
-from .errors import ConfigError, FormatError, ShapeError
+from .autodiff import Tensor, as_tensor, concat, logdet_gram
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .linalg import rng_for
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ProbeRecord",
     "Model",
     "init_model",
-    "forward",
     "param_count",
     "save_checkpoint",
     "load_checkpoint",
@@ -269,8 +268,7 @@ class Model:
                     {"input": layer_in, "attn_masks": attn_masks, "out_mask": out_mask, "output": Z}
                 )
             if probe:
-                zval = Z.data if traced else Z
-                probes.append(_probe_layer(i + 1, zval, _as_array(lp.U), probe_cfg))
+                probes.append(_probe_layer(i + 1, Z, lp.U, probe_cfg))
 
         P = self.all_params()
         hw = P["head.weight"] if traced else P["head.weight"].data
@@ -282,10 +280,6 @@ class Model:
         else:
             logits = raw_logit[..., 0] + hb
         return logits, probes, cache
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def _dropout_mask(rng, shape, p: float) -> np.ndarray:
@@ -300,26 +294,31 @@ def _apply_layer(Z, lp: ly.LayerParams, variant, gamma, lambda_sparsity, ln_iden
     return ly.ista_step(Ya, lp.D, lp.beta, lambda_sparsity)
 
 
-def _probe_layer(layer_no: int, Z: np.ndarray, U: np.ndarray, pc: rates.RateConfig) -> ProbeRecord:
-    if Z.ndim == 2:
-        r = rates.coding_rate(Z, pc.full_scale)
-        rc = rates.projected_coding_rate(Z, U, pc.K, pc.gamma)
-        l0: float | int = rates.sparsity_l0(Z)
-    else:
-        rs, rcs, l0s = [], [], []
-        for b in range(Z.shape[0]):
-            rs.append(rates.coding_rate(Z[b], pc.full_scale))
-            rcs.append(rates.projected_coding_rate(Z[b], U, pc.K, pc.gamma))
-            l0s.append(rates.sparsity_l0(Z[b]))
-        r, rc, l0 = float(np.mean(rs)), float(np.mean(rcs)), float(np.mean(l0s))
-    srr = pc.lambda_sparsity * l0 + rc - r
-    return ProbeRecord(layer=layer_no, r=float(r), rc=float(rc), l0=l0, srr=float(srr))
+def _layer_rates(Z, U, num_heads: int, gamma: float, full_scale: float):
+    """Per-matrix R(Z), R_c(Z; U) and ||Z||_0 of a (..., d, N) token stack.
+
+    R is the Gram log-volume of Z at ``full_scale``; R_c sums the log-volumes
+    of the K head projections U_k^T Z at ``gamma``.  ``Z`` and ``U`` may be
+    ndarrays or Tensors: R and R_c come back as Tensors (on the tape when an
+    input is), the l0 counts as an integer array of the leading shape.
+    """
+    z = as_tensor(Z)
+    if not np.isfinite(z.data).all():
+        raise NumericError("token matrix contains non-finite entries")
+    rc = None
+    for Uk in rates.split_heads(as_tensor(U), num_heads):
+        term = logdet_gram(Uk.mT @ z, gamma)
+        rc = term if rc is None else rc + term
+    r = logdet_gram(z, full_scale)
+    l0 = np.count_nonzero(np.abs(z.data) > rates.L0_TOL, axis=(-2, -1))
+    return r, rc, l0
 
 
-def forward(model: Model, tokens, train_mode: bool = False, probe: bool = False, rng=None, probe_rate=None):
-    """Spec-level forward: (logits, probes)."""
-    logits, probes, _ = model.run(tokens, train_mode=train_mode, probe=probe, rng=rng, probe_rate=probe_rate)
-    return logits, probes
+def _probe_layer(layer_no: int, Z, U, pc: rates.RateConfig) -> ProbeRecord:
+    """Batch means of the layer rates at the probe scales of ``pc``."""
+    r, rc, l0 = _layer_rates(Z, U, pc.K, pc.gamma, pc.full_scale)
+    r, rc, l0 = (float(np.mean(v)) for v in (r.data, rc.data, l0))
+    return ProbeRecord(layer=layer_no, r=r, rc=rc, l0=l0, srr=pc.lambda_sparsity * l0 + rc - r)
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -336,38 +335,46 @@ def param_count(cfg: ModelConfig) -> int:
     return total
 
 
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in allocation order."""
+    d = cfg.d
+    shapes = {"embed": (d, cfg.in_dim), "pos": (d, cfg.tokens), "cls": (d,)}
+    for i in range(cfg.L):
+        for name in ("U", "D", "W") if _has_w(cfg.variant) else ("U", "D"):
+            shapes[f"layers.{i}.{name}"] = (d, d)
+        for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
+            shapes[f"layers.{i}.{name}"] = (d,)
+    shapes["head.weight"] = (cfg.num_classes, d)
+    shapes["head.bias"] = (cfg.num_classes,)
+    return shapes
+
+
+def _group(cfg: ModelConfig, name: str) -> str:
+    """Checkpoint group of a parameter: the fixed variant's W is frozen."""
+    return "frozen" if cfg.variant == ly.CRATE_FIX and name.endswith(".W") else "param"
+
+
+def _assemble(cfg: ModelConfig, live: dict[str, np.ndarray], snapshot: dict[str, np.ndarray]) -> Model:
+    params = {n: Tensor(a, requires_grad=True) for n, a in live.items() if _group(cfg, n) == "param"}
+    frozen = {n: Tensor(a) for n, a in live.items() if _group(cfg, n) == "frozen"}
+    return Model(cfg, params, frozen, snapshot)
+
+
 def init_model(cfg: ModelConfig) -> Model:
     """Allocate and seed all parameters; returns the model with a retained
     copy of the initial values.  Same seed, same bytes."""
-    d = cfg.d
     rng = rng_for(cfg.seed, "init")
-    scale_d = 1.0 / np.sqrt(d)
-    arrays: dict[str, np.ndarray] = {
-        "embed": rng.normal(0.0, 1.0 / np.sqrt(cfg.in_dim), (d, cfg.in_dim)),
-        "pos": rng.normal(0.0, 0.02, (d, cfg.tokens)),
-        "cls": rng.normal(0.0, 0.02, (d,)),
-    }
-    for i in range(cfg.L):
-        arrays[f"layers.{i}.U"] = rng.normal(0.0, scale_d, (d, d))
-        arrays[f"layers.{i}.D"] = rng.normal(0.0, scale_d, (d, d))
-        if _has_w(cfg.variant):
-            arrays[f"layers.{i}.W"] = rng.normal(0.0, scale_d, (d, d))
-        arrays[f"layers.{i}.ln1_gain"] = np.ones(d)
-        arrays[f"layers.{i}.ln1_bias"] = np.zeros(d)
-        arrays[f"layers.{i}.ln2_gain"] = np.ones(d)
-        arrays[f"layers.{i}.ln2_bias"] = np.zeros(d)
-    arrays["head.weight"] = rng.normal(0.0, scale_d, (cfg.num_classes, d))
-    arrays["head.bias"] = np.zeros(cfg.num_classes)
-
-    params: dict[str, Tensor] = {}
-    frozen: dict[str, Tensor] = {}
-    for name, arr in arrays.items():
-        if cfg.variant == ly.CRATE_FIX and name.endswith(".W"):
-            frozen[name] = Tensor(arr)
+    scale_d = 1.0 / np.sqrt(cfg.d)
+    std = {"embed": 1.0 / np.sqrt(cfg.in_dim), "pos": 0.02, "cls": 0.02}
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(cfg).items():
+        if name.endswith("gain"):
+            arrays[name] = np.ones(shape)
+        elif name.endswith("bias"):
+            arrays[name] = np.zeros(shape)
         else:
-            params[name] = Tensor(arr, requires_grad=True)
-    snapshot = {name: arr.copy() for name, arr in arrays.items()}
-    return Model(cfg, params, frozen, snapshot)
+            arrays[name] = rng.normal(0.0, std.get(name, scale_d), shape)
+    return _assemble(cfg, arrays, {name: arr.copy() for name, arr in arrays.items()})
 
 
 # ----------------------------------------------------------------------
@@ -389,18 +396,34 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Model:
+    """Read a checkpoint written by ``save_checkpoint``.  The config keys,
+    entry names and shapes must be exactly those ``init_model`` allocates
+    for the stored config; the first mismatch raises FormatError."""
     with np.load(path, allow_pickle=False) as zf:
-        if "meta.version" not in zf or int(zf["meta.version"]) != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version in {path}")
-        cfg = ModelConfig(**json.loads(str(zf["meta.config"])))
-        params: dict[str, Tensor] = {}
-        frozen: dict[str, Tensor] = {}
-        snapshot: dict[str, np.ndarray] = {}
-        for key in zf.files:
-            if key.startswith("param."):
-                params[key[len("param."):]] = Tensor(zf[key], requires_grad=True)
-            elif key.startswith("frozen."):
-                frozen[key[len("frozen."):]] = Tensor(zf[key])
-            elif key.startswith("init."):
-                snapshot[key[len("init."):]] = zf[key]
-    return Model(cfg, params, frozen, snapshot)
+        entries = {key: zf[key] for key in zf.files}
+    if "meta.version" not in entries or int(entries["meta.version"]) != CHECKPOINT_VERSION:
+        raise FormatError(f"unsupported checkpoint version in {path}")
+    raw = json.loads(str(entries["meta.config"])) if "meta.config" in entries else None
+    if not isinstance(raw, dict):
+        raise FormatError(f"{path}: missing or malformed model config")
+    bad_keys = sorted(set(raw) ^ {f.name for f in fields(ModelConfig)})
+    if bad_keys:
+        raise FormatError(f"{path}: model config key {bad_keys[0]!r} is unknown or missing")
+    try:
+        cfg = ModelConfig(**raw)
+    except TypeError as exc:  # a value of the wrong type, e.g. "L": "12"
+        raise FormatError(f"{path}: malformed model config: {exc}") from exc
+    shapes = _param_shapes(cfg)
+    expected = {"meta.version": (), "meta.config": ()}
+    for name, shape in shapes.items():
+        expected[f"{_group(cfg, name)}.{name}"] = expected[f"init.{name}"] = shape
+    for key, shape in expected.items():
+        if key not in entries:
+            raise FormatError(f"{path}: missing entry {key!r}")
+        if entries[key].shape != shape:
+            raise FormatError(f"{path}: entry {key!r} has shape {entries[key].shape}, expected {shape}")
+    extra = [key for key in entries if key not in expected]
+    if extra:
+        raise FormatError(f"{path}: unexpected entry {extra[0]!r}")
+    live = {name: entries[f"{_group(cfg, name)}.{name}"] for name in shapes}
+    return _assemble(cfg, live, {name: entries[f"init.{name}"] for name in shapes})

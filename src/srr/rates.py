@@ -79,9 +79,9 @@ class RateConfig:
         return self.d / (self.N * self.eps_sq)
 
 
-def split_heads(U: np.ndarray, num_heads: int) -> list[np.ndarray]:
-    """Views of the K contiguous column blocks U_1..U_K of U (d x K*p)."""
-    U = np.asarray(U)
+def split_heads(U, num_heads: int) -> list:
+    """Views of the K contiguous column blocks U_1..U_K of U (d x K*p), an
+    ndarray or an autodiff Tensor."""
     if U.ndim != 2:
         raise ShapeError(f"subspace basis must be a matrix, got shape {U.shape}")
     if U.shape[1] % num_heads != 0:

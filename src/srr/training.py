@@ -19,9 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError
-from .linalg import rng_for
-from .model import Model
-from .rates import sparsity_l0
+from .linalg import cross_entropy_np, rng_for
+from .model import Model, _layer_rates
 
 __all__ = [
     "TrainConfig",
@@ -82,13 +81,9 @@ def gradients(loss: Tensor, params: dict[str, Tensor], layer_outputs=None) -> di
     """
     if not np.isfinite(loss.data).all():
         msg = "loss is not finite"
-        if layer_outputs:
-            for i, entry in enumerate(layer_outputs):
-                out = entry["output"]
-                val = out.data if isinstance(out, Tensor) else out
-                if not np.isfinite(val).all():
-                    msg += f" (first non-finite activation at layer {i + 1})"
-                    break
+        layer = _first_nonfinite_layer(layer_outputs)
+        if layer is not None:
+            msg += f" (first non-finite activation at layer {layer})"
         raise NumericError(msg)
     for t in params.values():
         t.grad = None
@@ -107,24 +102,12 @@ def _layer_srr_value_and_term(model: Model, i: int, cache_entry) -> tuple[Tensor
     zout = model.apply_layer(i, zdet, cache_entry["attn_masks"], cache_entry["out_mask"])
     cfg = model.cfg
     gamma = cfg.attention_gamma(zout.shape[-1])
-    U = model.params[f"layers.{i}.U"]
-    p = cfg.p
-    rc = None
-    for k in range(cfg.K):
-        A = U[:, k * p : (k + 1) * p].mT @ zout
-        term = ad.logdet_gram(A, gamma)
-        rc = term if rc is None else rc + term
-    r = ad.logdet_gram(zout, cfg.K * gamma)
+    r, rc, l0 = _layer_rates(zout, model.params[f"layers.{i}.U"], cfg.K, gamma, cfg.K * gamma)
     diff = rc - r
     if diff.data.ndim:
         diff = diff.mean()
-    zval = zout.data
-    if zval.ndim == 2:
-        l0 = float(sparsity_l0(zval))
-    else:
-        l0 = float(np.mean([sparsity_l0(zval[b]) for b in range(zval.shape[0])]))
-    term = diff + cfg.lambda_sparsity * l0
-    return term, l0
+    l0 = float(np.mean(l0))
+    return diff + cfg.lambda_sparsity * l0, l0
 
 
 def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
@@ -137,17 +120,15 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
     """
     x, y = batch
     y = np.asarray(y)
-    train_mode = True
-    tokens = model.embed_inputs(np.asarray(x, dtype=np.float64), traced=True, train_mode=train_mode, rng=rng)
-    need_cache = train_cfg.reg_mode != "none"
-    logits, _, cache = model.run(tokens, train_mode=train_mode, rng=rng, keep_cache=True)
+    tokens = model.embed_inputs(x, traced=True, train_mode=True, rng=rng)
+    logits, _, cache = model.run(tokens, train_mode=True, rng=rng, keep_cache=True)
     ce = ad.softmax_cross_entropy(logits, y)
     acc = float(np.mean(np.argmax(logits.data, axis=-1) == y))
 
     selected: list[int] = []
     reg_value = 0.0
     loss = ce
-    if need_cache:
+    if train_cfg.reg_mode != "none":
         L = model.cfg.L
         if train_cfg.reg_mode == "all_layers":
             selected = list(range(1, L + 1))
@@ -204,18 +185,13 @@ class Adam:
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(len(labels)), labels]
-    return float(np.mean(lse - picked))
-
-
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch: int = 256) -> tuple[float, float]:
     """Plain-inference CE and accuracy over a dataset split."""
     ce_sum = 0.0
     hit_sum = 0.0
     n = len(y)
+    if n == 0:
+        raise ConfigError("cannot evaluate an empty split")
     for start in range(0, n, batch):
         xb = np.asarray(x[start : start + batch], dtype=np.float64)
         yb = np.asarray(y[start : start + batch])
@@ -241,6 +217,10 @@ class EpochStats:
 TRACE_COLUMNS = ("epoch", "train_ce", "train_acc", "val_ce", "val_acc", "lr", "wall_time", "reg_value")
 
 
+def _trace_row(e: EpochStats) -> str:
+    return ",".join([str(e.epoch)] + [repr(getattr(e, c)) for c in TRACE_COLUMNS[1:]])
+
+
 @dataclass
 class TrainingTrace:
     epochs: list[EpochStats] = field(default_factory=list)
@@ -253,23 +233,7 @@ class TrainingTrace:
         return self.epochs[-1].train_ce if self.epochs else float("nan")
 
     def to_csv_text(self) -> str:
-        lines = [",".join(TRACE_COLUMNS)]
-        for e in self.epochs:
-            lines.append(
-                ",".join(
-                    [
-                        str(e.epoch),
-                        repr(e.train_ce),
-                        repr(e.train_acc),
-                        repr(e.val_ce),
-                        repr(e.val_acc),
-                        repr(e.lr),
-                        repr(e.wall_time),
-                        repr(e.reg_value),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join([",".join(TRACE_COLUMNS)] + [_trace_row(e) for e in self.epochs]) + "\n"
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -334,24 +298,7 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
         trace.epochs.append(stats)
         if trace_path:
             with open(trace_path, "a") as fh:
-                fh.write(
-                    ",".join(
-                        [str(stats.epoch)]
-                        + [
-                            repr(v)
-                            for v in (
-                                stats.train_ce,
-                                stats.train_acc,
-                                stats.val_ce,
-                                stats.val_acc,
-                                stats.lr,
-                                stats.wall_time,
-                                stats.reg_value,
-                            )
-                        ]
-                    )
-                    + "\n"
-                )
+                fh.write(_trace_row(stats) + "\n")
         if stats.train_ce <= cfg.stop_criterion:
             trace.converged = True
             trace.stopped_epoch = epoch
@@ -359,14 +306,17 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
     return trace
 
 
+def _first_nonfinite_layer(cache) -> int | None:
+    """1-based index of the first cached layer output with a NaN or inf."""
+    for i, entry in enumerate(cache or ()):
+        out = entry["output"]
+        val = out.data if isinstance(out, Tensor) else out
+        if not np.isfinite(val).all():
+            return i + 1
+    return None
+
+
 def _nonfinite_note(cache, epoch: int, step: int) -> str:
-    layer = None
-    if cache:
-        for i, entry in enumerate(cache):
-            out = entry["output"]
-            val = out.data if isinstance(out, Tensor) else out
-            if not np.isfinite(val).all():
-                layer = i + 1
-                break
+    layer = _first_nonfinite_layer(cache)
     where = f" at layer {layer}" if layer is not None else ""
     return f"training diverged (non-finite loss{where}) at epoch {epoch}, step {step}"

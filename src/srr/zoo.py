@@ -14,9 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import layers as ly
 from .analysis import HyperPoint, ZooRecord, CorrelationReport, correlation_report

@@ -172,6 +172,18 @@ class TestZooCommand:
 
 
 class TestMeasureCommand:
+    @pytest.mark.parametrize("command", ["measure", "probe"])
+    def test_checkpoint_missing_a_parameter_is_a_clean_error(self, tmp_path, capsys, command):
+        cfg, ckpt, _ = train_small(tmp_path)
+        with np.load(ckpt) as zf:
+            entries = {key: zf[key] for key in zf.files if key != "param.embed"}
+        np.savez(ckpt, **entries)
+        capsys.readouterr()
+        rc = main([command, "--checkpoint", ckpt, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'param.embed'" in err
+
     def test_measure_row(self, tmp_path, capsys):
         cfg, ckpt, _ = train_small(tmp_path)
         out = str(tmp_path / "row.csv")

@@ -38,6 +38,11 @@ class TestSpec:
         with pytest.raises(ConfigError):
             DatasetSpec(classes=1)
 
+    @pytest.mark.parametrize("split", ["n_train", "n_val"])
+    def test_empty_split_rejected(self, split):
+        with pytest.raises(ConfigError):
+            DatasetSpec(**{split: 0})
+
 
 class TestSynthetic:
     SPEC = DatasetSpec(classes=3, tokens=8, feat_dim=16, subspace_dim=4,

@@ -18,9 +18,9 @@ from srr.layers import (
     mssa,
     patchify,
     stacked_attention_heads,
-    tokenize,
 )
 from srr.linalg import orthonormal_basis, rng_for, softmax_columns
+from srr.model import ModelConfig, init_model
 
 
 def make_params(d=8, K=2, seed=0, alpha=1.0, beta=0.5, W=None):
@@ -224,6 +224,16 @@ class TestLayerNorm:
         np.testing.assert_allclose(got.data, layer_norm(Z, gain, bias), atol=1e-14)
 
 
+def embed_image(image, patch, embed, pos, cls):
+    """One H x W x C image through ``Model.embed_inputs(patchify(...))`` with
+    the embedding, positional table and CLS token set by hand."""
+    H, _, C = image.shape
+    model = init_model(ModelConfig(L=1, d=len(cls), K=1, patch=patch, image_size=H, channels=C))
+    for name, value in (("embed", embed), ("pos", pos), ("cls", cls)):
+        model.params[name].data = np.asarray(value, dtype=np.float64)
+    return model.embed_inputs(patchify(image, patch))[0]
+
+
 class TestTokenize:
     def test_cifar_shape_arithmetic(self):
         image = rng_for(50).random((32, 32, 3))
@@ -231,11 +241,11 @@ class TestTokenize:
         embed = rng_for(51).standard_normal((d, F))
         pos = np.zeros((d, 65))
         cls = np.zeros(d)
-        tok = tokenize(image, 4, embed, pos, cls)
+        tok = embed_image(image, 4, embed, pos, cls)
         assert tok.shape == (16, 65)
 
     def test_zero_everything(self):
-        tok = tokenize(np.zeros((8, 8, 3)), 4, np.zeros((5, 48)), np.zeros((5, 5)), np.zeros(5))
+        tok = embed_image(np.zeros((8, 8, 3)), 4, np.zeros((5, 48)), np.zeros((5, 5)), np.zeros(5))
         assert np.array_equal(tok, np.zeros((5, 5)))
 
     def test_single_patch_hand_fixture(self):
@@ -244,7 +254,7 @@ class TestTokenize:
         embed = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]])
         cls = np.array([10.0, 20.0])
         pos = np.array([[0.1, 0.2], [0.3, 0.4]])
-        tok = tokenize(image, 2, embed, pos, cls)
+        tok = embed_image(image, 2, embed, pos, cls)
         # patch flattens to (1,2,3,4); embed rows pick 1 and 2*4
         np.testing.assert_allclose(tok[:, 0], [10.1, 20.3], atol=0)
         np.testing.assert_allclose(tok[:, 1], [1.2, 8.4], atol=0)
@@ -254,17 +264,14 @@ class TestTokenize:
         embed = np.zeros((3, 4))
         pos = np.zeros((3, 5))
         cls = np.array([1.0, 2.0, 3.0])
-        tok = tokenize(image, 2, embed, pos, cls)
+        tok = embed_image(image, 2, embed, pos, cls)
         np.testing.assert_allclose(tok[:, 0], cls, atol=0)
         assert np.array_equal(tok[:, 1:], np.zeros((3, 4)))
 
     def test_indivisible_patch_rejected(self):
+        model = init_model(ModelConfig(L=1, d=2, K=1, patch=2, image_size=4, channels=1))
         with pytest.raises(ShapeError):
-            tokenize(np.zeros((5, 5, 1)), 2, np.zeros((2, 4)), np.zeros((2, 7)), np.zeros(2))
-
-    def test_positional_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            tokenize(np.zeros((4, 4, 1)), 2, np.zeros((2, 4)), np.zeros((2, 99)), np.zeros(2))
+            model.embed_inputs(patchify(np.zeros((5, 5, 1)), 2))
 
 
 class TestPatchify:

@@ -1,15 +1,18 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from srr.errors import ConfigError, FormatError, ShapeError
-from srr.layers import CRATE, CRATE_C, CRATE_FIX, CRATE_N, CRATE_T, layer_norm, tokenize
+from srr import rates
+from srr.autodiff import Tensor
+from srr.errors import ConfigError, FormatError, NumericError, ShapeError
+from srr.layers import CRATE, CRATE_C, CRATE_FIX, CRATE_N, CRATE_T, layer_norm, patchify
 from srr.linalg import rng_for
 from srr.model import (
     Model,
     ModelConfig,
-    forward,
+    _layer_rates,
     init_model,
     load_checkpoint,
     param_count,
@@ -133,12 +136,11 @@ class TestEmbedInputs:
         cfg = ModelConfig(L=1, d=8, K=2, patch=2, image_size=4, channels=1, num_classes=3, seed=2)
         model = init_model(cfg)
         img = rng_for(5).random((4, 4, 1))
-        from srr.layers import patchify
-
         via_model = model.embed_inputs(patchify(img[None], 2))[0]
         P = {k: t.data for k, t in model.params.items()}
-        via_tokenize = tokenize(img, 2, P["embed"], P["pos"], P["cls"])
-        np.testing.assert_allclose(via_model, via_tokenize, atol=1e-15)
+        cols = patchify(img[None], 2)[0]
+        via_hand = np.concatenate([P["cls"][:, None], P["embed"] @ cols], axis=1) + P["pos"]
+        np.testing.assert_allclose(via_model, via_hand, atol=1e-15)
 
     def test_wrong_feature_dim(self):
         model = init_model(tiny_cfg())
@@ -151,7 +153,7 @@ class TestForward:
         cfg = tiny_cfg()
         model = init_model(cfg)
         tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
-        logits, probes = forward(model, tok, probe=True)
+        logits, probes, _ = model.run(tok, probe=True)
         assert logits.shape == (cfg.num_classes,)
         assert [p.layer for p in probes] == [1, 2]
         for p in probes:
@@ -161,8 +163,8 @@ class TestForward:
         cfg = tiny_cfg(dropout=0.5)  # dropout configured but inactive at inference
         model = init_model(cfg)
         tok = model.embed_inputs(tiny_batch(cfg))
-        a, _ = forward(model, tok)
-        b, _ = forward(model, tok)
+        a, _, _ = model.run(tok)
+        b, _, _ = model.run(tok)
         assert np.array_equal(a, b)
 
     def test_batch_matches_per_sample(self):
@@ -170,9 +172,9 @@ class TestForward:
         model = init_model(cfg)
         x = tiny_batch(cfg, B=4)
         tok = model.embed_inputs(x)
-        batch_logits, _ = forward(model, tok)
+        batch_logits, _, _ = model.run(tok)
         for b in range(4):
-            single, _ = forward(model, tok[b])
+            single, _, _ = model.run(tok[b])
             np.testing.assert_allclose(batch_logits[b], single, atol=1e-12)
 
     def test_wrong_width_rejected(self):
@@ -216,7 +218,7 @@ class TestForward:
         Z1 = ista_step(Ya, lp.D, cfg.beta, cfg.lambda_sparsity)
         P = {k: t.data for k, t in model.params.items()}
         want = P["head.weight"] @ Z1[:, 0] + P["head.bias"]
-        got, _ = forward(model, tok)
+        got, _, _ = model.run(tok)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_probe_rate_override(self):
@@ -224,8 +226,8 @@ class TestForward:
         model = init_model(cfg)
         tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
         pc = RateConfig(d=cfg.d, N=cfg.tokens, K=cfg.K, eps_sq=2.0, lambda_sparsity=0.5)
-        _, probes_a = forward(model, tok, probe=True, probe_rate=pc)
-        _, probes_b = forward(model, tok, probe=True)
+        _, probes_a, _ = model.run(tok, probe=True, probe_rate=pc)
+        _, probes_b, _ = model.run(tok, probe=True)
         assert probes_a[0].srr != probes_b[0].srr
 
     def test_variant_sign_flip_on_shared_weights(self):
@@ -241,9 +243,48 @@ class TestForward:
         up_n = attention_update(Zn, lp, CRATE_N, 1.0)
         np.testing.assert_allclose(up_c + up_n, 2 * Zn, atol=1e-12)
         # and the two full models differ (sign actually reached the update)
-        a, _ = forward(model_c, tok)
-        b, _ = forward(model_n, tok)
+        a, _, _ = model_c.run(tok)
+        b, _, _ = model_n.run(tok)
         assert not np.allclose(a, b)
+
+
+class TestLayerRates:
+    @pytest.mark.parametrize("scale", ["probe", "regularizer"])
+    def test_batch_means_match_the_numpy_oracle(self, scale):
+        B, d, N, K = 5, 12, 7, 3
+        Z = np.maximum(rng_for(70).standard_normal((B, d, N)), 0.0)
+        U = rng_for(71).standard_normal((d, d)) / np.sqrt(d)
+        pc = RateConfig(d=d, N=N, K=K)
+        if scale == "probe":
+            gamma, full = pc.gamma, pc.full_scale
+            r, rc, l0 = _layer_rates(Z, U, K, gamma, full)
+        else:  # the regularizer's attention gamma, on the tape
+            gamma = ModelConfig(d=d, K=K).attention_gamma(N)
+            full = K * gamma
+            r, rc, l0 = _layer_rates(Tensor(Z, requires_grad=True), Tensor(U, requires_grad=True), K, gamma, full)
+        want_r = np.mean([rates.coding_rate(z, full) for z in Z])
+        want_rc = np.mean([rates.projected_coding_rate(z, U, K, gamma) for z in Z])
+        want_l0 = np.mean([rates.sparsity_l0(z) for z in Z])
+        np.testing.assert_allclose(
+            [r.data.mean(), rc.data.mean(), l0.mean()], [want_r, want_rc, want_l0], rtol=1e-12, atol=0
+        )
+        if scale == "probe":
+            srr = pc.lambda_sparsity * l0 + rc.data - r.data
+            want = [rates.srr_layer_measure(z, U, pc) for z in Z]
+            np.testing.assert_allclose(srr, want, rtol=1e-12, atol=0)
+
+    def test_non_finite_tokens_rejected(self):
+        Z = np.ones((8, 3))
+        Z[2, 1] = np.nan
+        with pytest.raises(NumericError):
+            _layer_rates(Z, np.eye(8), 2, 1.0, 2.0)
+
+
+def _rewrite_checkpoint(path, edit):
+    with np.load(path) as zf:
+        entries = {key: zf[key] for key in zf.files}
+    edit(entries)
+    np.savez(path, **entries)
 
 
 class TestCheckpoint:
@@ -272,8 +313,8 @@ class TestCheckpoint:
         path = tmp_path / "m.npz"
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
-        a, _ = forward(model, tok)
-        b, _ = forward(loaded, tok)
+        a, _, _ = model.run(tok)
+        b, _, _ = loaded.run(tok)
         assert np.array_equal(a, b)
 
     def test_version_mismatch(self, tmp_path):
@@ -281,3 +322,32 @@ class TestCheckpoint:
         np.savez(str(path), **{"meta.version": np.array(999), "meta.config": np.array("{}")})
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = str(tmp_path / "m.npz")
+        save_checkpoint(init_model(tiny_cfg()), path)
+        _rewrite_checkpoint(path, lambda e: e.pop("param.embed"))
+        with pytest.raises(FormatError, match="'param.embed'"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        path = str(tmp_path / "m.npz")
+        save_checkpoint(init_model(tiny_cfg()), path)
+        _rewrite_checkpoint(path, lambda e: e.update({"param.layers.1.U": np.zeros((8, 6))}))
+        with pytest.raises(FormatError, match="'param.layers.1.U'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change, named", [({"depth": 3}, "'depth'"), ({"L": "2"}, "str")], ids=["unknown_key", "wrong_type"]
+    )
+    def test_bad_config_rejected(self, tmp_path, change, named):
+        path = str(tmp_path / "m.npz")
+        save_checkpoint(init_model(tiny_cfg()), path)
+
+        def edit_config(entries):
+            cfg = json.loads(str(entries["meta.config"]))
+            entries["meta.config"] = np.array(json.dumps(dict(cfg, **change)))
+
+        _rewrite_checkpoint(path, edit_config)
+        with pytest.raises(FormatError, match=named):
+            load_checkpoint(path)

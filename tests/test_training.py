@@ -6,12 +6,13 @@ from srr.autodiff import Tensor
 from srr.data import DatasetSpec, synth_dataset
 from srr.errors import ConfigError, NumericError
 from srr.linalg import orthonormal_basis, rng_for
-from srr.model import ModelConfig, init_model
+from srr.model import ModelConfig, _layer_rates, init_model
 from srr.rates import coding_rate, grad_projected_coding_rate, sparsity_l0
 from srr.training import (
     Adam,
     TRACE_COLUMNS,
     TrainConfig,
+    _layer_srr_value_and_term,
     cross_entropy_np,
     evaluate,
     gradients,
@@ -227,6 +228,20 @@ class TestRegularizedLoss:
         assert loss.item() == pytest.approx(want, abs=1e-10)
         assert parts["reg_value"] == pytest.approx(np.mean(terms), abs=1e-10)
 
+    def test_term_is_the_shared_measure_of_the_replayed_output(self):
+        model = tiny_model(L=2, d=8, K=2)
+        x, y = tiny_batch(model, B=3)
+        _, parts = srr_regularized_loss(model, (x, y), TrainConfig(eta_reg=0.1, reg_mode="all_layers"))
+        mcfg = model.cfg
+        gamma = mcfg.attention_gamma(mcfg.tokens)
+        for i, entry in enumerate(parts["cache"]):
+            term, l0 = _layer_srr_value_and_term(model, i, entry)
+            zout = model.apply_layer(i, entry["input"].detach()).data
+            r, rc, l0s = _layer_rates(zout, model.params[f"layers.{i}.U"].data, mcfg.K, gamma, mcfg.K * gamma)
+            assert l0 == np.mean(l0s)
+            want = mcfg.lambda_sparsity * np.mean(l0s) + np.mean(rc.data) - np.mean(r.data)
+            assert term.item() == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_random_layer_selection(self):
         model = tiny_model(L=3, d=8, K=2)
         x, y = tiny_batch(model, B=4)
@@ -296,6 +311,11 @@ class TestEvaluate:
         a = evaluate(model, ds.val_x, ds.val_y, batch=4)
         b = evaluate(model, ds.val_x, ds.val_y, batch=1000)
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_empty_split_rejected(self):
+        ds = sep_dataset()
+        with pytest.raises(ConfigError):
+            evaluate(tiny_model(), ds.val_x[:0], ds.val_y[:0])
 
 
 class TestTrain:
