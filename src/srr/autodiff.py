@@ -102,7 +102,6 @@ class Tensor:
     # ------------------------------------------------------------------ arithmetic
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, _parents=(self, other))
 
         def vjp(g):
             if self.requires_grad:
@@ -110,24 +109,19 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.data.shape))
 
-        out._vjp = vjp
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other), _vjp=vjp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, _parents=(self,))
-
         def vjp(g):
             if self.requires_grad:
                 self._accumulate(-g)
 
-        out._vjp = vjp
-        return out
+        return Tensor(-self.data, _parents=(self,), _vjp=vjp)
 
     def __sub__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data - other.data, _parents=(self, other))
 
         def vjp(g):
             if self.requires_grad:
@@ -135,15 +129,13 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-g, other.data.shape))
 
-        out._vjp = vjp
-        return out
+        return Tensor(self.data - other.data, _parents=(self, other), _vjp=vjp)
 
     def __rsub__(self, other):
         return as_tensor(other) - self
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, _parents=(self, other))
 
         def vjp(g):
             if self.requires_grad:
@@ -151,8 +143,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
-        out._vjp = vjp
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other), _vjp=vjp)
 
     __rmul__ = __mul__
 
@@ -164,7 +155,6 @@ class Tensor:
     def __matmul__(self, other):
         other = as_tensor(other)
         a, b = self, other
-        out = Tensor(a.data @ b.data, _parents=(a, b))
 
         def vjp(g):
             if a.requires_grad:
@@ -174,8 +164,7 @@ class Tensor:
                 gb = np.swapaxes(a.data, -1, -2) @ g
                 b._accumulate(_unbroadcast(gb, b.data.shape))
 
-        out._vjp = vjp
-        return out
+        return Tensor(a.data @ b.data, _parents=(a, b), _vjp=vjp)
 
     def __rmatmul__(self, other):
         return as_tensor(other) @ self
@@ -184,53 +173,40 @@ class Tensor:
     @property
     def mT(self) -> "Tensor":
         """Transpose of the last two axes."""
-        out = Tensor(np.swapaxes(self.data, -1, -2), _parents=(self,))
-
         def vjp(g):
             if self.requires_grad:
                 self._accumulate(np.swapaxes(g, -1, -2))
 
-        out._vjp = vjp
-        return out
+        return Tensor(np.swapaxes(self.data, -1, -2), _parents=(self,), _vjp=vjp)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), _parents=(self,))
 
         def vjp(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.data.shape))
 
-        out._vjp = vjp
-        return out
+        return Tensor(self.data.reshape(shape), _parents=(self,), _vjp=vjp)
 
     def __getitem__(self, idx) -> "Tensor":
-        out = Tensor(self.data[idx], _parents=(self,))
-
         def vjp(g):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 full[idx] = g
                 self._accumulate(full)
 
-        out._vjp = vjp
-        return out
+        return Tensor(self.data[idx], _parents=(self,), _vjp=vjp)
 
     def broadcast_to(self, shape) -> "Tensor":
-        out = Tensor(np.broadcast_to(self.data, shape), _parents=(self,))
-
         def vjp(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g, self.data.shape))
 
-        out._vjp = vjp
-        return out
+        return Tensor(np.broadcast_to(self.data, shape), _parents=(self,), _vjp=vjp)
 
     # ------------------------------------------------------------------ reductions
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,))
-
         def vjp(g):
             if not self.requires_grad:
                 return
@@ -241,8 +217,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
-        out._vjp = vjp
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _vjp=vjp)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -254,14 +229,11 @@ class Tensor:
 
     # ------------------------------------------------------------------ nonlinearities
     def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.data, 0.0), _parents=(self,))
-
         def vjp(g):
             if self.requires_grad:
                 self._accumulate(g * (self.data > 0.0))
 
-        out._vjp = vjp
-        return out
+        return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _vjp=vjp)
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -275,7 +247,6 @@ def as_tensor(value) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; gradients are split back by size."""
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -286,22 +257,19 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    out._vjp = vjp
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors), _vjp=vjp)
 
 
 def softmax_cols(scores: Tensor) -> Tensor:
     """Softmax over axis -2 (column-normalized), fused forward/backward."""
     sm = _softmax(scores.data, -2)
-    out = Tensor(sm, _parents=(scores,))
 
     def vjp(g):
         if scores.requires_grad:
             inner = (g * sm).sum(axis=-2, keepdims=True)
             scores._accumulate(sm * (g - inner))
 
-    out._vjp = vjp
-    return out
+    return Tensor(sm, _parents=(scores,), _vjp=vjp)
 
 
 def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -320,7 +288,6 @@ def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) ->
     var = (xc * xc).mean(axis=-2, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(gcol * xhat + bias.data.reshape((d, 1)), _parents=(x, gain, bias))
 
     def vjp(g):
         if gain.requires_grad:
@@ -333,8 +300,7 @@ def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) ->
             term2 = (gx * xhat).mean(axis=-2, keepdims=True)
             x._accumulate(inv * (gx - term1 - xhat * term2))
 
-    out._vjp = vjp
-    return out
+    return Tensor(gcol * xhat + bias.data.reshape((d, 1)), _parents=(x, gain, bias), _vjp=vjp)
 
 
 def logdet_gram(z: Tensor, scale: float) -> Tensor:
@@ -362,7 +328,6 @@ def logdet_gram(z: Tensor, scale: float) -> Tensor:
     except np.linalg.LinAlgError as exc:
         raise NumericError("Gram log-volume: matrix lost positive definiteness") from exc
     diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    out = Tensor(np.log(diag).sum(axis=-1), _parents=(z,))
 
     def vjp(g):
         if not z.requires_grad:
@@ -375,8 +340,7 @@ def logdet_gram(z: Tensor, scale: float) -> Tensor:
             dz = scale * np.linalg.solve(M, z.data)
         z._accumulate(np.asarray(g)[..., None, None] * dz)
 
-    out._vjp = vjp
-    return out
+    return Tensor(np.log(diag).sum(axis=-1), _parents=(z,), _vjp=vjp)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -388,7 +352,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError("cross-entropy expects a (batch, classes) logit matrix")
     labels = np.asarray(labels)
     B = logits.data.shape[0]
-    out = Tensor(cross_entropy_np(logits.data, labels), _parents=(logits,))
 
     def vjp(g):
         if logits.requires_grad:
@@ -396,8 +359,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             probs[np.arange(B), labels] -= 1.0
             logits._accumulate(float(g) * probs / B)
 
-    out._vjp = vjp
-    return out
+    return Tensor(cross_entropy_np(logits.data, labels), _parents=(logits,), _vjp=vjp)
 
 
 def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -23,7 +23,6 @@ from .data import DatasetSpec, build_dataset
 from .errors import ConfigError
 from .measures import measure_csv_row, measure_vector, measures_csv_header
 from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
-from .rates import RateConfig
 from .training import TrainConfig, train
 from .zoo import GridSpec, correlate_zoo, measure_zoo, run_zoo
 
@@ -129,14 +128,8 @@ def _cmd_probe(args) -> int:
     model = load_checkpoint(args.checkpoint)
     data_spec = _dataset_spec(args, cfg)
     dataset = build_dataset(data_spec)
-    n = min(args.samples, len(dataset.train_y))
-    x = np.asarray(dataset.train_x[:n], dtype=np.float64)
-    tokens = model.embed_inputs(x)
-    pc = RateConfig(
-        d=model.cfg.d, N=tokens.shape[-1], K=model.cfg.K,
-        eps_sq=args.eps_sq, lambda_sparsity=args.lam,
-    )
-    _, probes, _ = model.run(tokens, probe=True, probe_rate=pc, ln_identity=True)
+    rate = {k: v for k, v in vars(args).items() if k in ("eps_sq", "lambda_sparsity")}
+    probes = model.probe(dataset.train_x[: args.samples], **rate)
     lines = ["layer,r,rc,l0,srr"]
     for p in probes:
         lines.append(f"{p.layer},{p.r!r},{p.rc!r},{p.l0!r},{p.srr!r}")
@@ -250,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config with a data section")
     p.add_argument("--data", choices=["cifar10", "cifar100", "synthetic"])
     p.add_argument("--data-path")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--eps-sq", type=float, default=0.5)
+    # unset rate scales take Model.probe's defaults, those of RateConfig
+    p.add_argument("--lambda", dest="lambda_sparsity", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--eps-sq", type=float, default=argparse.SUPPRESS)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out", default="probes.csv")
     p.set_defaults(func=_cmd_probe)

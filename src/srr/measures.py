@@ -10,7 +10,7 @@ the variant has one), and the classification head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,15 +64,7 @@ class MeasureVector:
 
 FIELD_ORDER = tuple(f.name for f in fields(MeasureVector))
 
-
-def _eval_logits(model: Model, x: np.ndarray, batch: int = 256) -> np.ndarray:
-    """Inference logits with LayerNorm bypassed."""
-    outs = []
-    for start in range(0, len(x), batch):
-        tokens = model.embed_inputs(np.asarray(x[start : start + batch], dtype=np.float64))
-        logits, _, _ = model.run(tokens, ln_identity=True)
-        outs.append(logits)
-    return np.concatenate(outs, axis=0)
+PROBE_SAMPLES = 8  # training samples the layer-averaged SRR probe runs on
 
 
 def margin_quantile(model: Model, dataset, q: float) -> float:
@@ -83,7 +75,7 @@ def margin_quantile(model: Model, dataset, q: float) -> float:
     y = np.asarray(dataset.train_y)
     if len(y) == 0:
         raise ConfigError("empty dataset")
-    logits = _eval_logits(model, dataset.train_x)
+    logits = model.logits(dataset.train_x, ln_identity=True)
     picked = logits[np.arange(len(y)), y]
     masked = logits.copy()
     masked[np.arange(len(y)), y] = -np.inf
@@ -100,9 +92,7 @@ def path_norm(model: Model) -> float:
         for name, t in model.all_params().items():
             t.data = squared[name] ** 2
         ones = np.ones((model.cfg.in_dim, model.cfg.grid_tokens))
-        tokens = model.embed_inputs(ones)
-        logits, _, _ = model.run(tokens, ln_identity=True)
-        return float(np.sum(logits))
+        return float(np.sum(model.logits(ones[None], ln_identity=True)))
     finally:
         for name, t in model.all_params().items():
             t.data = originals[name]
@@ -147,7 +137,7 @@ def pac_bayes_sigma(
     for m in range(mc_samples):
         rng = rng_for(seed, "pac_bayes", m)
         noises.append({name: rng.standard_normal(t.data.shape) for name, t in params.items()})
-    base_ce = cross_entropy_np(_eval_logits(model, x), y)
+    base_ce = cross_entropy_np(model.logits(x, ln_identity=True), y)
 
     def increase(sigma: float) -> float:
         total = 0.0
@@ -155,7 +145,7 @@ def pac_bayes_sigma(
             for eps in noises:
                 for name, t in params.items():
                     t.data = base[name] + sigma * eps[name]
-                total += cross_entropy_np(_eval_logits(model, x), y) - base_ce
+                total += cross_entropy_np(model.logits(x, ln_identity=True), y) - base_ce
         finally:
             for name, t in params.items():
                 t.data = base[name]
@@ -170,23 +160,11 @@ def _geo_mean(vals: list[float]) -> float:
     return float(np.exp(np.mean(np.log(vals))))
 
 
-def _probe_srr(model: Model, dataset, rate_cfg: rates.RateConfig | None, probe_samples: int) -> float:
-    n = min(probe_samples, len(dataset.train_y))
-    x = np.asarray(dataset.train_x[:n], dtype=np.float64)
-    tokens = model.embed_inputs(x)
-    pc = rates.RateConfig(d=model.cfg.d, N=tokens.shape[-1], K=model.cfg.K)
-    if rate_cfg is not None:
-        pc = replace(pc, eps_sq=rate_cfg.eps_sq, lambda_sparsity=rate_cfg.lambda_sparsity)
-    _, probes, _ = model.run(tokens, probe=True, probe_rate=pc, ln_identity=True)
-    return float(np.mean([p.srr for p in probes]))
-
-
 def measure_vector(
     model: Model,
     init_snapshot: dict[str, np.ndarray] | None,
     dataset,
     rate_cfg: rates.RateConfig | None = None,
-    probe_samples: int = 8,
     seed: int = 0,
 ) -> tuple[MeasureVector, dict[str, str]]:
     """Every Table-style measure for one trained model.
@@ -233,7 +211,9 @@ def measure_vector(
     if flag == "lower_bracket_exceeded":
         errors["pac_bayes_flatness_inv_sigma"] = "loss too sharp: sigma pinned at the lower bracket"
 
-    mv.srr = _probe_srr(model, dataset, rate_cfg, probe_samples)
+    x = dataset.train_x[:PROBE_SAMPLES]
+    probes = model.probe(x) if rate_cfg is None else model.probe(x, rate_cfg.eps_sq, rate_cfg.lambda_sparsity)
+    mv.srr = float(np.mean([p.srr for p in probes]))
 
     init_fields = ("l2_norm_init", "fro_distance", "spec_distance", "spec_init_main", "pac_bayes_init")
     if init_snapshot is None:

@@ -1,4 +1,4 @@
-"""Model assembly: L unrolled layers, forward passes with optional
+"""Model assembly: L unrolled layers, the forward pass, inference logits and
 per-layer probes, parameter counting/initialization, and checkpoints.
 
 A layer maps Z to ista_step(LN2(attention_update(LN1(Z)))) — layer norm
@@ -149,10 +149,10 @@ class Model:
         return out
 
     # ------------------------------------------------------------------
-    def embed_inputs(self, raw: np.ndarray, traced: bool = False, train_mode: bool = False, rng=None):
+    def embed_inputs(self, raw: np.ndarray, train_mode: bool = False, rng=None):
         """Feature columns (B, F, T) or (F, T) -> token matrix with CLS and
-        positional encoding.  Traced mode builds the autodiff graph; training
-        mode additionally applies embedding dropout."""
+        positional encoding.  Training mode builds the autodiff graph and
+        applies embedding dropout."""
         raw = np.asarray(raw, dtype=np.float64)
         single = raw.ndim == 2
         if single:
@@ -160,20 +160,14 @@ class Model:
         if raw.shape[1] != self.cfg.in_dim:
             raise ShapeError(f"expected {self.cfg.in_dim}-dim feature columns, got {raw.shape[1]}")
         P = self.all_params()
-        embed = P["embed"] if traced else P["embed"].data
-        cls = P["cls"] if traced else P["cls"].data
-        pos = P["pos"] if traced else P["pos"].data
+        embed, cls, pos = (P[n] if train_mode else P[n].data for n in ("embed", "cls", "pos"))
         B, _, T = raw.shape
-        if traced:
-            tok = embed @ Tensor(raw)
+        if train_mode:
             head_col = cls.reshape(self.cfg.d, 1).broadcast_to((B, self.cfg.d, 1))
-            tok = concat([head_col, tok], axis=-1)
-            tok = tok + pos
+            tok = concat([head_col, embed @ Tensor(raw)], axis=-1) + pos
         else:
-            tok = embed @ raw
             head_col = np.broadcast_to(cls.reshape(self.cfg.d, 1), (B, self.cfg.d, 1))
-            tok = np.concatenate([head_col, tok], axis=-1)
-            tok = tok + pos
+            tok = np.concatenate([head_col, embed @ raw], axis=-1) + pos
         if train_mode and self.cfg.dropout > 0.0:
             if rng is None:
                 raise ConfigError("training-mode dropout needs an rng")
@@ -217,21 +211,11 @@ class Model:
         )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        tokens,
-        train_mode: bool = False,
-        probe: bool = False,
-        rng=None,
-        probe_rate: rates.RateConfig | None = None,
-        ln_identity: bool = False,
-        keep_cache: bool = False,
-    ):
+    def run(self, tokens, train_mode: bool = False, rng=None, ln_identity: bool = False, keep_cache: bool = False):
         """Forward pass.
 
         ``tokens``: (d, N), (B, d, N) ndarray, or a traced Tensor.
-        Returns (logits, probes, cache); ``probes`` is empty unless
-        requested, ``cache`` is None unless ``keep_cache``.
+        Returns (logits, cache); ``cache`` is None unless ``keep_cache``.
         """
         cfg = self.cfg
         traced = isinstance(tokens, Tensor)
@@ -245,12 +229,7 @@ class Model:
         if train_mode and cfg.dropout > 0.0 and rng is None:
             raise ConfigError("training-mode dropout needs an rng")
 
-        probe_cfg = None
-        if probe:
-            probe_cfg = probe_rate or rates.RateConfig(d=cfg.d, N=n_tok, K=cfg.K)
-
         Z = tokens
-        probes: list[ProbeRecord] = []
         cache: list[dict] | None = [] if keep_cache else None
         for i in range(cfg.L):
             lp = self.layer_params(i, traced=traced)
@@ -267,19 +246,38 @@ class Model:
                 cache.append(
                     {"input": layer_in, "attn_masks": attn_masks, "out_mask": out_mask, "output": Z}
                 )
-            if probe:
-                probes.append(_probe_layer(i + 1, Z, lp.U, probe_cfg))
 
         P = self.all_params()
         hw = P["head.weight"] if traced else P["head.weight"].data
         hb = P["head.bias"] if traced else P["head.bias"].data
-        cls_col = Z[..., :, 0:1]
-        raw_logit = hw @ cls_col
-        if traced:
-            logits = raw_logit.reshape(raw_logit.shape[:-1]) + hb
-        else:
-            logits = raw_logit[..., 0] + hb
-        return logits, probes, cache
+        return (hw @ Z[..., :, 0:1])[..., 0] + hb, cache
+
+    def logits(self, raw: np.ndarray, ln_identity: bool = False, batch: int = 256) -> np.ndarray:
+        """Inference logits of a (B, F, T) feature batch, ``batch`` samples
+        at a time."""
+        chunks = [
+            self.run(self.embed_inputs(raw[start : start + batch]), ln_identity=ln_identity)[0]
+            for start in range(0, len(raw), batch)
+        ]
+        return np.concatenate(chunks, axis=0)
+
+    def probe(
+        self,
+        raw: np.ndarray,
+        eps_sq: float = rates.RateConfig.eps_sq,
+        lambda_sparsity: float = rates.RateConfig.lambda_sparsity,
+    ) -> list[ProbeRecord]:
+        """Per-layer probes of the feature columns ``raw`` with LayerNorm
+        bypassed, at the rate scales eps_sq and lambda_sparsity."""
+        tokens = self.embed_inputs(raw)
+        pc = rates.RateConfig(
+            d=self.cfg.d, N=tokens.shape[-1], K=self.cfg.K, eps_sq=eps_sq, lambda_sparsity=lambda_sparsity
+        )
+        _, cache = self.run(tokens, ln_identity=True, keep_cache=True)
+        return [
+            _probe_layer(i + 1, entry["output"], self.params[f"layers.{i}.U"].data, pc)
+            for i, entry in enumerate(cache)
+        ]
 
 
 def _dropout_mask(rng, shape, p: float) -> np.ndarray:
@@ -322,17 +320,9 @@ def _probe_layer(layer_no: int, Z, U, pc: rates.RateConfig) -> ProbeRecord:
 
 
 def param_count(cfg: ModelConfig) -> int:
-    """Exact trainable-parameter count from the configuration alone."""
-    d, L = cfg.d, cfg.L
-    total = d * cfg.in_dim  # patch/feature embedding (no bias)
-    total += d * cfg.tokens  # positional table
-    total += d  # CLS token
-    per_layer = d * d + d * d + 4 * d  # U, D, two layer norms
-    if cfg.variant == ly.CRATE:  # learnable W; the frozen variant does not count
-        per_layer += d * d
-    total += L * per_layer
-    total += cfg.num_classes * d + cfg.num_classes  # linear head
-    return total
+    """Trainable-parameter count of the configuration's parameter table."""
+    shapes = _param_shapes(cfg)
+    return sum(int(np.prod(shape)) for name, shape in shapes.items() if _group(cfg, name) == "param")
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:

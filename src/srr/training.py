@@ -120,8 +120,8 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
     """
     x, y = batch
     y = np.asarray(y)
-    tokens = model.embed_inputs(x, traced=True, train_mode=True, rng=rng)
-    logits, _, cache = model.run(tokens, train_mode=True, rng=rng, keep_cache=True)
+    tokens = model.embed_inputs(x, train_mode=True, rng=rng)
+    logits, cache = model.run(tokens, train_mode=True, rng=rng, keep_cache=True)
     ce = ad.softmax_cross_entropy(logits, y)
     acc = float(np.mean(np.argmax(logits.data, axis=-1) == y))
 
@@ -140,11 +140,14 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
             if rng is None:
                 raise ConfigError("random_layer mode needs an rng")
             selected = [int(rng.integers(1, L + 1))]
-        total = None
-        for layer_no in selected:
-            term, _ = _layer_srr_value_and_term(model, layer_no - 1, cache[layer_no - 1])
-            total = term if total is None else total + term
-        mean_term = total * (1.0 / len(selected))
+        if _first_nonfinite_layer(cache) is None:
+            total = None
+            for layer_no in selected:
+                term, _ = _layer_srr_value_and_term(model, layer_no - 1, cache[layer_no - 1])
+                total = term if total is None else total + term
+            mean_term = total * (1.0 / len(selected))
+        else:  # a non-finite layer has no measure: the NaN loss flags the divergence
+            mean_term = Tensor(np.nan)
         reg_value = mean_term.item()
         loss = ce + train_cfg.eta_reg * mean_term
 
@@ -187,19 +190,11 @@ class Adam:
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch: int = 256) -> tuple[float, float]:
     """Plain-inference CE and accuracy over a dataset split."""
-    ce_sum = 0.0
-    hit_sum = 0.0
-    n = len(y)
-    if n == 0:
+    y = np.asarray(y)
+    if len(y) == 0:
         raise ConfigError("cannot evaluate an empty split")
-    for start in range(0, n, batch):
-        xb = np.asarray(x[start : start + batch], dtype=np.float64)
-        yb = np.asarray(y[start : start + batch])
-        tokens = model.embed_inputs(xb)
-        logits, _, _ = model.run(tokens)
-        ce_sum += cross_entropy_np(logits, yb) * len(yb)
-        hit_sum += float(np.sum(np.argmax(logits, axis=-1) == yb))
-    return ce_sum / n, hit_sum / n
+    logits = model.logits(x, batch=batch)
+    return cross_entropy_np(logits, y), float(np.mean(np.argmax(logits, axis=-1) == y))
 
 
 @dataclass

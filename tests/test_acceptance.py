@@ -212,8 +212,8 @@ def test_criterion_06_detached_regularizer_locality(capfd):
         for name in g_ce
         if name.startswith("layers.2.")
     )
-    tokens = model.embed_inputs(x, traced=True, train_mode=True)
-    logits, _, _ = model.run(tokens, train_mode=True)
+    tokens = model.embed_inputs(x, train_mode=True)
+    logits, _ = model.run(tokens, train_mode=True)
     eta_zero_exact = (plain.item() == cross_entropy_np(logits.data, y)
                       and parts0["reg_value"] == 0.0
                       and parts0["selected_layers"] == [])
@@ -437,9 +437,7 @@ def test_criterion_12_layerwise_compression_trend(capfd):
                       image_size=32, num_classes=10, seed=0)
     model = init_model(cfg)
     images = np.random.default_rng(7).random((8, 32, 32, 3))
-    tokens = model.embed_inputs(patchify(images, cfg.patch))
-    probe_cfg = rates.RateConfig(d=cfg.d, N=tokens.shape[-1], K=cfg.K)
-    _, probes, _ = model.run(tokens, probe=True, probe_rate=probe_cfg, ln_identity=True)
+    probes = model.probe(patchify(images, cfg.patch))
     srr_by_layer = [p.srr for p in probes]
     deltas = [srr_by_layer[i + 1] - srr_by_layer[i] for i in range(8)]
     down = sum(d < 0 for d in deltas)

@@ -28,6 +28,21 @@ class TestBasicOps:
         a = ad.Tensor([1.0]) + ad.Tensor([2.0])
         assert not a.requires_grad and a._parents == ()
 
+    def test_constant_chain_keeps_no_vjp(self):
+        # every op on constants drops its VJP closure, and with it the
+        # intermediate arrays the closure would keep alive
+        a = ad.Tensor(rng_for(3).standard_normal((2, 4, 4)))
+        col = ad.concat([a[:, :, :1].mT.reshape(2, 4, 1), -a.sum(axis=-1, keepdims=True)], axis=-1)
+        outs = [
+            ad.logdet_gram(ad.softmax_cols(a @ a), 1.0),
+            ad.layer_norm_cols(a, np.ones(4), np.zeros(4)),
+            ad.softmax_cross_entropy(a[:, 0, :], np.array([0, 1])),
+            (a * 2.0 - 1.0).relu().broadcast_to((3, 2, 4, 4)),
+            col.mean(),
+        ]
+        for out in outs:
+            assert out._vjp is None and out._parents == () and not out.requires_grad
+
     def test_requires_grad_propagates(self):
         a = ad.Tensor([1.0], requires_grad=True)
         assert (a + 1.0).requires_grad

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestToyCommand:
         out = str(tmp_path / "toy.csv")
         rc = main(["toy", "--rule", "e", "--layers", "3", "--out", out])
         assert rc == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0] == "rule,layer,rc_before,rc_after"
         assert len(lines) == 4
         assert all(ln.startswith("e,") for ln in lines[1:])
@@ -71,7 +72,7 @@ class TestTrainCommand:
         assert "budget exhausted after 4 epochs" in out
         model = load_checkpoint(ckpt)
         assert model.cfg.L == 1 and model.cfg.d == 8
-        lines = open(trace).read().strip().split("\n")
+        lines = Path(trace).read_text().strip().split("\n")
         assert len(lines) == 5  # header + 4 epochs
 
     def test_seed_override_changes_weights(self, tmp_path):
@@ -87,7 +88,7 @@ class TestTrainCommand:
 
     def test_regularized_training(self, tmp_path, capsys):
         _, ckpt, trace = train_small(tmp_path, extra=("--reg", "layer:1", "--eta", "0.001"))
-        text = open(trace).read().strip().split("\n")
+        text = Path(trace).read_text().strip().split("\n")
         header = text[0].split(",")
         reg_col = header.index("reg_value")
         assert all(float(ln.split(",")[reg_col]) != 0.0 for ln in text[1:])
@@ -112,7 +113,7 @@ class TestProbeCommand:
         rc = main(["probe", "--checkpoint", ckpt, "--config", cfg, "--out", out,
                    "--samples", "4"])
         assert rc == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0] == "layer,r,rc,l0,srr"
         assert len(lines) == 2  # one layer
         layer, r, rcv, l0, srr = lines[1].split(",")
@@ -126,7 +127,7 @@ class TestProbeCommand:
             out = str(tmp_path / f"p{lam}.csv")
             assert main(["probe", "--checkpoint", ckpt, "--config", cfg,
                          "--lambda", lam, "--out", out]) == 0
-            rows[lam] = open(out).read().strip().split("\n")[1].split(",")
+            rows[lam] = Path(out).read_text().strip().split("\n")[1].split(",")
         assert rows["0.1"][1] == rows["0.4"][1]  # r unchanged
         assert float(rows["0.1"][4]) != float(rows["0.4"][4])
 
@@ -156,7 +157,7 @@ class TestZooCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "wrote report (2 measures" in out
-        lines = open(report).read().strip().split("\n")
+        lines = Path(report).read_text().strip().split("\n")
         assert lines[0].startswith("measure,batch_size,")
         assert lines[1].startswith("l2_norm,")
         assert lines[-1].startswith("# converged=")
@@ -189,7 +190,7 @@ class TestMeasureCommand:
         out = str(tmp_path / "row.csv")
         rc = main(["measure", "--checkpoint", ckpt, "--config", cfg, "--out", out])
         assert rc == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0] == "cell," + ",".join(FIELD_ORDER)
         cells = lines[1].split(",")
         assert cells[0] == "model.ckpt.npz"
@@ -204,6 +205,6 @@ class TestMeasureCommand:
         assert rc == 0
         err = capsys.readouterr().err
         assert "note: fro_distance: init snapshot missing" in err
-        row = open(out).read().strip().split("\n")[1].split(",")
+        row = Path(out).read_text().strip().split("\n")[1].split(",")
         idx = 1 + FIELD_ORDER.index("fro_distance")
         assert row[idx] == "nan"

@@ -34,12 +34,8 @@ class TableModel:
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.float64)
 
-    def embed_inputs(self, x):
-        return np.asarray(x)
-
-    def run(self, tokens, **kw):
-        idx = np.asarray(tokens).astype(int).ravel()
-        return self.table[idx], None, None
+    def logits(self, x, **kw):
+        return self.table[np.asarray(x).astype(int).ravel()]
 
 
 def table_dataset(table, labels):
@@ -105,8 +101,7 @@ class TestMargin:
 
     def test_real_model_matches_manual_formula(self):
         model, ds = tiny_setup()
-        tokens = model.embed_inputs(ds.train_x)
-        logits, _, _ = model.run(tokens, ln_identity=True)
+        logits, _ = model.run(model.embed_inputs(ds.train_x), ln_identity=True)
         y = ds.train_y
         picked = logits[np.arange(len(y)), y]
         masked = logits.copy()
@@ -266,10 +261,8 @@ class TestMeasureVectorOfModel:
 
     def test_srr_is_mean_probe_value(self):
         model, ds = tiny_setup()
-        mv, _ = measure_vector(model, model.init_snapshot, ds, probe_samples=8)
-        tokens = model.embed_inputs(np.asarray(ds.train_x[:8], dtype=np.float64))
-        pc = RateConfig(d=model.cfg.d, N=tokens.shape[-1], K=model.cfg.K)
-        _, probes, _ = model.run(tokens, probe=True, probe_rate=pc, ln_identity=True)
+        mv, _ = measure_vector(model, model.init_snapshot, ds)
+        probes = model.probe(ds.train_x[:8])
         assert mv.srr == pytest.approx(float(np.mean([p.srr for p in probes])), rel=1e-12)
 
     def test_rate_config_override_changes_srr(self):

@@ -152,8 +152,9 @@ class TestForward:
     def test_probe_count_and_consistency(self):
         cfg = tiny_cfg()
         model = init_model(cfg)
-        tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
-        logits, probes, _ = model.run(tok, probe=True)
+        x = tiny_batch(cfg, B=1)[0]
+        logits, _ = model.run(model.embed_inputs(x))
+        probes = model.probe(x)
         assert logits.shape == (cfg.num_classes,)
         assert [p.layer for p in probes] == [1, 2]
         for p in probes:
@@ -163,8 +164,8 @@ class TestForward:
         cfg = tiny_cfg(dropout=0.5)  # dropout configured but inactive at inference
         model = init_model(cfg)
         tok = model.embed_inputs(tiny_batch(cfg))
-        a, _, _ = model.run(tok)
-        b, _, _ = model.run(tok)
+        a, _ = model.run(tok)
+        b, _ = model.run(tok)
         assert np.array_equal(a, b)
 
     def test_batch_matches_per_sample(self):
@@ -172,9 +173,9 @@ class TestForward:
         model = init_model(cfg)
         x = tiny_batch(cfg, B=4)
         tok = model.embed_inputs(x)
-        batch_logits, _, _ = model.run(tok)
+        batch_logits, _ = model.run(tok)
         for b in range(4):
-            single, _, _ = model.run(tok[b])
+            single, _ = model.run(tok[b])
             np.testing.assert_allclose(batch_logits[b], single, atol=1e-12)
 
     def test_wrong_width_rejected(self):
@@ -195,7 +196,7 @@ class TestForward:
         cfg = tiny_cfg(L=1)
         model = init_model(cfg)
         tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
-        logits, _, _ = model.run(tok, ln_identity=True)
+        logits, _ = model.run(tok, ln_identity=True)
         lp = model.layer_params(0, traced=False)
         Z = ista_step(
             attention_update(tok, lp, cfg.variant, 1.0), lp.D, cfg.beta, cfg.lambda_sparsity
@@ -218,16 +219,15 @@ class TestForward:
         Z1 = ista_step(Ya, lp.D, cfg.beta, cfg.lambda_sparsity)
         P = {k: t.data for k, t in model.params.items()}
         want = P["head.weight"] @ Z1[:, 0] + P["head.bias"]
-        got, _, _ = model.run(tok)
+        got, _ = model.run(tok)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_probe_rate_override(self):
         cfg = tiny_cfg()
         model = init_model(cfg)
-        tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
-        pc = RateConfig(d=cfg.d, N=cfg.tokens, K=cfg.K, eps_sq=2.0, lambda_sparsity=0.5)
-        _, probes_a, _ = model.run(tok, probe=True, probe_rate=pc)
-        _, probes_b, _ = model.run(tok, probe=True)
+        x = tiny_batch(cfg, B=1)[0]
+        probes_a = model.probe(x, eps_sq=2.0, lambda_sparsity=0.5)
+        probes_b = model.probe(x)
         assert probes_a[0].srr != probes_b[0].srr
 
     def test_variant_sign_flip_on_shared_weights(self):
@@ -243,9 +243,37 @@ class TestForward:
         up_n = attention_update(Zn, lp, CRATE_N, 1.0)
         np.testing.assert_allclose(up_c + up_n, 2 * Zn, atol=1e-12)
         # and the two full models differ (sign actually reached the update)
-        a, _, _ = model_c.run(tok)
-        b, _, _ = model_n.run(tok)
+        a, _ = model_c.run(tok)
+        b, _ = model_n.run(tok)
         assert not np.allclose(a, b)
+
+
+class TestInferenceEntries:
+    def test_logits_independent_of_chunk_size(self):
+        cfg = tiny_cfg()
+        model = init_model(cfg)
+        x = tiny_batch(cfg, B=5)
+        for ln_identity in (False, True):
+            one = model.logits(x, ln_identity=ln_identity, batch=1)
+            whole = model.logits(x, ln_identity=ln_identity, batch=len(x))
+            np.testing.assert_allclose(one, whole, rtol=0, atol=1e-12)
+            want, _ = model.run(model.embed_inputs(x), ln_identity=ln_identity)
+            assert np.array_equal(whole, want)
+            np.testing.assert_allclose(one, want, rtol=0, atol=1e-12)
+
+    def test_probe_is_the_layer_measure_with_layer_norm_bypassed(self):
+        cfg = tiny_cfg(L=3)
+        model = init_model(cfg)
+        x = tiny_batch(cfg, B=4)
+        probes = model.probe(x, eps_sq=0.7, lambda_sparsity=0.3)
+        assert [p.layer for p in probes] == [1, 2, 3]
+        _, cache = model.run(model.embed_inputs(x), ln_identity=True, keep_cache=True)
+        pc = RateConfig(d=cfg.d, N=cfg.tokens, K=cfg.K, eps_sq=0.7, lambda_sparsity=0.3)
+        for p, entry in zip(probes, cache):
+            U = model.params[f"layers.{p.layer - 1}.U"].data
+            want = np.mean([rates.srr_layer_measure(z, U, pc) for z in entry["output"]])
+            assert p.srr == pytest.approx(want, rel=1e-12, abs=0)
+            assert p.srr == pytest.approx(0.3 * p.l0 + p.rc - p.r, rel=1e-12, abs=0)
 
 
 class TestLayerRates:
@@ -313,8 +341,8 @@ class TestCheckpoint:
         path = tmp_path / "m.npz"
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
-        a, _, _ = model.run(tok)
-        b, _, _ = loaded.run(tok)
+        a, _ = model.run(tok)
+        b, _ = loaded.run(tok)
         assert np.array_equal(a, b)
 
     def test_version_mismatch(self, tmp_path):

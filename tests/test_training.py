@@ -85,9 +85,7 @@ class TestGradients:
         x, y = tiny_batch(model)
 
         def np_loss(model):
-            tokens = model.embed_inputs(x)
-            logits, _, _ = model.run(tokens)
-            return cross_entropy_np(logits, y)
+            return cross_entropy_np(model.logits(x), y)
 
         loss, parts = srr_regularized_loss(model, (x, y), TrainConfig())
         grads = gradients(loss, model.trainable_params())
@@ -120,13 +118,9 @@ class TestGradients:
             for j in range(emb.data.shape[1]):
                 orig = emb.data[i, j]
                 emb.data[i, j] = orig + h
-                tokens = model.embed_inputs(x)
-                logits, _, _ = model.run(tokens)
-                up = cross_entropy_np(logits, y)
+                up = cross_entropy_np(model.logits(x), y)
                 emb.data[i, j] = orig - h
-                tokens = model.embed_inputs(x)
-                logits, _, _ = model.run(tokens)
-                dn = cross_entropy_np(logits, y)
+                dn = cross_entropy_np(model.logits(x), y)
                 emb.data[i, j] = orig
                 fd[i, j] = (up - dn) / (2 * h)
         rel = np.linalg.norm(grads["embed"] - fd) / np.linalg.norm(fd)
@@ -178,9 +172,7 @@ class TestRegularizedLoss:
         assert loss.item() == parts["ce"]
         assert parts["reg_value"] == 0.0
         assert parts["selected_layers"] == []
-        tokens = model.embed_inputs(x)
-        logits, _, _ = model.run(tokens)
-        assert loss.item() == cross_entropy_np(logits, y)
+        assert loss.item() == cross_entropy_np(model.logits(x), y)
 
     def test_stop_gradient_blocks_earlier_layers(self):
         model = tiny_model(L=3, d=8, K=2)
@@ -355,15 +347,18 @@ class TestTrain:
         for name in m1.params:
             assert np.array_equal(m1.params[name].data, m2.params[name].data)
 
-    def test_divergence_flagged_not_raised(self):
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("reg_mode", ["none", "all_layers", "fixed_layer"])
+    def test_divergence_flagged_not_raised(self, reg_mode):
         ds = sep_dataset()
         model = tiny_model(L=2, d=8, K=2, seed=5)
         model.params["embed"].data[:] = np.inf
-        cfg = TrainConfig(batch_size=16, lr_init=1e-3, epochs=3)
+        reg = {} if reg_mode == "none" else {"eta_reg": 0.1, "reg_mode": reg_mode, "reg_layer": 2}
+        cfg = TrainConfig(batch_size=16, lr_init=1e-3, epochs=3, **reg)
         trace = train(model, ds, cfg)
         assert trace.diverged
         assert not trace.converged
-        assert "layer 1" in trace.note
+        assert trace.note == "training diverged (non-finite loss at layer 1) at epoch 0, step 0"
 
     def test_regularized_training_records_reg_value(self):
         ds = sep_dataset()

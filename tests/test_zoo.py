@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ class TestMeasureZoo:
         run_mini(tmp_path)
         path = measure_zoo(str(tmp_path))
         assert os.path.basename(path) == MEASURES_NAME
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert lines[0] == "cell," + ",".join(FIELD_ORDER)
         assert len(lines) == 1 + len(MINI.cells())
         keys = [ln.split(",", 1)[0] for ln in lines[1:]]
@@ -149,7 +150,7 @@ class TestMeasureZoo:
                                   "seed": 0, "error": "x"}
         mpath.write_text(json.dumps(manifest))
         path = measure_zoo(str(tmp_path))
-        rows = open(path).read().strip().split("\n")[1:]
+        rows = Path(path).read_text().strip().split("\n")[1:]
         assert len(rows) == len(MINI.cells()) - 1
         assert all(not r.startswith(key + ",") for r in rows)
 
@@ -159,8 +160,8 @@ class TestMeasureZoo:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         run_mini(tmp_path)
-        first = open(measure_zoo(str(tmp_path))).read()
-        second = open(measure_zoo(str(tmp_path))).read()
+        first = Path(measure_zoo(str(tmp_path))).read_text()
+        second = Path(measure_zoo(str(tmp_path))).read_text()
         assert first == second
 
 
