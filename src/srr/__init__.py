@@ -24,7 +24,6 @@ from .layers import (
     CRATE_N,
     CRATE_T,
     VARIANTS,
-    LayerParams,
     attention_update,
     ista_step,
     layer_norm,

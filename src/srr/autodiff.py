@@ -30,6 +30,8 @@ __all__ = [
     "numeric_grad",
 ]
 
+LN_EPS = 1e-6  # variance floor of both layer norms
+
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
@@ -272,11 +274,11 @@ def softmax_cols(scores: Tensor) -> Tensor:
     return Tensor(sm, _parents=(scores,), _vjp=vjp)
 
 
-def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-column layer normalization with learned gain/bias over features.
 
     Normalizes each column (axis -2 is the feature axis) to zero mean and
-    unit variance, with ``eps`` added to the variance for stability.
+    unit variance, with ``LN_EPS`` added to the variance for stability.
     ``gain`` and ``bias`` are feature vectors of length d.
     """
     gain = as_tensor(gain)
@@ -286,7 +288,7 @@ def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) ->
     mu = x.data.mean(axis=-2, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
 
     def vjp(g):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import toy_dynamics
 from .data import DatasetSpec, build_dataset
-from .errors import ConfigError
+from .errors import ConfigError, config_fields
 from .measures import measure_csv_row, measure_vector, measures_csv_header
 from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -40,7 +40,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _dataset_spec(args, cfg: dict) -> DatasetSpec:
-    section = dict(cfg.get("data", {}))
+    section = config_fields(DatasetSpec, cfg.get("data", {}), "data")
     if getattr(args, "data", None):
         section["source"] = args.data
     if getattr(args, "data_path", None):
@@ -49,7 +49,7 @@ def _dataset_spec(args, cfg: dict) -> DatasetSpec:
 
 
 def _model_config(cfg: dict, data_spec: DatasetSpec) -> ModelConfig:
-    section = dict(cfg.get("model", {}))
+    section = config_fields(ModelConfig, cfg.get("model", {}), "model")
     if data_spec.source == "synthetic":
         section.setdefault("feat_dim", data_spec.feat_dim)
         section.setdefault("num_tokens", data_spec.tokens)
@@ -99,9 +99,8 @@ def _cmd_toy(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config)
     data_spec = _dataset_spec(args, cfg)
-    dataset = build_dataset(data_spec)
     mcfg = _model_config(cfg, data_spec)
-    tsection = dict(cfg.get("train", {}))
+    tsection = config_fields(TrainConfig, cfg.get("train", {}), "train")
     tsection.update(_parse_reg(args.reg, args.eta))
     if args.epochs is not None:
         tsection["epochs"] = args.epochs
@@ -109,24 +108,28 @@ def _cmd_train(args) -> int:
         tsection["seed"] = args.seed
         mcfg = dataclasses.replace(mcfg, seed=args.seed)
     tcfg = TrainConfig(**tsection)
+    dataset = build_dataset(data_spec)
     model = init_model(mcfg)
     trace = train(model, dataset, tcfg, trace_path=args.trace)
     save_checkpoint(model, args.out)
-    last = trace.epochs[-1]
     status = "converged" if trace.converged else ("diverged" if trace.diverged else "budget exhausted")
-    print(
-        f"{status} after {len(trace.epochs)} epochs: "
-        f"train_ce={last.train_ce:.4f} val_ce={last.val_ce:.4f} "
-        f"train_acc={last.train_acc:.3f} val_acc={last.val_acc:.3f}"
-    )
+    summary = f"{status} after {len(trace.epochs)} epochs"
+    if trace.epochs:  # empty when the run diverged in its first epoch
+        last = trace.epochs[-1]
+        summary += (
+            f": train_ce={last.train_ce:.4f} val_ce={last.val_ce:.4f} "
+            f"train_acc={last.train_acc:.3f} val_acc={last.val_acc:.3f}"
+        )
+    print(summary)
+    if trace.note:
+        print(f"note: {trace.note}")
     print(f"checkpoint: {args.out}  trace: {args.trace}")
     return 0
 
 
 def _cmd_probe(args) -> int:
-    cfg = _load_config(args.config)
+    data_spec = _dataset_spec(args, _load_config(args.config))
     model = load_checkpoint(args.checkpoint)
-    data_spec = _dataset_spec(args, cfg)
     dataset = build_dataset(data_spec)
     rate = {k: v for k, v in vars(args).items() if k in ("eps_sq", "lambda_sparsity")}
     probes = model.probe(dataset.train_x[: args.samples], **rate)
@@ -144,12 +147,10 @@ def _cmd_zoo(args) -> int:
     gsection = cfg.get("grid", {})
     scale = gsection.pop("scale", "desk") if isinstance(gsection, dict) else "desk"
     base = GridSpec.desk() if scale == "desk" else GridSpec.paper()
-    gspec = dataclasses.replace(
-        base, **{k: tuple(v) if isinstance(v, list) else v for k, v in gsection.items()}
-    )
+    gspec = dataclasses.replace(base, **config_fields(GridSpec, gsection, "grid"))
     dsection = cfg.get("data")
     if dsection:
-        data = DatasetSpec(**dsection)
+        data = DatasetSpec(**config_fields(DatasetSpec, dsection, "data"))
     elif scale == "desk":
         data = DatasetSpec(source="synthetic", separation=4.0)
     else:
@@ -164,7 +165,7 @@ def _cmd_zoo(args) -> int:
     else:
         model_template = ModelConfig()
     if "train" in cfg:
-        train_template = TrainConfig(**cfg["train"])
+        train_template = TrainConfig(**config_fields(TrainConfig, cfg["train"], "train"))
     else:
         train_template = TrainConfig(epochs=60, stop_criterion=0.05)
     manifest = run_zoo(
@@ -182,14 +183,13 @@ def _cmd_zoo(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    cfg = _load_config(args.config)
+    data_spec = _dataset_spec(args, _load_config(args.config))
     model = load_checkpoint(args.checkpoint)
     if args.init_snapshot == "none":
         model.init_snapshot = None
     elif args.init_snapshot:
         with np.load(args.init_snapshot) as snap:
             model.init_snapshot = {k: snap[k] for k in snap.files}
-    data_spec = _dataset_spec(args, cfg)
     dataset = build_dataset(data_spec)
     mv, errors = measure_vector(model, model.init_snapshot, dataset, seed=args.seed)
     key = os.path.basename(args.checkpoint)

@@ -10,8 +10,6 @@ leading batch axis (B, d, N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -27,7 +25,6 @@ __all__ = [
     "CRATE_FIX",
     "CRATE_IDENTITY",
     "VARIANTS",
-    "LayerParams",
     "mssa",
     "stacked_attention_heads",
     "attention_update",
@@ -46,8 +43,6 @@ CRATE_FIX = "crate_fix"  # +, frozen random W
 CRATE_IDENTITY = "crate_identity"  # +, head stack used directly
 
 VARIANTS = (CRATE_C, CRATE_N, CRATE_T, CRATE, CRATE_FIX, CRATE_IDENTITY)
-
-LN_EPS = 1e-6
 
 
 def _is_tensor(x) -> bool:
@@ -70,27 +65,6 @@ def _concat_rows(parts):
     if any(_is_tensor(p) for p in parts):
         return ad.concat(parts, axis=-2)
     return np.concatenate(parts, axis=-2)
-
-
-@dataclass
-class LayerParams:
-    """Weights of one layer.
-
-    ``U`` is the d x Kp concatenation of the K head bases, ``D`` the d x d
-    dictionary for the sparsification step, ``W`` the optional learnable
-    output matrix.  Values may be ndarrays or Tensors.
-    """
-
-    U: object
-    D: object
-    ln1_gain: object
-    ln1_bias: object
-    ln2_gain: object
-    ln2_bias: object
-    alpha: float = 1.0
-    beta: float = 0.5
-    num_heads: int = 1
-    W: object | None = None
 
 
 def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
@@ -128,36 +102,39 @@ def mssa(Z, U, num_heads: int):
     return total
 
 
-def attention_update(Z, params: LayerParams, variant: str, gamma: float, attn_masks=None, out_mask=None):
+def attention_update(
+    Z, U, num_heads: int, variant: str, gamma: float, alpha: float = 1.0, W=None, attn_masks=None, out_mask=None
+):
     """Residual attention update: Z ± alpha * gamma^2 * Out @ HeadStack.
 
-    The sign is negative for the N variant, positive otherwise; ``Out`` is
-    the variant's output matrix ([U_1...U_K], its transpose, a learnable W,
-    or the identity).  ``out_mask`` is an optional multiplicative dropout
-    mask on the projection output.
+    ``U`` is the d x Kp concatenation of the K head bases.  The sign is
+    negative for the N variant, positive otherwise; ``Out`` is the variant's
+    output matrix ([U_1...U_K], its transpose, the output matrix ``W`` of
+    the crate/crate_fix variants, or the identity).  ``out_mask`` is an
+    optional multiplicative dropout mask on the projection output.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown attention variant {variant!r}")
-    stack = stacked_attention_heads(Z, params.U, params.num_heads, attn_masks)
+    stack = stacked_attention_heads(Z, U, num_heads, attn_masks)
     d = Z.shape[-2]
     if variant in (CRATE, CRATE_FIX):
-        if params.W is None:
+        if W is None:
             raise ConfigError(f"variant {variant!r} requires an output matrix W")
-        out = params.W @ stack
+        out = W @ stack
     elif variant == CRATE_T:
-        if params.U.shape[-1] != d:
+        if U.shape[-1] != d:
             raise ConfigError("transposed output requires a square basis (d = K*p)")
-        out = _mT(params.U) @ stack
+        out = _mT(U) @ stack
     elif variant == CRATE_IDENTITY:
         if stack.shape[-2] != d:
             raise ConfigError("identity output requires the head stack to be d-dimensional (d = K*p)")
         out = stack
     else:
-        out = params.U @ stack
+        out = U @ stack
     if out_mask is not None:
         out = out * out_mask
     sign = -1.0 if variant == CRATE_N else 1.0
-    return Z + (sign * params.alpha * gamma * gamma) * out
+    return Z + (sign * alpha * gamma * gamma) * out
 
 
 def ista_step(Y, D, beta: float, lambda_sparsity: float):
@@ -173,16 +150,16 @@ def ista_step(Y, D, beta: float, lambda_sparsity: float):
     return _relu(pre)
 
 
-def layer_norm(Z, gain, bias, eps: float = LN_EPS):
+def layer_norm(Z, gain, bias):
     """Column-wise layer norm: zero mean, unit variance over the d features,
-    then per-feature gain and bias.  Variance gets a 1e-6 floor."""
+    then per-feature gain and bias.  Variance gets the ``autodiff.LN_EPS`` floor."""
     if _is_tensor(Z) or _is_tensor(gain) or _is_tensor(bias):
-        return ad.layer_norm_cols(ad.as_tensor(Z), ad.as_tensor(gain), ad.as_tensor(bias), eps)
+        return ad.layer_norm_cols(ad.as_tensor(Z), ad.as_tensor(gain), ad.as_tensor(bias))
     d = Z.shape[-2]
     mu = Z.mean(axis=-2, keepdims=True)
     xc = Z - mu
     var = (xc * xc).mean(axis=-2, keepdims=True)
-    xhat = xc / np.sqrt(var + eps)
+    xhat = xc / np.sqrt(var + ad.LN_EPS)
     g = np.asarray(gain).reshape((d, 1))
     b = np.asarray(bias).reshape((d, 1))
     return g * xhat + b

@@ -86,15 +86,14 @@ def margin_quantile(model: Model, dataset, q: float) -> float:
 def path_norm(model: Model) -> float:
     """Forward the all-ones input through the network with every parameter
     squared (softmax left intact, LayerNorm bypassed) and sum the outputs."""
-    squared = {name: t.data.copy() for name, t in model.all_params().items()}
-    originals = {name: t.data for name, t in model.all_params().items()}
+    originals = {name: t.data for name, t in model.params.items()}
     try:
-        for name, t in model.all_params().items():
-            t.data = squared[name] ** 2
+        for name, t in model.params.items():
+            t.data = originals[name] ** 2
         ones = np.ones((model.cfg.in_dim, model.cfg.grid_tokens))
         return float(np.sum(model.logits(ones[None], ln_identity=True)))
     finally:
-        for name, t in model.all_params().items():
+        for name, t in model.params.items():
             t.data = originals[name]
 
 

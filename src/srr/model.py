@@ -17,7 +17,7 @@ import numpy as np
 from . import layers as ly
 from . import rates
 from .autodiff import Tensor, as_tensor, concat, logdet_gram
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError, config_fields
 from .linalg import rng_for
 
 __all__ = [
@@ -107,46 +107,33 @@ class ProbeRecord:
     srr: float
 
 
-def _has_w(variant: str) -> bool:
-    return variant in (ly.CRATE, ly.CRATE_FIX)
-
-
 class Model:
-    """Parameter container plus the forward pass.
+    """Parameter table plus the forward pass.
 
-    ``params`` holds trainable tensors, ``frozen`` the non-trainable ones
-    (the fixed W variant), ``init_snapshot`` a plain-array copy of every
-    parameter at initialization time (distance-to-init measures need it).
+    ``params`` holds every weight as a Tensor, in allocation order; the
+    fixed W of the ``crate_fix`` variant is the entry without grad.
+    ``init_snapshot`` is a plain-array copy of every parameter at
+    initialization time (distance-to-init measures need it).
     """
 
-    def __init__(self, cfg: ModelConfig, params: dict[str, Tensor], frozen: dict[str, Tensor], init_snapshot: dict[str, np.ndarray]):
+    def __init__(self, cfg: ModelConfig, params: dict[str, Tensor], init_snapshot: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
-        self.frozen = frozen
         self.init_snapshot = init_snapshot
 
     # ------------------------------------------------------------------
     def trainable_params(self) -> dict[str, Tensor]:
-        return self.params
+        return {name: t for name, t in self.params.items() if t.requires_grad}
 
-    def all_params(self) -> dict[str, Tensor]:
-        merged = dict(self.params)
-        merged.update(self.frozen)
-        return merged
+    def _table(self, traced: bool) -> dict:
+        """The parameter table as Tensors (traced) or as plain arrays."""
+        return self.params if traced else {name: t.data for name, t in self.params.items()}
 
     def tracked_matrices(self) -> list[tuple[str, np.ndarray]]:
-        """Weight matrices entering the spectral/Frobenius measure families:
-        embedding, each layer's U and D (and W when present), and the head."""
-        out = [("embed", self.params["embed"].data)]
-        for i in range(self.cfg.L):
-            out.append((f"layers.{i}.U", self.params[f"layers.{i}.U"].data))
-            out.append((f"layers.{i}.D", self.params[f"layers.{i}.D"].data))
-            if _has_w(self.cfg.variant):
-                name = f"layers.{i}.W"
-                src = self.params if name in self.params else self.frozen
-                out.append((name, src[name].data))
-        out.append(("head.weight", self.params["head.weight"].data))
-        return out
+        """Weight matrices entering the spectral/Frobenius measure families,
+        in table order: embedding, each layer's U and D (and W when present),
+        and the head — every 2-d parameter but the positional table."""
+        return [(name, t.data) for name, t in self.params.items() if t.ndim == 2 and name != "pos"]
 
     # ------------------------------------------------------------------
     def embed_inputs(self, raw: np.ndarray, train_mode: bool = False, rng=None):
@@ -159,8 +146,8 @@ class Model:
             raw = raw[None]
         if raw.shape[1] != self.cfg.in_dim:
             raise ShapeError(f"expected {self.cfg.in_dim}-dim feature columns, got {raw.shape[1]}")
-        P = self.all_params()
-        embed, cls, pos = (P[n] if train_mode else P[n].data for n in ("embed", "cls", "pos"))
+        P = self._table(train_mode)
+        embed, cls, pos = P["embed"], P["cls"], P["pos"]
         B, _, T = raw.shape
         if train_mode:
             head_col = cls.reshape(self.cfg.d, 1).broadcast_to((B, self.cfg.d, 1))
@@ -177,38 +164,11 @@ class Model:
             tok = tok[0]
         return tok
 
-    def apply_layer(self, i: int, Z, attn_masks=None, out_mask=None, ln_identity: bool = False):
+    def apply_layer(self, i: int, Z, attn_masks=None, out_mask=None):
         """Run layer ``i`` (0-based) on ``Z`` with the given dropout masks.
         Used by the regularizer to replay a layer from a detached input."""
-        traced = isinstance(Z, Tensor)
-        gamma = self.cfg.attention_gamma(Z.shape[-1])
-        lp = self.layer_params(i, traced=traced)
-        return _apply_layer(
-            Z, lp, self.cfg.variant, gamma, self.cfg.lambda_sparsity, ln_identity, attn_masks, out_mask
-        )
-
-    def layer_params(self, i: int, traced: bool = True) -> ly.LayerParams:
-        P = self.all_params()
-
-        def get(name):
-            t = P[f"layers.{i}.{name}"]
-            return t if traced else t.data
-
-        W = None
-        if _has_w(self.cfg.variant):
-            W = get("W")
-        return ly.LayerParams(
-            U=get("U"),
-            D=get("D"),
-            ln1_gain=get("ln1_gain"),
-            ln1_bias=get("ln1_bias"),
-            ln2_gain=get("ln2_gain"),
-            ln2_bias=get("ln2_bias"),
-            alpha=self.cfg.alpha,
-            beta=self.cfg.beta,
-            num_heads=self.cfg.K,
-            W=W,
-        )
+        P = self._table(isinstance(Z, Tensor))
+        return _apply_layer(Z, P, i, self.cfg, self.cfg.attention_gamma(Z.shape[-1]), False, attn_masks, out_mask)
 
     # ------------------------------------------------------------------
     def run(self, tokens, train_mode: bool = False, rng=None, ln_identity: bool = False, keep_cache: bool = False):
@@ -229,10 +189,10 @@ class Model:
         if train_mode and cfg.dropout > 0.0 and rng is None:
             raise ConfigError("training-mode dropout needs an rng")
 
+        P = self._table(traced)
         Z = tokens
         cache: list[dict] | None = [] if keep_cache else None
         for i in range(cfg.L):
-            lp = self.layer_params(i, traced=traced)
             attn_masks = out_mask = None
             if use_dropout:
                 batch_shape = Z.shape[:-2]
@@ -241,16 +201,12 @@ class Model:
                 ]
                 out_mask = _dropout_mask(rng, batch_shape + (cfg.d, n_tok), cfg.dropout)
             layer_in = Z
-            Z = _apply_layer(Z, lp, cfg.variant, gamma, cfg.lambda_sparsity, ln_identity, attn_masks, out_mask)
+            Z = _apply_layer(Z, P, i, cfg, gamma, ln_identity, attn_masks, out_mask)
             if cache is not None:
                 cache.append(
                     {"input": layer_in, "attn_masks": attn_masks, "out_mask": out_mask, "output": Z}
                 )
-
-        P = self.all_params()
-        hw = P["head.weight"] if traced else P["head.weight"].data
-        hb = P["head.bias"] if traced else P["head.bias"].data
-        return (hw @ Z[..., :, 0:1])[..., 0] + hb, cache
+        return (P["head.weight"] @ Z[..., :, 0:1])[..., 0] + P["head.bias"], cache
 
     def logits(self, raw: np.ndarray, ln_identity: bool = False, batch: int = 256) -> np.ndarray:
         """Inference logits of a (B, F, T) feature batch, ``batch`` samples
@@ -285,11 +241,16 @@ def _dropout_mask(rng, shape, p: float) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def _apply_layer(Z, lp: ly.LayerParams, variant, gamma, lambda_sparsity, ln_identity, attn_masks, out_mask):
-    Zn = Z if ln_identity else ly.layer_norm(Z, lp.ln1_gain, lp.ln1_bias)
-    Za = ly.attention_update(Zn, lp, variant, gamma, attn_masks=attn_masks, out_mask=out_mask)
-    Ya = Za if ln_identity else ly.layer_norm(Za, lp.ln2_gain, lp.ln2_bias)
-    return ly.ista_step(Ya, lp.D, lp.beta, lambda_sparsity)
+def _apply_layer(Z, P: dict, i: int, cfg: ModelConfig, gamma: float, ln_identity: bool, attn_masks, out_mask):
+    """Layer ``i`` of the table ``P`` (Tensors or arrays) on ``Z``, with
+    alpha, beta, K, lambda and the variant from ``cfg``."""
+    w = f"layers.{i}."
+    Zn = Z if ln_identity else ly.layer_norm(Z, P[w + "ln1_gain"], P[w + "ln1_bias"])
+    Za = ly.attention_update(
+        Zn, P[w + "U"], cfg.K, cfg.variant, gamma, cfg.alpha, P.get(w + "W"), attn_masks, out_mask
+    )
+    Ya = Za if ln_identity else ly.layer_norm(Za, P[w + "ln2_gain"], P[w + "ln2_bias"])
+    return ly.ista_step(Ya, P[w + "D"], cfg.beta, cfg.lambda_sparsity)
 
 
 def _layer_rates(Z, U, num_heads: int, gamma: float, full_scale: float):
@@ -330,7 +291,7 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     d = cfg.d
     shapes = {"embed": (d, cfg.in_dim), "pos": (d, cfg.tokens), "cls": (d,)}
     for i in range(cfg.L):
-        for name in ("U", "D", "W") if _has_w(cfg.variant) else ("U", "D"):
+        for name in ("U", "D", "W") if cfg.variant in (ly.CRATE, ly.CRATE_FIX) else ("U", "D"):
             shapes[f"layers.{i}.{name}"] = (d, d)
         for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
             shapes[f"layers.{i}.{name}"] = (d,)
@@ -345,9 +306,8 @@ def _group(cfg: ModelConfig, name: str) -> str:
 
 
 def _assemble(cfg: ModelConfig, live: dict[str, np.ndarray], snapshot: dict[str, np.ndarray]) -> Model:
-    params = {n: Tensor(a, requires_grad=True) for n, a in live.items() if _group(cfg, n) == "param"}
-    frozen = {n: Tensor(a) for n, a in live.items() if _group(cfg, n) == "frozen"}
-    return Model(cfg, params, frozen, snapshot)
+    params = {n: Tensor(a, requires_grad=_group(cfg, n) == "param") for n, a in live.items()}
+    return Model(cfg, params, snapshot)
 
 
 def init_model(cfg: ModelConfig) -> Model:
@@ -376,10 +336,10 @@ def save_checkpoint(model: Model, path: str) -> None:
         "meta.version": np.array(CHECKPOINT_VERSION),
         "meta.config": np.array(json.dumps(asdict(model.cfg))),
     }
-    for name, t in model.params.items():
-        payload[f"param.{name}"] = t.data
-    for name, t in model.frozen.items():
-        payload[f"frozen.{name}"] = t.data
+    for group in ("param", "frozen"):
+        for name, t in model.params.items():
+            if _group(model.cfg, name) == group:
+                payload[f"{group}.{name}"] = t.data
     for name, arr in model.init_snapshot.items():
         payload[f"init.{name}"] = arr
     np.savez(path, **payload)
@@ -396,13 +356,14 @@ def load_checkpoint(path: str) -> Model:
     raw = json.loads(str(entries["meta.config"])) if "meta.config" in entries else None
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: missing or malformed model config")
-    bad_keys = sorted(set(raw) ^ {f.name for f in fields(ModelConfig)})
-    if bad_keys:
-        raise FormatError(f"{path}: model config key {bad_keys[0]!r} is unknown or missing")
     try:
-        cfg = ModelConfig(**raw)
-    except TypeError as exc:  # a value of the wrong type, e.g. "L": "12"
+        kwargs = config_fields(ModelConfig, raw, "model")
+    except ConfigError as exc:
         raise FormatError(f"{path}: malformed model config: {exc}") from exc
+    missing = [f.name for f in fields(ModelConfig) if f.name not in kwargs]
+    if missing:
+        raise FormatError(f"{path}: model config key {missing[0]!r} is missing")
+    cfg = ModelConfig(**kwargs)
     shapes = _param_shapes(cfg)
     expected = {"meta.version": (), "meta.config": ()}
     for name, shape in shapes.items():

@@ -89,21 +89,6 @@ def _rc_scaled(Zh: np.ndarray, c: float, blocks, gamma: float) -> float:
     return total
 
 
-def _cubic_sum(Zh: np.ndarray, blocks) -> np.ndarray:
-    out = np.zeros_like(Zh)
-    for Uk in blocks:
-        A = Uk.T @ Zh
-        out += Uk @ (A @ (A.T @ A))
-    return out
-
-
-def _proj_sum(Zh: np.ndarray, blocks) -> np.ndarray:
-    out = np.zeros_like(Zh)
-    for Uk in blocks:
-        out += Uk @ (Uk.T @ Zh)
-    return out
-
-
 def _spread_ok(Zh: np.ndarray) -> bool:
     s = np.linalg.svd(Zh, compute_uv=False)
     smax = s[0] if s.size else 0.0
@@ -150,15 +135,16 @@ def run_dynamics(
                 trace.truncated = True
                 break
             rc_before = _rc_scaled(Zh, c, blocks, gamma)
-            cubic = _cubic_sum(Zh, blocks)
+            # unit-scale Taylor gradients: g1 the head projection sum, -g2 the cubic sum
+            g1, g2 = grad_taylor_terms(Zh, U, K, 1.0)
             damp = np.exp(-2.0 * c) if -2.0 * c < _RECON_LOG_LIMIT else np.inf
             if not np.isfinite(damp):
                 trace.truncated = True
                 break
             if tag == "b":
-                bracket = alpha * gamma**2 * cubic + damp * (Zh - alpha * gamma * _proj_sum(Zh, blocks))
+                bracket = -(alpha * gamma**2) * g2 + damp * (Zh - alpha * gamma * g1)
             else:
-                bracket = alpha * gamma**2 * cubic + damp * Zh
+                bracket = -(alpha * gamma**2) * g2 + damp * Zh
             bh, blog = _normalize(bracket)
             Zh, c = bh, 3.0 * c + blog
             rc_after = _rc_scaled(Zh, c, blocks, gamma)

@@ -230,10 +230,6 @@ class TrainingTrace:
     def to_csv_text(self) -> str:
         return "\n".join([",".join(TRACE_COLUMNS)] + [_trace_row(e) for e in self.epochs]) + "\n"
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
 
 def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None) -> TrainingTrace:
     """Run the optimization loop until the CE stop criterion or the epoch

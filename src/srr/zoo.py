@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from . import layers as ly
 from .analysis import HyperPoint, ZooRecord, CorrelationReport, correlation_report
 from .data import DatasetSpec, build_dataset
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, config_fields
 from .linalg import stable_seed
 from .measures import FIELD_ORDER, measure_csv_row, measure_vector, measures_csv_header
 from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
@@ -145,7 +146,9 @@ def _run_cell(args) -> dict:
         trace = train(model, dataset, tcfg, trace_path=trace_path)
         ckpt_path = os.path.join(out_dir, f"{key}.ckpt.npz")
         save_checkpoint(model, ckpt_path)
-        last = trace.epochs[-1]
+        train_ce = val_ce = math.nan  # a run that diverged in its first epoch has no epoch row
+        if trace.epochs:
+            train_ce, val_ce = trace.epochs[-1].train_ce, trace.epochs[-1].val_ce
         entry = {
             "status": "done",
             "coords": coords,
@@ -154,9 +157,9 @@ def _run_cell(args) -> dict:
             "trace": os.path.basename(trace_path),
             "converged": bool(trace.converged),
             "diverged": bool(trace.diverged),
-            "train_ce": float(last.train_ce),
-            "val_ce": float(last.val_ce),
-            "gap": float(last.val_ce - last.train_ce),
+            "train_ce": float(train_ce),
+            "val_ce": float(val_ce),
+            "gap": float(val_ce - train_ce),
             "epochs_run": len(trace.epochs),
             "wall_time": time.time() - started,
         }
@@ -225,14 +228,14 @@ def measure_zoo(out_dir: str, data: DatasetSpec | None = None, rate_cfg=None, se
     if not manifest["cells"]:
         raise FormatError(f"no manifest with trained cells under {out_dir}")
     if data is None:
-        data = DatasetSpec(**manifest["data"])
+        data = DatasetSpec(**config_fields(DatasetSpec, manifest["data"], "data"))
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
     dataset = build_dataset(data)
-    grid = GridSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in manifest["grid"].items()})
+    grid = GridSpec(**config_fields(GridSpec, manifest["grid"], "grid"))
     lines = [measures_csv_header()]
     for key, _ in grid.cells():
         entry = manifest["cells"].get(key)
-        if entry is None or entry["status"] != "done":
+        if entry is None or entry["status"] != "done" or entry["diverged"]:
             continue
         model = load_checkpoint(os.path.join(out_dir, entry["checkpoint"]))
         mv, _errors = measure_vector(model, model.init_snapshot, dataset, rate_cfg=rate_cfg, seed=seed)

@@ -14,7 +14,7 @@ import pytest
 from srr import rates
 from srr.analysis import HyperPoint, ZooRecord, granulated_psi, kendall_tau
 from srr.data import DatasetSpec, FormatError, parse_cifar_bytes, synth_dataset
-from srr.layers import LayerParams, attention_update, mssa, patchify, stacked_attention_heads
+from srr.layers import attention_update, mssa, patchify, stacked_attention_heads
 from srr.linalg import orthonormal_basis, rng_for
 from srr.model import ModelConfig, init_model, param_count
 from srr.toy_dynamics import run_dynamics
@@ -39,14 +39,6 @@ def _central_diff(f, Z, h=1e-5):
         zm[idx] -= h
         g[idx] = (f(zp) - f(zm)) / (2.0 * h)
     return g
-
-
-def _layer_params(U, num_heads, W=None):
-    d = U.shape[0]
-    return LayerParams(
-        U=U, D=np.eye(d), ln1_gain=np.ones(d), ln1_bias=np.zeros(d),
-        ln2_gain=np.ones(d), ln2_bias=np.zeros(d), num_heads=num_heads, W=W,
-    )
 
 
 def test_criterion_01_rate_gradient_oracles(capfd):
@@ -166,16 +158,13 @@ def test_criterion_05_variant_algebra(capfd):
         Z = rng.standard_normal((d, int(rng.integers(4, 13))))
         gamma = float(rng.uniform(0.5, 1.5))
         U = orthonormal_basis(d, rng_for(9, "acceptance-variants", trial))
-        p = _layer_params(U, K)
-        c = attention_update(Z, p, "crate_c", gamma)
-        n = attention_update(Z, p, "crate_n", gamma)
+        c = attention_update(Z, U, K, "crate_c", gamma)
+        n = attention_update(Z, U, K, "crate_n", gamma)
         worst = max(worst, np.abs(c + n - 2.0 * Z).max())
-        pw = _layer_params(U, K, W=U.copy())
-        w_bitwise = w_bitwise and np.array_equal(attention_update(Z, pw, "crate", gamma), c)
-        p_eye = _layer_params(np.eye(d), K)
+        w_bitwise = w_bitwise and np.array_equal(attention_update(Z, U, K, "crate", gamma, W=U.copy()), c)
         t_bitwise = t_bitwise and np.array_equal(
-            attention_update(Z, p_eye, "crate_t", gamma),
-            attention_update(Z, p_eye, "crate_c", gamma),
+            attention_update(Z, np.eye(d), K, "crate_t", gamma),
+            attention_update(Z, np.eye(d), K, "crate_c", gamma),
         )
     ok = worst <= mirror_tol and w_bitwise and t_bitwise
     _emit(capfd, 5, ok,

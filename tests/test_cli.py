@@ -208,3 +208,37 @@ class TestMeasureCommand:
         row = Path(out).read_text().strip().split("\n")[1].split(",")
         idx = 1 + FIELD_ORDER.index("fro_distance")
         assert row[idx] == "nan"
+
+
+@pytest.mark.parametrize(
+    "command, cfg, named",
+    [
+        ("train", {"data": {"bogus": 1}}, "'bogus'"),
+        ("probe", {"data": {"bogus": 1}}, "'bogus'"),
+        ("measure", {"data": {"bogus": 1}}, "'bogus'"),
+        ("train", {"model": {"L": "2"}}, "'L'"),
+        ("train", {"train": {"bogus": 3}}, "'bogus'"),
+        ("zoo", {"grid": {"bogus": [1]}}, "'bogus'"),
+        ("zoo", {"grid": ["x"]}, "'grid'"),
+    ],
+    ids=["train-data-key", "probe-data-key", "measure-data-key", "model-type", "train-key", "grid-key", "grid-list"],
+)
+def test_bad_config_section_is_a_clean_error(tmp_path, capsys, command, cfg, named):
+    path = write_config(tmp_path, cfg)
+    flag = "--grid" if command == "zoo" else "--config"
+    args = [command, flag, path, "--out", str(tmp_path / "out")]
+    if command in ("probe", "measure"):
+        args += ["--checkpoint", str(tmp_path / "never-read.npz")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.filterwarnings(r"ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_divergence_in_the_first_epoch_is_reported(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SYNTH, train=dict(SYNTH["train"], lr_init=1e200)))
+    rc = main(["train", "--config", cfg, "--out", str(tmp_path / "m.npz"), "--trace", str(tmp_path / "t.csv")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "diverged after 0 epochs" in out
+    assert "note: training diverged (non-finite loss" in out

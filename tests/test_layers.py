@@ -11,7 +11,6 @@ from srr.layers import (
     CRATE_N,
     CRATE_T,
     VARIANTS,
-    LayerParams,
     attention_update,
     ista_step,
     layer_norm,
@@ -21,17 +20,6 @@ from srr.layers import (
 )
 from srr.linalg import orthonormal_basis, rng_for, softmax_columns
 from srr.model import ModelConfig, init_model
-
-
-def make_params(d=8, K=2, seed=0, alpha=1.0, beta=0.5, W=None):
-    U = orthonormal_basis(d, seed=seed)
-    D = rng_for(seed, "D").standard_normal((d, d)) / np.sqrt(d)
-    ones = np.ones(d)
-    zeros = np.zeros(d)
-    return LayerParams(
-        U=U, D=D, ln1_gain=ones, ln1_bias=zeros, ln2_gain=ones, ln2_bias=zeros,
-        alpha=alpha, beta=beta, num_heads=K, W=W,
-    )
 
 
 class TestMssa:
@@ -76,81 +64,75 @@ class TestMssa:
 class TestAttentionUpdate:
     def test_conceptual_plus_negative_is_2z(self):
         Z = rng_for(10).standard_normal((8, 5))
-        p = make_params(d=8, K=2, seed=11)
-        total = attention_update(Z, p, CRATE_C, gamma=1.0) + attention_update(Z, p, CRATE_N, gamma=1.0)
+        U = orthonormal_basis(8, seed=11)
+        total = attention_update(Z, U, 2, CRATE_C, gamma=1.0) + attention_update(Z, U, 2, CRATE_N, gamma=1.0)
         np.testing.assert_allclose(total, 2 * Z, rtol=0, atol=1e-12)
 
     def test_transpose_equals_conceptual_on_identity_basis(self):
         Z = rng_for(12).standard_normal((6, 4))
-        p = make_params(d=6, K=1, seed=13)
-        p.U = np.eye(6)
-        a = attention_update(Z, p, CRATE_C, gamma=0.9)
-        b = attention_update(Z, p, CRATE_T, gamma=0.9)
+        U = np.eye(6)
+        a = attention_update(Z, U, 1, CRATE_C, gamma=0.9)
+        b = attention_update(Z, U, 1, CRATE_T, gamma=0.9)
         assert np.array_equal(a, b)
 
     def test_learnable_w_equal_to_basis_matches_conceptual_bitwise(self):
         Z = rng_for(14).standard_normal((8, 5))
-        p = make_params(d=8, K=2, seed=15)
-        p.W = p.U
-        a = attention_update(Z, p, CRATE_C, gamma=1.3)
-        b = attention_update(Z, p, CRATE, gamma=1.3)
+        U = orthonormal_basis(8, seed=15)
+        a = attention_update(Z, U, 2, CRATE_C, gamma=1.3)
+        b = attention_update(Z, U, 2, CRATE, gamma=1.3, W=U)
         assert np.array_equal(a, b)
 
     def test_missing_w_rejected(self):
         Z = np.zeros((4, 2))
-        p = make_params(d=4, K=2, seed=16)
+        U = orthonormal_basis(4, seed=16)
         for variant in (CRATE, CRATE_FIX):
             with pytest.raises(ConfigError):
-                attention_update(Z, p, variant, gamma=1.0)
+                attention_update(Z, U, 2, variant, gamma=1.0)
 
     def test_alpha_zero_is_identity_for_all_variants(self):
         Z = rng_for(17).standard_normal((8, 4))
+        U = orthonormal_basis(8, seed=18)
         for variant in VARIANTS:
-            p = make_params(d=8, K=2, seed=18, alpha=0.0)
-            if variant in (CRATE, CRATE_FIX):
-                p.W = rng_for(19).standard_normal((8, 8))
-            out = attention_update(Z, p, variant, gamma=2.0)
+            W = rng_for(19).standard_normal((8, 8)) if variant in (CRATE, CRATE_FIX) else None
+            out = attention_update(Z, U, 2, variant, gamma=2.0, alpha=0.0, W=W)
             np.testing.assert_allclose(out, Z, atol=0)
 
     def test_output_matrix_homogeneity(self):
         # scaling the output matrix by c scales the attention branch by c
         Z = rng_for(20).standard_normal((8, 5))
-        p = make_params(d=8, K=2, seed=21)
-        base = attention_update(Z, p, CRATE_C, gamma=1.0) - Z
-        p.W = 2.5 * p.U
-        scaled = attention_update(Z, p, CRATE, gamma=1.0) - Z
+        U = orthonormal_basis(8, seed=21)
+        base = attention_update(Z, U, 2, CRATE_C, gamma=1.0) - Z
+        scaled = attention_update(Z, U, 2, CRATE, gamma=1.0, W=2.5 * U) - Z
         np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-12)
 
     def test_identity_variant(self):
         Z = rng_for(22).standard_normal((8, 5))
-        p = make_params(d=8, K=2, seed=23)
-        out = attention_update(Z, p, CRATE_IDENTITY, gamma=1.0)
-        want = Z + stacked_attention_heads(Z, p.U, 2)
+        U = orthonormal_basis(8, seed=23)
+        out = attention_update(Z, U, 2, CRATE_IDENTITY, gamma=1.0)
+        want = Z + stacked_attention_heads(Z, U, 2)
         np.testing.assert_allclose(out, want, atol=0)
 
     def test_identity_variant_needs_square_stack(self):
         Z = np.zeros((8, 3))
-        p = make_params(d=8, K=2, seed=24)
-        p.U = p.U[:, :6]  # Kp = 6 != d
+        U = orthonormal_basis(8, seed=24)[:, :6]  # Kp = 6 != d
         with pytest.raises(ConfigError):
-            attention_update(Z, p, CRATE_IDENTITY, gamma=1.0)
+            attention_update(Z, U, 2, CRATE_IDENTITY, gamma=1.0)
 
     def test_transpose_variant_needs_square_basis(self):
         Z = np.zeros((8, 3))
-        p = make_params(d=8, K=2, seed=25)
-        p.U = p.U[:, :6]
+        U = orthonormal_basis(8, seed=25)[:, :6]
         with pytest.raises(ConfigError):
-            attention_update(Z, p, CRATE_T, gamma=1.0)
+            attention_update(Z, U, 2, CRATE_T, gamma=1.0)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            attention_update(np.zeros((2, 2)), make_params(d=2, K=1), "bogus", gamma=1.0)
+            attention_update(np.zeros((2, 2)), orthonormal_basis(2, seed=0), 1, "bogus", gamma=1.0)
 
     def test_gamma_scaling_is_quadratic(self):
         Z = rng_for(26).standard_normal((8, 4))
-        p = make_params(d=8, K=2, seed=27)
-        b1 = attention_update(Z, p, CRATE_C, gamma=1.0) - Z
-        b2 = attention_update(Z, p, CRATE_C, gamma=2.0) - Z
+        U = orthonormal_basis(8, seed=27)
+        b1 = attention_update(Z, U, 2, CRATE_C, gamma=1.0) - Z
+        b2 = attention_update(Z, U, 2, CRATE_C, gamma=2.0) - Z
         np.testing.assert_allclose(b2, 4.0 * b1, atol=1e-12)
 
 

@@ -128,11 +128,11 @@ class TestPathNorm:
 
     def test_parameters_are_restored(self):
         model, _ = tiny_setup()
-        before = {n: t.data.copy() for n, t in model.all_params().items()}
+        before = {n: t.data.copy() for n, t in model.params.items()}
         v1 = path_norm(model)
         v2 = path_norm(model)
         assert v1 == v2
-        for n, t in model.all_params().items():
+        for n, t in model.params.items():
             assert np.array_equal(t.data, before[n])
 
 

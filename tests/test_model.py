@@ -108,9 +108,9 @@ class TestInit:
 
     def test_fixed_w_is_frozen(self):
         model = init_model(tiny_cfg(variant=CRATE_FIX))
-        assert "layers.0.W" in model.frozen
-        assert "layers.0.W" not in model.params
-        assert not model.frozen["layers.0.W"].requires_grad
+        assert not model.params["layers.0.W"].requires_grad
+        assert "layers.0.W" not in model.trainable_params()
+        assert model.params["layers.0.U"].requires_grad
         # still included in the tracked matrices and the snapshot
         names = [n for n, _ in model.tracked_matrices()]
         assert "layers.0.W" in names
@@ -197,11 +197,11 @@ class TestForward:
         model = init_model(cfg)
         tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
         logits, _ = model.run(tok, ln_identity=True)
-        lp = model.layer_params(0, traced=False)
-        Z = ista_step(
-            attention_update(tok, lp, cfg.variant, 1.0), lp.D, cfg.beta, cfg.lambda_sparsity
-        )
         P = {k: t.data for k, t in model.params.items()}
+        Z = ista_step(
+            attention_update(tok, P["layers.0.U"], cfg.K, cfg.variant, 1.0, cfg.alpha),
+            P["layers.0.D"], cfg.beta, cfg.lambda_sparsity,
+        )
         want = P["head.weight"] @ Z[:, 0] + P["head.bias"]
         np.testing.assert_allclose(logits, want, atol=1e-12)
 
@@ -212,12 +212,11 @@ class TestForward:
         cfg = tiny_cfg(L=1)
         model = init_model(cfg)
         tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
-        lp = model.layer_params(0, traced=False)
-        Zn = layer_norm(tok, lp.ln1_gain, lp.ln1_bias)
-        Za = attention_update(Zn, lp, cfg.variant, 1.0)
-        Ya = layer_norm(Za, lp.ln2_gain, lp.ln2_bias)
-        Z1 = ista_step(Ya, lp.D, cfg.beta, cfg.lambda_sparsity)
         P = {k: t.data for k, t in model.params.items()}
+        Zn = layer_norm(tok, P["layers.0.ln1_gain"], P["layers.0.ln1_bias"])
+        Za = attention_update(Zn, P["layers.0.U"], cfg.K, cfg.variant, 1.0, cfg.alpha)
+        Ya = layer_norm(Za, P["layers.0.ln2_gain"], P["layers.0.ln2_bias"])
+        Z1 = ista_step(Ya, P["layers.0.D"], cfg.beta, cfg.lambda_sparsity)
         want = P["head.weight"] @ Z1[:, 0] + P["head.bias"]
         got, _ = model.run(tok)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -233,14 +232,14 @@ class TestForward:
     def test_variant_sign_flip_on_shared_weights(self):
         cfg_c = tiny_cfg(variant=CRATE_C)
         model_c = init_model(cfg_c)
-        model_n = Model(dataclasses.replace(cfg_c, variant=CRATE_N), model_c.params, {}, model_c.init_snapshot)
+        model_n = Model(dataclasses.replace(cfg_c, variant=CRATE_N), model_c.params, model_c.init_snapshot)
         tok = model_c.embed_inputs(tiny_batch(cfg_c, B=1)[0])
-        lp = model_c.layer_params(0, traced=False)
-        Zn = layer_norm(tok, lp.ln1_gain, lp.ln1_bias)
+        P = {k: t.data for k, t in model_c.params.items()}
+        Zn = layer_norm(tok, P["layers.0.ln1_gain"], P["layers.0.ln1_bias"])
         from srr.layers import attention_update
 
-        up_c = attention_update(Zn, lp, CRATE_C, 1.0)
-        up_n = attention_update(Zn, lp, CRATE_N, 1.0)
+        up_c = attention_update(Zn, P["layers.0.U"], cfg_c.K, CRATE_C, 1.0, cfg_c.alpha)
+        up_n = attention_update(Zn, P["layers.0.U"], cfg_c.K, CRATE_N, 1.0, cfg_c.alpha)
         np.testing.assert_allclose(up_c + up_n, 2 * Zn, atol=1e-12)
         # and the two full models differ (sign actually reached the update)
         a, _ = model_c.run(tok)
@@ -325,12 +324,11 @@ class TestCheckpoint:
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
         assert loaded.cfg == cfg
+        assert list(loaded.params) == list(model.params)
         for name, t in model.params.items():
             assert np.array_equal(t.data, loaded.params[name].data)
-            assert loaded.params[name].requires_grad
-        for name, t in model.frozen.items():
-            assert np.array_equal(t.data, loaded.frozen[name].data)
-            assert not loaded.frozen[name].requires_grad
+            assert loaded.params[name].requires_grad == t.requires_grad
+        assert not loaded.params["layers.0.W"].requires_grad
         for name, arr in model.init_snapshot.items():
             assert np.array_equal(arr, loaded.init_snapshot[name])
 

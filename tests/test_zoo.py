@@ -40,6 +40,11 @@ BAD_MODEL = dataclasses.replace(MODEL, d=8, K=4)
 GOOD_AT_10 = dataclasses.replace(MODEL, d=10, K=2)
 
 
+# lr 1e200 overflows the weights in the first epoch's second step
+DIVERGING = dataclasses.replace(MINI, lrs=(5e-3, 1e200), dropouts=(0.0,))
+DIVERGENCE_WARNINGS = pytest.mark.filterwarnings(r"ignore:(overflow|invalid value) encountered:RuntimeWarning")
+
+
 def run_mini(out_dir, **kw):
     return run_zoo(MINI, DATA, TRAIN, str(out_dir), model_template=MODEL, **kw)
 
@@ -114,6 +119,17 @@ class TestRunZoo:
             assert entry["status"] == "failed"
             assert "ConfigError" in entry["error"]
 
+    @DIVERGENCE_WARNINGS
+    def test_first_epoch_divergence_is_a_done_diverged_cell(self, tmp_path):
+        manifest = run_zoo(DIVERGING, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        entries = [manifest["cells"][key] for key, c in DIVERGING.cells() if c["lr_init"] == 1e200]
+        assert len(entries) == 2
+        for entry in entries:
+            assert entry["status"] == "done" and entry["diverged"] and not entry["converged"]
+            assert entry["epochs_run"] == 0
+            assert all(np.isnan(entry[k]) for k in ("train_ce", "val_ce", "gap"))
+            assert entry["note"].startswith("training diverged")
+
     def test_retry_failed(self, tmp_path):
         run_zoo(WIDE, DATA, TRAIN, str(tmp_path), model_template=BAD_MODEL)
         # without the flag, failures stay as they are
@@ -153,6 +169,15 @@ class TestMeasureZoo:
         rows = Path(path).read_text().strip().split("\n")[1:]
         assert len(rows) == len(MINI.cells()) - 1
         assert all(not r.startswith(key + ",") for r in rows)
+
+    @DIVERGENCE_WARNINGS
+    def test_diverged_cells_skipped(self, tmp_path):
+        manifest = run_zoo(DIVERGING, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        assert all(entry["status"] == "done" for entry in manifest["cells"].values())
+        path = measure_zoo(str(tmp_path))
+        keys = [ln.split(",", 1)[0] for ln in Path(path).read_text().strip().split("\n")[1:]]
+        assert keys == [key for key, c in DIVERGING.cells() if c["lr_init"] == 5e-3]
+        assert all(not manifest["cells"][key]["diverged"] for key in keys)
 
     def test_missing_zoo_rejected(self, tmp_path):
         with pytest.raises(FormatError):
