@@ -27,7 +27,6 @@ __all__ = [
     "layer_norm_cols",
     "logdet_gram",
     "softmax_cross_entropy",
-    "numeric_grad",
 ]
 
 LN_EPS = 1e-6  # variance floor of both layer norms
@@ -363,22 +362,3 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     return Tensor(cross_entropy_np(logits.data, labels), _parents=(logits,), _vjp=vjp)
 
-
-def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a scalar function, entry by entry.
-
-    Slow; intended for verifying analytic gradients on small problems.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = fn(x)
-        flat[i] = orig - h
-        lo = fn(x)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * h)
-    return grad

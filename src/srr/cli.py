@@ -61,30 +61,19 @@ def _model_config(cfg: dict, data_spec: DatasetSpec) -> ModelConfig:
 
 
 def _parse_reg(reg: str, eta: float | None) -> dict:
-    out: dict = {}
+    modes = {"all": "all_layers", "random": "random_layer", "none": "none"}
     if reg.startswith("layer:"):
-        out["reg_mode"] = "fixed_layer"
-        out["reg_layer"] = int(reg.split(":", 1)[1])
-    elif reg == "all":
-        out["reg_mode"] = "all_layers"
-    elif reg == "random":
-        out["reg_mode"] = "random_layer"
-    elif reg == "none":
-        out["reg_mode"] = "none"
+        out = {"reg_mode": "fixed_layer", "reg_layer": int(reg.split(":", 1)[1])}
+    elif reg in modes:
+        out = {"reg_mode": modes[reg]}
     else:
         raise ConfigError(f"unknown regularization mode {reg!r}")
-    if out["reg_mode"] == "none":
-        out["eta_reg"] = 0.0
-    else:
-        out["eta_reg"] = 0.001 if eta is None else float(eta)
+    out["eta_reg"] = 0.0 if reg == "none" else (0.001 if eta is None else float(eta))
     return out
 
 
 def _cmd_toy(args) -> int:
-    if args.paper_scale:
-        kwargs = dict(N=196, d=384, K=6)
-    else:
-        kwargs = dict(N=32, d=64, K=4)
+    kwargs = dict(N=196, d=384, K=6) if args.paper_scale else dict(N=32, d=64, K=4)
     trace = toy_dynamics.run_dynamics(
         args.rule, L=args.layers, alpha=args.alpha, gamma=args.gamma, seed=args.seed, **kwargs
     )

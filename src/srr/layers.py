@@ -1,9 +1,11 @@
 """Layer operators: subspace self-attention, the ISTA sparsification step,
 layer norm, and patch tokenization.
 
-Every operator here is written once and runs on either plain float64
-ndarrays (inference, probing, toy dynamics) or autodiff ``Tensor``s
-(training) — the small ``_mT``/``_relu``/... helpers dispatch on type.
+Every operator runs on either plain float64 ndarrays (inference, probing,
+toy dynamics) or autodiff ``Tensor``s (training).  The small ``_mT`` and
+``_softmax_cols`` helpers dispatch on type; where the two differ, the
+ndarray branch works in place on its own temporaries, with the same
+floating-point operations in the same order.
 Token matrices are d x N with tokens as columns; batched inputs carry a
 leading batch axis (B, d, N).
 """
@@ -53,18 +55,8 @@ def _mT(x):
     return x.mT if _is_tensor(x) else np.swapaxes(x, -1, -2)
 
 
-def _relu(x):
-    return x.relu() if _is_tensor(x) else np.maximum(x, 0.0)
-
-
 def _softmax_cols(x):
     return ad.softmax_cols(x) if _is_tensor(x) else linalg.softmax_columns(x)
-
-
-def _concat_rows(parts):
-    if any(_is_tensor(p) for p in parts):
-        return ad.concat(parts, axis=-2)
-    return np.concatenate(parts, axis=-2)
 
 
 def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
@@ -75,6 +67,18 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
     is a length-K list of multiplicative masks applied to the softmax
     output (training-time dropout).
     """
+    if not (_is_tensor(Z) or _is_tensor(U)):
+        # each head's A @ S lands in its row block of one preallocated stack
+        heads = split_heads(U, num_heads)
+        p = heads[0].shape[1]
+        stack = np.empty(Z.shape[:-2] + (num_heads * p, Z.shape[-1]))
+        for k, Uk in enumerate(heads):
+            A = _mT(Uk) @ Z
+            S = linalg.softmax_columns(_mT(A) @ A)
+            if attn_masks is not None:
+                S *= attn_masks[k]
+            np.matmul(A, S, out=stack[..., k * p : (k + 1) * p, :])
+        return stack
     parts = []
     for k, Uk in enumerate(split_heads(U, num_heads)):
         A = _mT(Uk) @ Z
@@ -82,7 +86,7 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
         if attn_masks is not None:
             S = S * attn_masks[k]
         parts.append(A @ S)
-    return _concat_rows(parts)
+    return ad.concat(parts, axis=-2)
 
 
 def mssa(Z, U, num_heads: int):
@@ -98,7 +102,10 @@ def mssa(Z, U, num_heads: int):
         A = _mT(Uk) @ Z
         S = _softmax_cols(_mT(A) @ A)
         term = Uk @ (A @ S)
-        total = term if total is None else total + term
+        if total is None:
+            total = term
+        else:
+            total += term  # in place on an ndarray; a Tensor has no __iadd__ and adds a node
     return total
 
 
@@ -131,10 +138,14 @@ def attention_update(
         out = stack
     else:
         out = U @ stack
+    scale = (-1.0 if variant == CRATE_N else 1.0) * alpha * gamma * gamma
+    if _is_tensor(out):
+        return Z + scale * (out if out_mask is None else out * out_mask)
     if out_mask is not None:
-        out = out * out_mask
-    sign = -1.0 if variant == CRATE_N else 1.0
-    return Z + (sign * alpha * gamma * gamma) * out
+        out *= out_mask
+    out *= scale
+    out += Z
+    return out
 
 
 def ista_step(Y, D, beta: float, lambda_sparsity: float):
@@ -145,9 +156,17 @@ def ista_step(Y, D, beta: float, lambda_sparsity: float):
     """
     if beta < 0 or lambda_sparsity < 0:
         raise ConfigError("beta and lambda_sparsity must be nonnegative")
-    resid = Y - D @ Y
-    pre = Y + beta * (_mT(D) @ resid) - beta * lambda_sparsity
-    return _relu(pre)
+    if _is_tensor(Y) or _is_tensor(D):
+        resid = Y - D @ Y
+        pre = Y + beta * (_mT(D) @ resid) - beta * lambda_sparsity
+        return pre.relu()
+    resid = D @ Y
+    np.subtract(Y, resid, out=resid)
+    pre = _mT(D) @ resid
+    pre *= beta
+    pre += Y
+    pre -= beta * lambda_sparsity
+    return np.maximum(pre, 0.0, out=pre)
 
 
 def layer_norm(Z, gain, bias):
@@ -156,13 +175,14 @@ def layer_norm(Z, gain, bias):
     if _is_tensor(Z) or _is_tensor(gain) or _is_tensor(bias):
         return ad.layer_norm_cols(ad.as_tensor(Z), ad.as_tensor(gain), ad.as_tensor(bias))
     d = Z.shape[-2]
-    mu = Z.mean(axis=-2, keepdims=True)
-    xc = Z - mu
-    var = (xc * xc).mean(axis=-2, keepdims=True)
-    xhat = xc / np.sqrt(var + ad.LN_EPS)
-    g = np.asarray(gain).reshape((d, 1))
-    b = np.asarray(bias).reshape((d, 1))
-    return g * xhat + b
+    xc = Z - linalg._reduce(np.add, Z, -2) / d
+    var = linalg._reduce(np.add, xc * xc, -2)
+    var /= d
+    var += ad.LN_EPS
+    xc /= np.sqrt(var, out=var)
+    xc *= np.asarray(gain).reshape((d, 1))
+    xc += np.asarray(bias).reshape((d, 1))
+    return xc
 
 
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:

@@ -153,8 +153,10 @@ class Model:
             head_col = cls.reshape(self.cfg.d, 1).broadcast_to((B, self.cfg.d, 1))
             tok = concat([head_col, embed @ Tensor(raw)], axis=-1) + pos
         else:
-            head_col = np.broadcast_to(cls.reshape(self.cfg.d, 1), (B, self.cfg.d, 1))
-            tok = np.concatenate([head_col, embed @ raw], axis=-1) + pos
+            tok = np.empty((B, self.cfg.d, T + 1))
+            tok[..., 0] = cls
+            np.matmul(embed, raw, out=tok[..., 1:])
+            tok += pos
         if train_mode and self.cfg.dropout > 0.0:
             if rng is None:
                 raise ConfigError("training-mode dropout needs an rng")

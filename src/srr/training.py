@@ -260,12 +260,14 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
             idx = perm[start : start + cfg.batch_size]
             step_rng = rng_for(cfg.seed, "step", epoch, bno)
             xb, yb = dataset.train_batch(idx, step_rng)
-            loss, parts = srr_regularized_loss(model, (xb, yb), cfg, rng=step_rng)
-            if not np.isfinite(loss.data).all():
-                bad = _nonfinite_note(parts["cache"], epoch, bno)
-                break
-            grads = gradients(loss, model.trainable_params(), layer_outputs=parts["cache"])
-            adam.step(grads, lr)
+            # a diverging step is reported by the note below, not by numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, parts = srr_regularized_loss(model, (xb, yb), cfg, rng=step_rng)
+                if not np.isfinite(loss.data).all():
+                    bad = _nonfinite_note(parts["cache"], epoch, bno)
+                    break
+                grads = gradients(loss, model.trainable_params(), layer_outputs=parts["cache"])
+                adam.step(grads, lr)
             bsz = len(idx)
             ce_sum += parts["ce"] * bsz
             acc_sum += parts["acc"] * bsz

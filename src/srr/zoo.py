@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +41,20 @@ MANIFEST_NAME = "manifest.json"
 MEASURES_NAME = "measures.csv"
 
 
+def _is_number(v, integral: bool = False) -> bool:
+    return isinstance(v, numbers.Integral if integral else numbers.Real) and not isinstance(v, bool)
+
+
+# grid axis -> (what each element must be, its check)
+_AXIS_CHECKS = {
+    "batch_sizes": ("an int >= 1", lambda v: _is_number(v, integral=True) and v >= 1),
+    "lrs": ("a positive finite number", lambda v: _is_number(v) and 0 < v < math.inf),
+    "widths": ("an int >= 1", lambda v: _is_number(v, integral=True) and v >= 1),
+    "dropouts": ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1),
+    "variants": ("a known variant", lambda v: isinstance(v, str) and v in ly.VARIANTS),
+}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     batch_sizes: tuple = (64, 128)
@@ -50,12 +65,12 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_sizes", "lrs", "widths", "dropouts", "variants"):
+        for name, (what, ok) in _AXIS_CHECKS.items():
             if not getattr(self, name):
                 raise ConfigError(f"empty grid axis: {name}")
-        for v in self.variants:
-            if v not in ly.VARIANTS:
-                raise ConfigError(f"unknown variant {v!r}")
+            for v in getattr(self, name):
+                if not ok(v):
+                    raise ConfigError(f"grid axis {name}: element {v!r} is not {what}")
 
     @classmethod
     def paper(cls, seed: int = 0) -> "GridSpec":
@@ -118,6 +133,11 @@ def _read_manifest(out_dir: str) -> dict:
         return json.load(fh)
 
 
+def _finite_or_none(value: float) -> float | None:
+    """A manifest number: JSON has no NaN or inf, so those become null."""
+    return float(value) if math.isfinite(value) else None
+
+
 def _cell_configs(coords: dict, seed: int, model_template: ModelConfig, train_template: TrainConfig):
     mcfg = dataclasses.replace(
         model_template,
@@ -157,9 +177,9 @@ def _run_cell(args) -> dict:
             "trace": os.path.basename(trace_path),
             "converged": bool(trace.converged),
             "diverged": bool(trace.diverged),
-            "train_ce": float(train_ce),
-            "val_ce": float(val_ce),
-            "gap": float(val_ce - train_ce),
+            "train_ce": _finite_or_none(train_ce),
+            "val_ce": _finite_or_none(val_ce),
+            "gap": _finite_or_none(val_ce - train_ce),
             "epochs_run": len(trace.epochs),
             "wall_time": time.time() - started,
         }
@@ -278,7 +298,7 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
                     model_variant=coords["model_variant"],
                 ),
                 measures=measures,
-                gap=float(entry["gap"]),
+                gap=math.nan if entry["gap"] is None else float(entry["gap"]),
                 converged=bool(entry["converged"]) and not entry.get("diverged", False),
             )
         )

@@ -6,6 +6,26 @@ from srr.errors import ShapeError
 from srr.linalg import logdet_psd, rng_for, softmax_columns
 
 
+def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of a scalar function, entry by entry.
+
+    Slow; intended for verifying analytic gradients on small problems.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = fn(x)
+        flat[i] = orig - h
+        lo = fn(x)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * h)
+    return grad
+
+
 def grad_of(build, x0):
     """Backprop gradient of a scalar-valued graph builder at x0."""
     x = ad.Tensor(x0, requires_grad=True)
@@ -69,7 +89,7 @@ class TestBasicOps:
         other = rng_for(2).standard_normal((4, 5))
         build = lambda x: ((x + other) * (x + other)).sum()
         got = grad_of(build, x0)
-        want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
+        want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_matmul_gradients(self):
@@ -77,12 +97,12 @@ class TestBasicOps:
         B = rng_for(4).standard_normal((4, 2))
         build = lambda a: ((a @ B) * (a @ B)).sum()
         got = grad_of(build, A0)
-        want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), A0)
+        want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), A0)
         np.testing.assert_allclose(got, want, atol=1e-6)
         # right operand too
         buildb = lambda b: ((ad.Tensor(A0) @ b) * (ad.Tensor(A0) @ b)).sum()
         gotb = grad_of(buildb, B)
-        wantb = ad.numeric_grad(lambda b: buildb(ad.Tensor(b, requires_grad=True)).item(), B)
+        wantb = numeric_grad(lambda b: buildb(ad.Tensor(b, requires_grad=True)).item(), B)
         np.testing.assert_allclose(gotb, wantb, atol=1e-6)
 
     def test_batched_matmul(self):
@@ -90,14 +110,14 @@ class TestBasicOps:
         B = rng_for(6).standard_normal((2, 4, 3))
         build = lambda a: (a @ B).sum()
         got = grad_of(build, A0)
-        want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), A0)
+        want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), A0)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_getitem_and_reshape(self):
         x0 = rng_for(7).standard_normal((3, 4))
         build = lambda x: (x[1:, :2].reshape(4) * np.arange(4.0)).sum()
         got = grad_of(build, x0)
-        want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
+        want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_transpose_last_axes(self):
@@ -118,7 +138,7 @@ class TestBasicOps:
             lambda x: x.mean(),
         ):
             got = grad_of(build, x0)
-            want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
+            want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_relu(self):
@@ -157,7 +177,7 @@ class TestFusedOps:
         w = rng_for(22).standard_normal((4, 3))
         build = lambda x: (ad.softmax_cols(x) * w).sum()
         got = grad_of(build, x0)
-        want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
+        want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
         np.testing.assert_allclose(got, want, atol=1e-7)
 
     def test_softmax_cols_batched_gradient(self):
@@ -165,7 +185,7 @@ class TestFusedOps:
         w = rng_for(24).standard_normal((2, 4, 3))
         build = lambda x: (ad.softmax_cols(x) * w).sum()
         got = grad_of(build, x0)
-        want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
+        want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
         np.testing.assert_allclose(got, want, atol=1e-7)
 
     def test_layer_norm_forward(self):
@@ -192,9 +212,9 @@ class TestFusedOps:
         fx = lambda a: (ad.layer_norm_cols(ad.Tensor(a), ad.Tensor(gain0), ad.Tensor(bias0)) * w).sum().item()
         fg = lambda a: (ad.layer_norm_cols(ad.Tensor(x0), ad.Tensor(a), ad.Tensor(bias0)) * w).sum().item()
         fb = lambda a: (ad.layer_norm_cols(ad.Tensor(x0), ad.Tensor(gain0), ad.Tensor(a)) * w).sum().item()
-        np.testing.assert_allclose(x.grad, ad.numeric_grad(fx, x0), atol=1e-6)
-        np.testing.assert_allclose(gain.grad, ad.numeric_grad(fg, gain0), atol=1e-6)
-        np.testing.assert_allclose(bias.grad, ad.numeric_grad(fb, bias0), atol=1e-6)
+        np.testing.assert_allclose(x.grad, numeric_grad(fx, x0), atol=1e-6)
+        np.testing.assert_allclose(gain.grad, numeric_grad(fg, gain0), atol=1e-6)
+        np.testing.assert_allclose(bias.grad, numeric_grad(fb, bias0), atol=1e-6)
 
     def test_layer_norm_batched_gradients(self):
         x0 = rng_for(30).standard_normal((2, 5, 3))
@@ -207,8 +227,8 @@ class TestFusedOps:
         (ad.layer_norm_cols(x, gain, bias) * w).sum().backward()
         fx = lambda a: (ad.layer_norm_cols(ad.Tensor(a), ad.Tensor(gain0), ad.Tensor(bias0)) * w).sum().item()
         fg = lambda a: (ad.layer_norm_cols(ad.Tensor(x0), ad.Tensor(a), ad.Tensor(bias0)) * w).sum().item()
-        np.testing.assert_allclose(x.grad, ad.numeric_grad(fx, x0), atol=1e-6)
-        np.testing.assert_allclose(gain.grad, ad.numeric_grad(fg, gain0), atol=1e-6)
+        np.testing.assert_allclose(x.grad, numeric_grad(fx, x0), atol=1e-6)
+        np.testing.assert_allclose(gain.grad, numeric_grad(fg, gain0), atol=1e-6)
         assert bias.grad.shape == (5,)
 
     def test_logdet_gram_forward_matches_dense(self):
@@ -228,7 +248,7 @@ class TestFusedOps:
             z0 = rng_for(seed).standard_normal(shape)
             build = lambda z: ad.logdet_gram(z, scale=0.9)
             got = grad_of(build, z0)
-            want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), z0)
+            want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), z0)
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_logdet_gram_batched(self):
@@ -240,7 +260,7 @@ class TestFusedOps:
             assert out.data[b] == pytest.approx(want, abs=1e-10)
         build = lambda z: ad.logdet_gram(z, scale=1.0).sum()
         got = grad_of(build, z0)
-        want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), z0)
+        want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), z0)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_cross_entropy_value(self):
@@ -255,7 +275,7 @@ class TestFusedOps:
         labels = np.array([0, 2, 1, 1])
         build = lambda x: ad.softmax_cross_entropy(x, labels)
         got = grad_of(build, logits0)
-        want = ad.numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), logits0)
+        want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), logits0)
         np.testing.assert_allclose(got, want, atol=1e-7)
         # fused form: (softmax - onehot)/B
         sm = np.exp(logits0) / np.exp(logits0).sum(axis=1, keepdims=True)

@@ -20,6 +20,7 @@ from srr.layers import (
 )
 from srr.linalg import orthonormal_basis, rng_for, softmax_columns
 from srr.model import ModelConfig, init_model
+from srr.rates import split_heads
 
 
 class TestMssa:
@@ -204,6 +205,123 @@ class TestLayerNorm:
         bias = rng_for(48).standard_normal(8)
         got = layer_norm(ad.Tensor(Z, requires_grad=True), ad.Tensor(gain), ad.Tensor(bias))
         np.testing.assert_allclose(got.data, layer_norm(Z, gain, bias), atol=1e-14)
+
+
+# Oracles: the plain ndarray expressions the in-place kernels replaced.  The
+# kernels must reproduce them bit for bit and leave their inputs untouched.
+
+
+def softmax_oracle(x):
+    expd = np.exp(x - x.max(axis=-2, keepdims=True))
+    return expd / expd.sum(axis=-2, keepdims=True)
+
+
+def heads_oracle(Z, U, num_heads, attn_masks=None):
+    parts = []
+    for k, Uk in enumerate(split_heads(U, num_heads)):
+        A = Uk.T @ Z
+        S = softmax_oracle(np.swapaxes(A, -1, -2) @ A)
+        if attn_masks is not None:
+            S = S * attn_masks[k]
+        parts.append(A @ S)
+    return np.concatenate(parts, axis=-2)
+
+
+def update_oracle(Z, U, num_heads, variant, gamma, alpha=1.0, W=None, attn_masks=None, out_mask=None):
+    stack = heads_oracle(Z, U, num_heads, attn_masks)
+    if variant in (CRATE, CRATE_FIX):
+        out = W @ stack
+    elif variant == CRATE_T:
+        out = U.T @ stack
+    elif variant == CRATE_IDENTITY:
+        out = stack
+    else:
+        out = U @ stack
+    if out_mask is not None:
+        out = out * out_mask
+    sign = -1.0 if variant == CRATE_N else 1.0
+    return Z + (sign * alpha * gamma * gamma) * out
+
+
+def ista_oracle(Y, D, beta, lam):
+    resid = Y - D @ Y
+    return np.maximum(Y + beta * (D.T @ resid) - beta * lam, 0.0)
+
+
+def layer_norm_oracle(Z, gain, bias):
+    d = Z.shape[-2]
+    mu = Z.mean(axis=-2, keepdims=True)
+    xc = Z - mu
+    var = (xc * xc).mean(axis=-2, keepdims=True)
+    xhat = xc / np.sqrt(var + ad.LN_EPS)
+    return gain.reshape((d, 1)) * xhat + bias.reshape((d, 1))
+
+
+def embed_oracle(model, raw):
+    embed, cls, pos = (model.params[n].data for n in ("embed", "cls", "pos"))
+    head_col = np.broadcast_to(cls.reshape(-1, 1), (raw.shape[0], len(cls), 1))
+    return np.concatenate([head_col, embed @ raw], axis=-1) + pos
+
+
+def assert_bitwise_and_untouched(kernel, oracle, *args, **kwargs):
+    before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    got = kernel(*args, **kwargs)
+    assert np.array_equal(got, oracle(*args, **kwargs))
+    for a, b in zip(args, before):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b)
+    return got
+
+
+# desk geometry (d=32, K=4, p=8, 9 tokens) at a batch whose head Grams take
+# the row-by-row softmax, plus a single unbatched matrix
+BATCHES = [(256,), ()]
+
+
+def desk_tokens(batch, seed):
+    return rng_for(seed).standard_normal(batch + (32, 9)) * 2
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_stacked_attention_heads(self, batch):
+        Z, U = desk_tokens(batch, 70), orthonormal_basis(32, seed=71)
+        masks = [(rng_for(72, k).random(batch + (9, 9)) < 0.9) / 0.9 for k in range(4)]
+        assert_bitwise_and_untouched(stacked_attention_heads, heads_oracle, Z, U, 4)
+        before = [m.copy() for m in masks]
+        assert_bitwise_and_untouched(stacked_attention_heads, heads_oracle, Z, U, 4, masks)
+        assert all(np.array_equal(m, b) for m, b in zip(masks, before))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_update(self, batch, variant, masked):
+        Z, U = desk_tokens(batch, 73), orthonormal_basis(32, seed=74)
+        W = rng_for(75).standard_normal((32, 32)) / np.sqrt(32)
+        out_mask = (rng_for(76).random(Z.shape) < 0.9) / 0.9 if masked else None
+        assert_bitwise_and_untouched(
+            attention_update, update_oracle, Z, U, 4, variant, 0.7, 0.8, W, None, out_mask
+        )
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_ista_step(self, batch):
+        Y = desk_tokens(batch, 77)
+        D = rng_for(78).standard_normal((32, 32)) / np.sqrt(32)
+        out = assert_bitwise_and_untouched(ista_step, ista_oracle, Y, D, 0.1, 0.3)
+        assert (out == 0).any() and (out > 0).any()
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_layer_norm(self, batch):
+        Z = desk_tokens(batch, 79) + 1.5
+        gain, bias = rng_for(80).standard_normal(32), rng_for(81).standard_normal(32)
+        assert_bitwise_and_untouched(layer_norm, layer_norm_oracle, Z, gain, bias)
+
+    @pytest.mark.parametrize("B", [256, 3])
+    def test_embed_inputs(self, B):
+        model = init_model(ModelConfig(L=1, d=32, K=4, feat_dim=16, num_tokens=8, num_classes=2, seed=82))
+        raw = rng_for(83).standard_normal((B, 16, 8))
+        assert_bitwise_and_untouched(model.embed_inputs, lambda r: embed_oracle(model, r), raw)
+        assert np.array_equal(model.embed_inputs(raw[0]), embed_oracle(model, raw[:1])[0])
 
 
 def embed_image(image, patch, embed, pos, cls):

@@ -3,6 +3,8 @@ import pytest
 
 from srr.errors import DefinitenessError, NumericError, ShapeError
 from srr.linalg import (
+    _reduce,
+    _softmax,
     logdet_psd,
     orthonormal_basis,
     rng_for,
@@ -95,6 +97,67 @@ class TestSoftmaxColumns:
     def test_one_dimensional_rejected(self):
         with pytest.raises(ShapeError):
             softmax_columns(np.zeros(3))
+
+
+def softmax_oracle(x, axis):
+    """The softmax expression the in-place kernel replaced."""
+    expd = np.exp(x - x.max(axis=axis, keepdims=True))
+    return expd / expd.sum(axis=axis, keepdims=True)
+
+
+def with_nonfinite(x):
+    x = x.copy()
+    x.flat[::29] = np.nan
+    x.flat[5::31] = np.inf
+    x.flat[11::37] = -np.inf
+    return x
+
+
+class TestSoftmaxKernel:
+    """``_softmax`` and ``_reduce`` give the bits of the plain numpy
+    expressions they replaced, on both the row-by-row and the in-place
+    branch, and leave their input alone."""
+
+    # (256, 4, 9, 9) takes the row loop; the others are too small, too wide
+    # or single-column stacks and take numpy's own reduction
+    SHAPES = [(256, 4, 9, 9), (8, 6, 65, 65), (6, 196, 196), (196, 196), (2, 1, 9, 9), (4096, 9, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_columns_bitwise(self, shape):
+        x = rng_for(60, *shape).standard_normal(shape) * 4
+        for arr in (x, np.swapaxes(x, -1, -2)):
+            before = arr.copy()
+            assert np.array_equal(_softmax(arr, -2), softmax_oracle(arr, -2))
+            assert np.array_equal(softmax_columns(arr), softmax_oracle(arr, -2))
+            assert np.array_equal(arr, before)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_columns_bitwise_with_nan_and_inf(self, shape):
+        x = with_nonfinite(rng_for(61, *shape).standard_normal(shape))
+        before = x.copy()
+        with np.errstate(invalid="ignore"):
+            got, want = _softmax(x, -2), softmax_oracle(x, -2)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(x, before, equal_nan=True)
+
+    def test_rows_bitwise(self):
+        x = rng_for(62).standard_normal((256, 10)) * 4
+        before = x.copy()
+        assert np.array_equal(_softmax(x, -1), softmax_oracle(x, -1))
+        with np.errstate(invalid="ignore"):
+            bad = with_nonfinite(x)
+            assert np.array_equal(_softmax(bad, -1), softmax_oracle(bad, -1), equal_nan=True)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize(
+        "shape", [(256, 9, 9), (2048, 9, 2), (64, 9, 9), (4096, 8, 3), (300, 16, 17), (1024, 16, 1), (4096, 9, 1)]
+    )
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    def test_reduce_bitwise(self, shape, ufunc):
+        x = rng_for(63, *shape).standard_normal(shape)
+        want = ufunc.reduce(x, axis=-2, keepdims=True)
+        assert np.array_equal(_reduce(ufunc, x, -2), want)
+        assert np.array_equal(_reduce(ufunc, x[::-1], -2), ufunc.reduce(x[::-1], axis=-2, keepdims=True))
 
 
 class TestSpectralNorm:

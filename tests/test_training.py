@@ -347,7 +347,6 @@ class TestTrain:
         for name in m1.params:
             assert np.array_equal(m1.params[name].data, m2.params[name].data)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("reg_mode", ["none", "all_layers", "fixed_layer"])
     def test_divergence_flagged_not_raised(self, reg_mode):
         ds = sep_dataset()

@@ -42,7 +42,10 @@ GOOD_AT_10 = dataclasses.replace(MODEL, d=10, K=2)
 
 # lr 1e200 overflows the weights in the first epoch's second step
 DIVERGING = dataclasses.replace(MINI, lrs=(5e-3, 1e200), dropouts=(0.0,))
-DIVERGENCE_WARNINGS = pytest.mark.filterwarnings(r"ignore:(overflow|invalid value) encountered:RuntimeWarning")
+
+
+def reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
 
 
 def run_mini(out_dir, **kw):
@@ -88,6 +91,26 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(variants=("crate_c", "transformer"))
 
+    @pytest.mark.parametrize(
+        "axis, value",
+        [
+            ("batch_sizes", 1.5), ("batch_sizes", True), ("batch_sizes", 0), ("batch_sizes", "16"),
+            ("widths", 8.0), ("widths", False), ("widths", -8),
+            ("lrs", "x"), ("lrs", 0.0), ("lrs", -1e-3), ("lrs", float("inf")), ("lrs", float("nan")), ("lrs", True),
+            ("dropouts", 1.0), ("dropouts", -0.1), ("dropouts", float("nan")), ("dropouts", None),
+            ("variants", 3), ("variants", None),
+        ],
+    )
+    def test_bad_axis_element_rejected(self, axis, value):
+        good = getattr(GridSpec.desk(), axis)
+        with pytest.raises(ConfigError, match=f"grid axis {axis}: element {value!r}"):
+            dataclasses.replace(GridSpec.desk(), **{axis: good + (value,)})
+
+    def test_numpy_elements_accepted(self):
+        grid = GridSpec(batch_sizes=(np.int64(8),), lrs=(np.float64(1e-2),), widths=(np.int32(8),),
+                        dropouts=(np.float64(0.0),), variants=("crate_c",))
+        assert grid.cells()[0][1]["batch_size"] == 8
+
 
 class TestRunZoo:
     def test_end_to_end(self, tmp_path):
@@ -119,15 +142,17 @@ class TestRunZoo:
             assert entry["status"] == "failed"
             assert "ConfigError" in entry["error"]
 
-    @DIVERGENCE_WARNINGS
     def test_first_epoch_divergence_is_a_done_diverged_cell(self, tmp_path):
         manifest = run_zoo(DIVERGING, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        on_disk = json.loads((tmp_path / MANIFEST_NAME).read_text(), parse_constant=reject_constant)
+        assert on_disk["cells"] == manifest["cells"]
         entries = [manifest["cells"][key] for key, c in DIVERGING.cells() if c["lr_init"] == 1e200]
         assert len(entries) == 2
         for entry in entries:
             assert entry["status"] == "done" and entry["diverged"] and not entry["converged"]
             assert entry["epochs_run"] == 0
-            assert all(np.isnan(entry[k]) for k in ("train_ce", "val_ce", "gap"))
+            # a run with no epoch row has no CE: JSON null, the note says why
+            assert all(entry[k] is None for k in ("train_ce", "val_ce", "gap"))
             assert entry["note"].startswith("training diverged")
 
     def test_retry_failed(self, tmp_path):
@@ -170,7 +195,6 @@ class TestMeasureZoo:
         assert len(rows) == len(MINI.cells()) - 1
         assert all(not r.startswith(key + ",") for r in rows)
 
-    @DIVERGENCE_WARNINGS
     def test_diverged_cells_skipped(self, tmp_path):
         manifest = run_zoo(DIVERGING, DATA, TRAIN, str(tmp_path), model_template=MODEL)
         assert all(entry["status"] == "done" for entry in manifest["cells"].values())
@@ -253,3 +277,14 @@ class TestRecordsAndReport:
         mpath.write_text(json.dumps(manifest))
         records = load_zoo_records(str(tmp_path))
         assert sum(not r.converged for r in records) == 1
+
+    def test_null_gap_reads_as_nan(self, tmp_path):
+        run_conv(tmp_path)
+        measure_zoo(str(tmp_path))
+        mpath = tmp_path / MANIFEST_NAME
+        manifest = json.loads(mpath.read_text())
+        key = MINI_CONV.cells()[0][0]
+        manifest["cells"][key]["gap"] = None
+        mpath.write_text(json.dumps(manifest))
+        gaps = [r.gap for r in load_zoo_records(str(tmp_path))]
+        assert np.isnan(gaps[0]) and np.isfinite(gaps[1:]).all()
