@@ -44,7 +44,7 @@ class HyperPoint:
 @dataclass
 class ZooRecord:
     theta: HyperPoint
-    measures: object  # MeasureVector or any mapping/attr carrier of named reals
+    measures: object  # MeasureVector or a mapping: anything whose get(name) gives a real
     gap: float
     converged: bool = True
 
@@ -71,10 +71,7 @@ def kendall_tau(samples) -> float:
 
 
 def _measure_of(rec: ZooRecord, name: str) -> float:
-    m = rec.measures
-    if hasattr(m, "get") and not hasattr(m, name):
-        return float(m.get(name))
-    return float(getattr(m, name))
+    return float(rec.measures.get(name))
 
 
 def _usable(rec: ZooRecord, name: str) -> bool:

@@ -112,7 +112,7 @@ def _cmd_train(args) -> int:
     print(summary)
     if trace.note:
         print(f"note: {trace.note}")
-    print(f"checkpoint: {args.out}  trace: {args.trace}")
+    print(f"checkpoint: {args.out}" + (f"  trace: {args.trace}" if args.trace else ""))
     return 0
 
 
@@ -135,6 +135,8 @@ def _cmd_zoo(args) -> int:
     cfg = _load_config(args.grid)
     gsection = cfg.get("grid", {})
     scale = gsection.pop("scale", "desk") if isinstance(gsection, dict) else "desk"
+    if scale not in ("desk", "paper"):
+        raise ConfigError(f"grid.scale must be 'desk' or 'paper', got {scale!r}")
     base = GridSpec.desk() if scale == "desk" else GridSpec.paper()
     gspec = dataclasses.replace(base, **config_fields(GridSpec, gsection, "grid"))
     dsection = cfg.get("data")
@@ -144,15 +146,9 @@ def _cmd_zoo(args) -> int:
         data = DatasetSpec(source="synthetic", separation=4.0)
     else:
         raise ConfigError("paper-scale zoo needs a data section in the grid config")
-    if "model" in cfg:
-        model_template = _model_config(cfg, data)
-    elif data.source == "synthetic":
-        model_template = ModelConfig(
-            L=2, d=gspec.widths[0], K=4,
-            feat_dim=data.feat_dim, num_tokens=data.tokens, num_classes=data.classes,
-        )
-    else:
-        model_template = ModelConfig()
+    # each cell sets d to its width; image zoos take patch size and class count from the data, as srr train does
+    cfg.setdefault("model", {"L": 2, "K": 4} if data.source == "synthetic" else {})
+    model_template = _model_config(cfg, data)
     if "train" in cfg:
         train_template = TrainConfig(**config_fields(TrainConfig, cfg["train"], "train"))
     else:
@@ -180,7 +176,7 @@ def _cmd_measure(args) -> int:
         with np.load(args.init_snapshot) as snap:
             model.init_snapshot = {k: snap[k] for k in snap.files}
     dataset = build_dataset(data_spec)
-    mv, errors = measure_vector(model, model.init_snapshot, dataset, seed=args.seed)
+    mv, errors = measure_vector(model, dataset, seed=args.seed)
     key = os.path.basename(args.checkpoint)
     with open(args.out, "w") as fh:
         fh.write(measures_csv_header() + "\n")
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="model.ckpt.npz")
-    p.add_argument("--trace", default="trace.csv")
+    p.add_argument("--trace", help="per-epoch trace CSV (default: none written)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("probe", help="per-layer rate/sparsity probes of a checkpoint")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import rates
 from .errors import ConfigError
 from .linalg import cross_entropy_np, rng_for, spectral_norm
 from .model import Model
@@ -159,19 +158,14 @@ def _geo_mean(vals: list[float]) -> float:
     return float(np.exp(np.mean(np.log(vals))))
 
 
-def measure_vector(
-    model: Model,
-    init_snapshot: dict[str, np.ndarray] | None,
-    dataset,
-    rate_cfg: rates.RateConfig | None = None,
-    seed: int = 0,
-) -> tuple[MeasureVector, dict[str, str]]:
+def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector, dict[str, str]]:
     """Every Table-style measure for one trained model.
 
-    Init-relative fields need ``init_snapshot``; when it is missing they
-    come back NaN with an explanation in the errors dict while everything
-    else is still computed.
+    Init-relative fields need ``model.init_snapshot``; when it is missing
+    they come back NaN with an explanation in the errors dict while
+    everything else is still computed.
     """
+    init_snapshot = model.init_snapshot
     mv = MeasureVector()
     errors: dict[str, str] = {}
     params = model.trainable_params()
@@ -210,8 +204,7 @@ def measure_vector(
     if flag == "lower_bracket_exceeded":
         errors["pac_bayes_flatness_inv_sigma"] = "loss too sharp: sigma pinned at the lower bracket"
 
-    x = dataset.train_x[:PROBE_SAMPLES]
-    probes = model.probe(x) if rate_cfg is None else model.probe(x, rate_cfg.eps_sq, rate_cfg.lambda_sparsity)
+    probes = model.probe(dataset.train_x[:PROBE_SAMPLES])
     mv.srr = float(np.mean([p.srr for p in probes]))
 
     init_fields = ("l2_norm_init", "fro_distance", "spec_distance", "spec_init_main", "pac_bayes_init")

@@ -227,6 +227,8 @@ class Model:
     ) -> list[ProbeRecord]:
         """Per-layer probes of the feature columns ``raw`` with LayerNorm
         bypassed, at the rate scales eps_sq and lambda_sparsity."""
+        if len(raw) == 0:
+            raise ConfigError("probe needs at least one sample")
         tokens = self.embed_inputs(raw)
         pc = rates.RateConfig(
             d=self.cfg.d, N=tokens.shape[-1], K=self.cfg.K, eps_sq=eps_sq, lambda_sparsity=lambda_sparsity

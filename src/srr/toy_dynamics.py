@@ -121,6 +121,8 @@ def run_dynamics(
             raise ConfigError(f"unknown dynamics rule {rule!r}")
     if d % K != 0:
         raise ConfigError(f"d = {d} must be divisible by K = {K}")
+    if not gamma > 0:
+        raise ConfigError(f"gamma must be positive, got {gamma}")
 
     Z0 = rng_for(seed, "tokens").standard_normal((d, N))
     Zh, c = _normalize(Z0)

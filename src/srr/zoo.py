@@ -9,7 +9,9 @@ Augmentations are always disabled for zoo training.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -45,13 +47,13 @@ def _is_number(v, integral: bool = False) -> bool:
     return isinstance(v, numbers.Integral if integral else numbers.Real) and not isinstance(v, bool)
 
 
-# grid axis -> (what each element must be, its check)
+# grid axis -> (what each element must be, its check, the Python type it is stored as)
 _AXIS_CHECKS = {
-    "batch_sizes": ("an int >= 1", lambda v: _is_number(v, integral=True) and v >= 1),
-    "lrs": ("a positive finite number", lambda v: _is_number(v) and 0 < v < math.inf),
-    "widths": ("an int >= 1", lambda v: _is_number(v, integral=True) and v >= 1),
-    "dropouts": ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1),
-    "variants": ("a known variant", lambda v: isinstance(v, str) and v in ly.VARIANTS),
+    "batch_sizes": ("an int >= 1", lambda v: _is_number(v, integral=True) and v >= 1, int),
+    "lrs": ("a positive finite number", lambda v: _is_number(v) and 0 < v < math.inf, float),
+    "widths": ("an int >= 1", lambda v: _is_number(v, integral=True) and v >= 1, int),
+    "dropouts": ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1, float),
+    "variants": ("a known variant", lambda v: isinstance(v, str) and v in ly.VARIANTS, str),
 }
 
 
@@ -65,12 +67,14 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, (what, ok) in _AXIS_CHECKS.items():
+        for name, (what, ok, kind) in _AXIS_CHECKS.items():
             if not getattr(self, name):
                 raise ConfigError(f"empty grid axis: {name}")
             for v in getattr(self, name):
                 if not ok(v):
                     raise ConfigError(f"grid axis {name}: element {v!r} is not {what}")
+            # numpy scalars become Python ones, so keys and the manifest JSON see plain values
+            object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
 
     @classmethod
     def paper(cls, seed: int = 0) -> "GridSpec":
@@ -88,41 +92,28 @@ class GridSpec:
             seed=seed,
         )
 
-    def cells(self):
-        """Deterministic cell enumeration: (key, coords dict)."""
+    def cells(self) -> list[tuple[str, HyperPoint]]:
+        """Deterministic cell enumeration: (key, point)."""
+        axes = (self.batch_sizes, self.lrs, self.widths, self.dropouts, self.variants)
         out = []
-        for bs in self.batch_sizes:
-            for lr in self.lrs:
-                for w in self.widths:
-                    for do in self.dropouts:
-                        for variant in self.variants:
-                            coords = {
-                                "batch_size": int(bs),
-                                "lr_init": float(lr),
-                                "width": int(w),
-                                "dropout": float(do),
-                                "model_variant": variant,
-                            }
-                            key = f"bs{bs}-lr{lr!r}-w{w}-do{do!r}-{variant}"
-                            out.append((key, coords))
+        for pt in itertools.starmap(HyperPoint, itertools.product(*axes)):
+            key = f"bs{pt.batch_size}-lr{pt.lr_init!r}-w{pt.width}-do{pt.dropout!r}-{pt.model_variant}"
+            out.append((key, pt))
         return out
 
-    def cell_seed(self, coords: dict) -> int:
-        return stable_seed(
-            self.seed,
-            coords["batch_size"],
-            repr(coords["lr_init"]),
-            coords["width"],
-            repr(coords["dropout"]),
-            coords["model_variant"],
-        )
+    def cell_seed(self, pt: HyperPoint) -> int:
+        return stable_seed(self.seed, pt.batch_size, repr(pt.lr_init), pt.width, repr(pt.dropout), pt.model_variant)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _write_manifest(out_dir: str, manifest: dict) -> None:
-    tmp = os.path.join(out_dir, MANIFEST_NAME + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    os.replace(tmp, os.path.join(out_dir, MANIFEST_NAME))
+    _write_atomic(os.path.join(out_dir, MANIFEST_NAME), json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _read_manifest(out_dir: str) -> dict:
@@ -138,28 +129,17 @@ def _finite_or_none(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
-def _cell_configs(coords: dict, seed: int, model_template: ModelConfig, train_template: TrainConfig):
-    mcfg = dataclasses.replace(
-        model_template,
-        d=coords["width"],
-        variant=coords["model_variant"],
-        dropout=coords["dropout"],
-        seed=seed,
-    )
-    tcfg = dataclasses.replace(
-        train_template,
-        batch_size=coords["batch_size"],
-        lr_init=coords["lr_init"],
-        seed=seed,
-    )
+def _cell_configs(pt: HyperPoint, seed: int, model_template: ModelConfig, train_template: TrainConfig):
+    mcfg = dataclasses.replace(model_template, d=pt.width, variant=pt.model_variant, dropout=pt.dropout, seed=seed)
+    tcfg = dataclasses.replace(train_template, batch_size=pt.batch_size, lr_init=pt.lr_init, seed=seed)
     return mcfg, tcfg
 
 
 def _run_cell(args) -> dict:
-    key, coords, seed, model_template, train_template, data_spec, out_dir = args
+    key, pt, seed, model_template, train_template, data_spec, out_dir = args
     started = time.time()
     try:
-        mcfg, tcfg = _cell_configs(coords, seed, model_template, train_template)
+        mcfg, tcfg = _cell_configs(pt, seed, model_template, train_template)
         dataset = build_dataset(data_spec)
         model = init_model(mcfg)
         trace_path = os.path.join(out_dir, f"{key}.trace.csv")
@@ -171,7 +151,7 @@ def _run_cell(args) -> dict:
             train_ce, val_ce = trace.epochs[-1].train_ce, trace.epochs[-1].val_ce
         entry = {
             "status": "done",
-            "coords": coords,
+            "coords": dataclasses.asdict(pt),
             "seed": seed,
             "checkpoint": os.path.basename(ckpt_path),
             "trace": os.path.basename(trace_path),
@@ -189,7 +169,7 @@ def _run_cell(args) -> dict:
     except Exception as exc:  # cell failure must not kill the zoo
         return {
             "status": "failed",
-            "coords": coords,
+            "coords": dataclasses.asdict(pt),
             "seed": seed,
             "error": f"{type(exc).__name__}: {exc}",
             "wall_time": time.time() - started,
@@ -221,34 +201,30 @@ def run_zoo(
     manifest["train_template"] = dataclasses.asdict(train_template)
 
     pending = []
-    for key, coords in grid.cells():
+    for key, pt in grid.cells():
         prev = manifest["cells"].get(key)
         if prev is not None:
             if prev["status"] == "done" or (prev["status"] == "failed" and not retry_failed):
                 continue
-        pending.append((key, coords, grid.cell_seed(coords), model_template, train_template, data, out_dir))
+        pending.append((key, pt, grid.cell_seed(pt), model_template, train_template, data, out_dir))
 
-    if workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (key, *_), entry in zip(pending, pool.map(_run_cell, pending)):
-                manifest["cells"][key] = entry
-                _write_manifest(out_dir, manifest)
-    else:
-        for args in pending:
-            manifest["cells"][args[0]] = _run_cell(args)
+    # one worker trains in this process, in order, writing the manifest after each cell
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for (key, *_), entry in zip(pending, (pool.map if pool else map)(_run_cell, pending)):
+            manifest["cells"][key] = entry
             _write_manifest(out_dir, manifest)
     _write_manifest(out_dir, manifest)
     return manifest
 
 
-def measure_zoo(out_dir: str, data: DatasetSpec | None = None, rate_cfg=None, seed: int = 0) -> str:
-    """Evaluate the full measure vector for every trained cell; writes
-    measures.csv in manifest cell order and returns its path."""
+def measure_zoo(out_dir: str, seed: int = 0) -> str:
+    """Evaluate the full measure vector for every trained cell on the
+    manifest's dataset; writes measures.csv in grid cell order and returns
+    its path."""
     manifest = _read_manifest(out_dir)
     if not manifest["cells"]:
         raise FormatError(f"no manifest with trained cells under {out_dir}")
-    if data is None:
-        data = DatasetSpec(**config_fields(DatasetSpec, manifest["data"], "data"))
+    data = DatasetSpec(**config_fields(DatasetSpec, manifest["data"], "data"))
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
     dataset = build_dataset(data)
     grid = GridSpec(**config_fields(GridSpec, manifest["grid"], "grid"))
@@ -258,13 +234,10 @@ def measure_zoo(out_dir: str, data: DatasetSpec | None = None, rate_cfg=None, se
         if entry is None or entry["status"] != "done" or entry["diverged"]:
             continue
         model = load_checkpoint(os.path.join(out_dir, entry["checkpoint"]))
-        mv, _errors = measure_vector(model, model.init_snapshot, dataset, rate_cfg=rate_cfg, seed=seed)
+        mv, _errors = measure_vector(model, dataset, seed=seed)
         lines.append(measure_csv_row(key, mv))
     path = os.path.join(out_dir, MEASURES_NAME)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -286,17 +259,10 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
         entry = manifest["cells"].get(key)
         if entry is None:
             raise FormatError(f"measures.csv row {key!r} not in manifest")
-        coords = entry["coords"]
         measures = {name: float(v) for name, v in zip(FIELD_ORDER, parts[1:])}
         records.append(
             ZooRecord(
-                theta=HyperPoint(
-                    batch_size=coords["batch_size"],
-                    lr_init=coords["lr_init"],
-                    width=coords["width"],
-                    dropout=coords["dropout"],
-                    model_variant=coords["model_variant"],
-                ),
+                theta=HyperPoint(**entry["coords"]),
                 measures=measures,
                 gap=math.nan if entry["gap"] is None else float(entry["gap"]),
                 converged=bool(entry["converged"]) and not entry.get("diverged", False),
@@ -310,7 +276,10 @@ def correlate_zoo(
     measure_names=None,
     width_filter: int | None = None,
 ) -> CorrelationReport:
-    records = load_zoo_records(out_dir)
     if measure_names is None:
         measure_names = list(FIELD_ORDER)
+    unknown = [name for name in measure_names if name not in FIELD_ORDER]
+    if unknown:
+        raise ConfigError(f"unknown measure {unknown[0]!r}; known: {', '.join(FIELD_ORDER)}")
+    records = load_zoo_records(out_dir)
     return correlation_report(records, measure_names, width_filter=width_filter)

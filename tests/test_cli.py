@@ -76,6 +76,14 @@ class TestTrainCommand:
         lines = Path(trace).read_text().strip().split("\n")
         assert len(lines) == 5  # header + 4 epochs
 
+    def test_no_trace_file_unless_asked(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", cfg, "--out", "m.npz"]) == 0
+        assert not (tmp_path / "trace.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "m.npz"]
+        assert "trace:" not in capsys.readouterr().out
+
     def test_seed_override_changes_weights(self, tmp_path):
         cfg = write_config(tmp_path)
         a = str(tmp_path / "a.npz")
@@ -162,6 +170,44 @@ class TestZooCommand:
         assert lines[0].startswith("measure,batch_size,")
         assert lines[1].startswith("l2_norm,")
         assert lines[-1].startswith("# converged=")
+
+        rc = main(["correlate", "--zoo", zoo_dir, "--measures", "l2_norm,nosuch,other", "--out", report])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'nosuch'" in err and "'other'" not in err
+
+    @pytest.mark.parametrize("scale, rc", [("desk", 0), ("paper", 0), ("dek", 2)])
+    def test_grid_scale_checked(self, tmp_path, capsys, scale, rc):
+        cfg = json.loads(Path(self.grid_config(tmp_path)).read_text())
+        cfg["grid"]["scale"] = scale
+        zoo_dir = tmp_path / "zoo"
+        assert main(["zoo", "--grid", write_config(tmp_path, cfg, "grid.json"), "--out", str(zoo_dir)]) == rc
+        if rc:
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "grid.scale" in err and "'dek'" in err
+            assert not zoo_dir.exists()
+        else:
+            assert "2 done" in capsys.readouterr().out
+
+    def test_image_zoo_takes_patch_and_classes_from_data(self, tmp_path, capsys):
+        # eight CIFAR-100 records (coarse label, fine label, 3072 pixel bytes) with fine labels past 10
+        rng = np.random.default_rng(0)
+        records = b"".join(bytes([0, 10 * i + 5]) + rng.integers(0, 256, 3072, dtype=np.uint8).tobytes()
+                           for i in range(8))
+        (tmp_path / "mini.bin").write_bytes(records)
+        cfg = {
+            "grid": {"batch_sizes": [4], "lrs": [1e-3], "widths": [48], "dropouts": [0.0],
+                     "variants": ["crate_c", "crate_n"]},
+            "data": {"source": "cifar100", "path": str(tmp_path / "mini.bin"), "patch": 8},
+            "train": {"epochs": 2, "stop_criterion": 1e-9},
+        }
+        zoo_dir = tmp_path / "zoo"
+        assert main(["zoo", "--grid", write_config(tmp_path, cfg, "grid.json"), "--out", str(zoo_dir)]) == 0
+        assert "2 done" in capsys.readouterr().out
+        manifest = json.loads((zoo_dir / "manifest.json").read_text())
+        assert [e["status"] for e in manifest["cells"].values()] == ["done", "done"]
+        model = load_checkpoint(str(zoo_dir / manifest["cells"]["bs4-lr0.001-w48-do0.0-crate_c"]["checkpoint"]))
+        assert (model.cfg.patch, model.cfg.num_classes, model.cfg.d) == (8, 100, 48)
 
     def test_correlate_without_measures_file(self, tmp_path, capsys):
         grid = self.grid_config(tmp_path)
@@ -258,3 +304,21 @@ def test_bad_grid_element_is_a_clean_error(tmp_path, capsys, element):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "batch_sizes" in err and repr(element) in err
     assert not list(tmp_path.rglob("*.ckpt.npz"))
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [("probe", ["--samples", "0"]), ("toy", ["--gamma", "0"]), ("toy", ["--gamma", "-1"])],
+    ids=["probe-no-samples", "toy-zero-gamma", "toy-negative-gamma"],
+)
+def test_degenerate_arguments_write_no_nan_rows(tmp_path, capsys, command, args):
+    out = tmp_path / "out.csv"
+    if command == "probe":
+        cfg, ckpt, _ = train_small(tmp_path)
+        args = ["--checkpoint", ckpt, "--config", cfg, *args]
+    else:
+        args = ["--rule", "c", "--layers", "2", *args]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

@@ -19,7 +19,6 @@ from srr.measures import (
     sigma_search,
 )
 from srr.model import ModelConfig, init_model
-from srr.rates import RateConfig
 
 
 @dataclass
@@ -178,7 +177,7 @@ class TestPacBayes:
 class TestMeasureVectorOfModel:
     def test_untrained_model_has_zero_distances(self):
         model, ds = tiny_setup()
-        mv, errors = measure_vector(model, model.init_snapshot, ds)
+        mv, errors = measure_vector(model, ds)
         assert errors == {}
         assert mv.l2_norm_init == 0.0
         assert mv.fro_distance == 0.0
@@ -188,7 +187,7 @@ class TestMeasureVectorOfModel:
 
     def test_norm_fields_match_manual_sums(self):
         model, ds = tiny_setup()
-        mv, _ = measure_vector(model, model.init_snapshot, ds)
+        mv, _ = measure_vector(model, ds)
         params = model.trainable_params()
         assert mv.num_params == sum(t.data.size for t in params.values())
         assert mv.l2_norm == pytest.approx(
@@ -201,7 +200,7 @@ class TestMeasureVectorOfModel:
 
     def test_margin_and_derived_identities(self):
         model, ds = tiny_setup()
-        mv, _ = measure_vector(model, model.init_snapshot, ds)
+        mv, _ = measure_vector(model, ds)
         margin = margin_quantile(model, ds, 10.0)
         assert mv.inv_margin == pytest.approx(1.0 / margin**2, rel=1e-12)
         assert mv.sum_of_spec_over_margin == pytest.approx(mv.sum_of_spec * mv.inv_margin, rel=1e-12)
@@ -219,7 +218,7 @@ class TestMeasureVectorOfModel:
         # the "sum" variants are defined as M times the geometric mean, so
         # sum = M * prod**(1/M) holds by construction
         model, ds = tiny_setup()
-        mv, _ = measure_vector(model, model.init_snapshot, ds)
+        mv, _ = measure_vector(model, ds)
         M = len(model.tracked_matrices())
         assert mv.sum_of_spec == pytest.approx(M * mv.prod_of_spec ** (1 / M), rel=1e-10)
         assert mv.sum_of_fro == pytest.approx(M * mv.prod_of_fro ** (1 / M), rel=1e-10)
@@ -229,7 +228,8 @@ class TestMeasureVectorOfModel:
         for name in ("embed", "layers.0.U", "layers.0.D", "layers.1.U", "layers.1.D", "head.weight"):
             t = model.params[name]
             t.data = np.eye(*t.data.shape)
-        mv, _ = measure_vector(model, None, ds)
+        model.init_snapshot = None
+        mv, _ = measure_vector(model, ds)
         assert mv.prod_of_spec == pytest.approx(1.0, rel=1e-10)
         assert mv.sum_of_spec == pytest.approx(6.0, rel=1e-10)
         # embed is 8x6, U/D are 8x8, the head is 3x8
@@ -242,14 +242,16 @@ class TestMeasureVectorOfModel:
         bump = np.zeros_like(model.params["embed"].data)
         bump[0, 0] = 3.0
         model.params["embed"].data = model.params["embed"].data + bump
-        mv, _ = measure_vector(model, snap, ds)
+        model.init_snapshot = snap
+        mv, _ = measure_vector(model, ds)
         assert mv.fro_distance == pytest.approx(9.0, rel=1e-12)
         assert mv.spec_distance == pytest.approx(spectral_norm(bump) ** 2, rel=1e-10)
         assert mv.l2_norm_init == pytest.approx(9.0, rel=1e-12)
 
     def test_missing_snapshot_is_reported_not_fatal(self):
         model, ds = tiny_setup()
-        mv, errors = measure_vector(model, None, ds)
+        model.init_snapshot = None
+        mv, errors = measure_vector(model, ds)
         init_fields = ("l2_norm_init", "fro_distance", "spec_distance",
                        "spec_init_main", "pac_bayes_init")
         for f in init_fields:
@@ -261,21 +263,14 @@ class TestMeasureVectorOfModel:
 
     def test_srr_is_mean_probe_value(self):
         model, ds = tiny_setup()
-        mv, _ = measure_vector(model, model.init_snapshot, ds)
+        mv, _ = measure_vector(model, ds)
         probes = model.probe(ds.train_x[:8])
         assert mv.srr == pytest.approx(float(np.mean([p.srr for p in probes])), rel=1e-12)
 
-    def test_rate_config_override_changes_srr(self):
-        model, ds = tiny_setup()
-        mv_default, _ = measure_vector(model, model.init_snapshot, ds)
-        other = RateConfig(d=model.cfg.d, N=5, K=model.cfg.K, eps_sq=0.05)
-        mv_custom, _ = measure_vector(model, model.init_snapshot, ds, rate_cfg=other)
-        assert mv_default.srr != mv_custom.srr
-
     def test_determinism(self):
         model, ds = tiny_setup()
-        a, _ = measure_vector(model, model.init_snapshot, ds)
-        b, _ = measure_vector(model, model.init_snapshot, ds)
+        a, _ = measure_vector(model, ds)
+        b, _ = measure_vector(model, ds)
         assert measure_csv_row("x", a) == measure_csv_row("x", b)
 
 

@@ -64,7 +64,7 @@ class TestGridSpec:
     def test_desk_has_single_width(self):
         grid = GridSpec.desk()
         assert grid.widths == (32,)
-        assert set(c["dropout"] for _, c in grid.cells()) == {0.0, 0.1}
+        assert set(c.dropout for _, c in grid.cells()) == {0.0, 0.1}
 
     def test_keys_are_unique_and_deterministic(self):
         grid = GridSpec.paper()
@@ -106,10 +106,26 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match=f"grid axis {axis}: element {value!r}"):
             dataclasses.replace(GridSpec.desk(), **{axis: good + (value,)})
 
-    def test_numpy_elements_accepted(self):
-        grid = GridSpec(batch_sizes=(np.int64(8),), lrs=(np.float64(1e-2),), widths=(np.int32(8),),
-                        dropouts=(np.float64(0.0),), variants=("crate_c",))
-        assert grid.cells()[0][1]["batch_size"] == 8
+    def test_numpy_elements_accepted(self, tmp_path):
+        typed = GridSpec(batch_sizes=(np.int64(8),), lrs=(np.float64(5e-3),), widths=(np.int32(8),),
+                         dropouts=(np.float64(0.0), np.float64(0.1)), variants=(np.str_("crate_c"),), seed=1)
+        plain = GridSpec(batch_sizes=(8,), lrs=(5e-3,), widths=(8,), dropouts=(0.0, 0.1),
+                         variants=("crate_c",), seed=1)
+        assert typed.cells() == plain.cells()
+        assert [typed.cell_seed(pt) for _, pt in typed.cells()] == [plain.cell_seed(pt) for _, pt in plain.cells()]
+        assert typed.cells()[0][0] == "bs8-lr0.005-w8-do0.0-crate_c"
+        manifest = run_zoo(typed, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        on_disk = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert on_disk["cells"] == manifest["cells"]
+        assert sorted(on_disk["cells"]) == sorted(k for k, _ in plain.cells())
+        assert all(entry["status"] == "done" for entry in on_disk["cells"].values())
+
+    def test_int_valued_float_axes_key_as_floats(self):
+        grid = GridSpec(batch_sizes=(8,), lrs=(1,), widths=(8,), dropouts=(0,), variants=("crate_c",))
+        [(key, pt)] = grid.cells()
+        assert key == "bs8-lr1.0-w8-do0.0-crate_c"
+        assert (type(pt.lr_init), type(pt.dropout)) == (float, float)
+        assert grid.cell_seed(pt) == dataclasses.replace(grid, lrs=(1.0,), dropouts=(0.0,)).cell_seed(pt)
 
 
 class TestRunZoo:
@@ -146,7 +162,7 @@ class TestRunZoo:
         manifest = run_zoo(DIVERGING, DATA, TRAIN, str(tmp_path), model_template=MODEL)
         on_disk = json.loads((tmp_path / MANIFEST_NAME).read_text(), parse_constant=reject_constant)
         assert on_disk["cells"] == manifest["cells"]
-        entries = [manifest["cells"][key] for key, c in DIVERGING.cells() if c["lr_init"] == 1e200]
+        entries = [manifest["cells"][key] for key, c in DIVERGING.cells() if c.lr_init == 1e200]
         assert len(entries) == 2
         for entry in entries:
             assert entry["status"] == "done" and entry["diverged"] and not entry["converged"]
@@ -166,8 +182,9 @@ class TestRunZoo:
 
     def test_cell_seeds_recorded(self, tmp_path):
         manifest = run_mini(tmp_path)
-        for key, coords in MINI.cells():
-            assert manifest["cells"][key]["seed"] == MINI.cell_seed(coords)
+        for key, pt in MINI.cells():
+            assert manifest["cells"][key]["seed"] == MINI.cell_seed(pt)
+            assert manifest["cells"][key]["coords"] == dataclasses.asdict(pt)
 
 
 class TestMeasureZoo:
@@ -200,7 +217,7 @@ class TestMeasureZoo:
         assert all(entry["status"] == "done" for entry in manifest["cells"].values())
         path = measure_zoo(str(tmp_path))
         keys = [ln.split(",", 1)[0] for ln in Path(path).read_text().strip().split("\n")[1:]]
-        assert keys == [key for key, c in DIVERGING.cells() if c["lr_init"] == 5e-3]
+        assert keys == [key for key, c in DIVERGING.cells() if c.lr_init == 5e-3]
         assert all(not manifest["cells"][key]["diverged"] for key in keys)
 
     def test_missing_zoo_rejected(self, tmp_path):
@@ -263,6 +280,8 @@ class TestRecordsAndReport:
         assert [r["measure"] for r in full.rows] == list(FIELD_ORDER)
         # regeneration is byte-identical
         assert full.to_csv_text() == correlate_zoo(str(tmp_path)).to_csv_text()
+        with pytest.raises(ConfigError, match="unknown measure 'nosuch'"):
+            correlate_zoo(str(tmp_path), measure_names=["l2_norm", "nosuch"])
 
     def test_diverged_cells_count_as_unconverged(self, tmp_path):
         run_conv(tmp_path)
