@@ -3,10 +3,17 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates vector-Jacobian products into ``.grad`` of every tensor that
-requires gradients.  Only the operations the models actually use are
-implemented, several of them fused (softmax over columns, layer norm over
-columns, the log-det Gram volume, softmax cross-entropy) so their backward
-passes are both fast and numerically tight.
+requires gradients.  A ``cut`` is an identity node where a segment of the
+tape begins; ``segmented_sum`` walks two tapes in turn, the second with its
+cuts closed, so a term of the second tape is differentiated only inside
+its own segment.  Its walks release each interior node's ``.grad`` once
+that node's VJP has run, so the second walk finds the nodes it shares with
+the first fresh, and only leaves keep theirs.
+
+Only the operations the models actually use are implemented, several of
+them fused (softmax over columns, layer norm over columns, the log-det Gram
+volume, softmax cross-entropy) so their backward passes are both fast and
+numerically tight.
 
 Broadcasting follows numpy; gradients flowing into a broadcast operand are
 summed back down to its original shape.
@@ -23,6 +30,8 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concat",
+    "cut",
+    "segmented_sum",
     "softmax_cols",
     "layer_norm_cols",
     "logdet_gram",
@@ -81,24 +90,8 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._vjp is not None:
-                node._vjp(node.grad)
+        self.grad = None
+        _walk(self, np.ones_like(self.data), release=False)
 
     # ------------------------------------------------------------------ arithmetic
     def __add__(self, other):
@@ -243,6 +236,77 @@ class Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _walk(root: Tensor, g: np.ndarray, release: bool) -> None:
+    """Accumulate ``g`` into ``root``, then run the VJP of every node behind
+    it in reverse topological order.  The walk stops at nodes that need no
+    gradient (constants, closed cuts).  With ``release``, each interior
+    node's ``.grad`` is dropped once its VJP has run; leaves keep theirs.
+
+    A plain ``backward`` keeps the interior cotangents until the graph is
+    dropped: at desk scale, releasing them early leaves a smaller heap
+    behind, and the B=256 inference temporaries that follow in the same
+    process then land on freshly faulted pages on every call.
+    """
+    root._accumulate(g)
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            stack.append((parent, False))
+    for node in reversed(order):
+        if node._vjp is not None:
+            node._vjp(node.grad)
+            if release:
+                node.grad = None
+
+
+def cut(x: Tensor) -> Tensor:
+    """Identity node where a segment of the tape begins.
+
+    Open, it passes its cotangent on to ``x``.  ``segmented_sum`` closes it
+    for its second walk: it then reads as a constant, and a walk stops there
+    as it would at ``x.detach()``.
+    """
+    def vjp(g):
+        x._accumulate(g)
+
+    return Tensor(x.data, _parents=(x,), _vjp=vjp)
+
+
+def segmented_sum(first: Tensor, second: Tensor, cuts) -> Tensor:
+    """``first + second`` whose backward walks two tapes in turn: first's
+    with the ``cuts`` open, then second's with them closed.
+
+    Every leaf gradient is first's contributions followed by second's, the
+    order one walk of ``first + second`` gives when second's tape begins at
+    detached copies of the cut nodes' inputs.
+    """
+    cuts = tuple(cuts)
+
+    def vjp(g):
+        _walk(first, _unbroadcast(g, first.data.shape), release=True)
+        for c in cuts:
+            c.requires_grad = False
+        try:
+            _walk(second, _unbroadcast(g, second.data.shape), release=True)
+        finally:
+            for c in cuts:
+                c.requires_grad = True
+
+    return Tensor(
+        first.data + second.data, requires_grad=first.requires_grad or second.requires_grad, _vjp=vjp
+    )
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -10,13 +10,14 @@ each layer's raw (post-ISTA) output against that layer's own basis.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import layers as ly
 from . import rates
-from .autodiff import Tensor, as_tensor, concat, logdet_gram
+from .autodiff import Tensor, as_tensor, concat, cut, logdet_gram
 from .errors import ConfigError, FormatError, NumericError, ShapeError, config_fields
 from .linalg import rng_for
 
@@ -168,16 +169,20 @@ class Model:
 
     def apply_layer(self, i: int, Z, attn_masks=None, out_mask=None):
         """Run layer ``i`` (0-based) on ``Z`` with the given dropout masks.
-        Used by the regularizer to replay a layer from a detached input."""
+        A regularized forward builds each layer this way on a ``cut`` of its
+        input, so the layer's subgraph is a segment of its own."""
         P = self._table(isinstance(Z, Tensor))
         return _apply_layer(Z, P, i, self.cfg, self.cfg.attention_gamma(Z.shape[-1]), False, attn_masks, out_mask)
 
     # ------------------------------------------------------------------
-    def run(self, tokens, train_mode: bool = False, rng=None, ln_identity: bool = False, keep_cache: bool = False):
+    def run(self, tokens, train_mode: bool = False, rng=None, ln_identity: bool = False, keep_cache: bool = False,
+            _cut_inputs: bool = False):
         """Forward pass.
 
         ``tokens``: (d, N), (B, d, N) ndarray, or a traced Tensor.
         Returns (logits, cache); ``cache`` is None unless ``keep_cache``.
+        ``_cut_inputs`` (traced, LayerNorm on) feeds each layer a ``cut`` of
+        its input through ``apply_layer``; the cache then holds the cuts.
         """
         cfg = self.cfg
         traced = isinstance(tokens, Tensor)
@@ -202,8 +207,12 @@ class Model:
                     _dropout_mask(rng, batch_shape + (n_tok, n_tok), cfg.dropout) for _ in range(cfg.K)
                 ]
                 out_mask = _dropout_mask(rng, batch_shape + (cfg.d, n_tok), cfg.dropout)
-            layer_in = Z
-            Z = _apply_layer(Z, P, i, cfg, gamma, ln_identity, attn_masks, out_mask)
+            if _cut_inputs:
+                layer_in = cut(Z)
+                Z = self.apply_layer(i, layer_in, attn_masks, out_mask)
+            else:
+                layer_in = Z
+                Z = _apply_layer(Z, P, i, cfg, gamma, ln_identity, attn_masks, out_mask)
             if cache is not None:
                 cache.append(
                     {"input": layer_in, "attn_masks": attn_masks, "out_mask": out_mask, "output": Z}
@@ -352,9 +361,14 @@ def save_checkpoint(model: Model, path: str) -> None:
 def load_checkpoint(path: str) -> Model:
     """Read a checkpoint written by ``save_checkpoint``.  The config keys,
     entry names and shapes must be exactly those ``init_model`` allocates
-    for the stored config; the first mismatch raises FormatError."""
-    with np.load(path, allow_pickle=False) as zf:
-        entries = {key: zf[key] for key in zf.files}
+    for the stored config; the first mismatch, or a file that is no
+    readable .npz, raises FormatError."""
+    try:
+        # an open handle of our own: np.load leaks its handle on a bad zip
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as zf:
+            entries = {key: zf[key] for key in zf.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
     if "meta.version" not in entries or int(entries["meta.version"]) != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version in {path}")
     raw = json.loads(str(entries["meta.config"])) if "meta.config" in entries else None

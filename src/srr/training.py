@@ -2,10 +2,13 @@
 and the stop-gradient SRR regularizer in its three selection modes.
 
 The regularizer adds eta times the mean of selected per-layer measures,
-each evaluated on the layer's output recomputed from a *detached* copy of
-its input (same dropout masks), so term l's gradient reaches only layer
-l's parameters.  The l0 part of the measure contributes its value but no
-gradient (it is piecewise constant).
+each evaluated on the layer's output node of the forward itself.  With the
+regularizer on, every layer's input enters its subgraph through an autodiff
+``cut``, and the loss is a ``segmented_sum``: the backward walks the
+cross-entropy tape with the cuts open, then the regularizer's tape with
+them closed, so term l's gradient reaches only layer l's parameters.  The
+l0 part of the measure contributes its value but no gradient (it is
+piecewise constant).
 """
 
 from __future__ import annotations
@@ -94,12 +97,9 @@ def gradients(loss: Tensor, params: dict[str, Tensor], layer_outputs=None) -> di
     }
 
 
-def _layer_srr_value_and_term(model: Model, i: int, cache_entry) -> tuple[Tensor, float]:
+def _layer_srr_value_and_term(model: Model, i: int, zout: Tensor) -> tuple[Tensor, float]:
     """Regularizer term for layer i (0-based): lambda*l0 + R_c - R on the
-    layer output recomputed from the detached cached input."""
-    zin = cache_entry["input"]
-    zdet = zin.detach() if isinstance(zin, Tensor) else Tensor(np.asarray(zin))
-    zout = model.apply_layer(i, zdet, cache_entry["attn_masks"], cache_entry["out_mask"])
+    layer's output node ``zout``."""
     cfg = model.cfg
     gamma = cfg.attention_gamma(zout.shape[-1])
     r, rc, l0 = _layer_rates(zout, model.params[f"layers.{i}.U"], cfg.K, gamma, cfg.K * gamma)
@@ -121,14 +121,15 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
     x, y = batch
     y = np.asarray(y)
     tokens = model.embed_inputs(x, train_mode=True, rng=rng)
-    logits, cache = model.run(tokens, train_mode=True, rng=rng, keep_cache=True)
+    reg_on = train_cfg.reg_mode != "none"
+    logits, cache = model.run(tokens, train_mode=True, rng=rng, keep_cache=True, _cut_inputs=reg_on)
     ce = ad.softmax_cross_entropy(logits, y)
     acc = float(np.mean(np.argmax(logits.data, axis=-1) == y))
 
     selected: list[int] = []
     reg_value = 0.0
     loss = ce
-    if train_cfg.reg_mode != "none":
+    if reg_on:
         L = model.cfg.L
         if train_cfg.reg_mode == "all_layers":
             selected = list(range(1, L + 1))
@@ -143,13 +144,13 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
         if _first_nonfinite_layer(cache) is None:
             total = None
             for layer_no in selected:
-                term, _ = _layer_srr_value_and_term(model, layer_no - 1, cache[layer_no - 1])
+                term, _ = _layer_srr_value_and_term(model, layer_no - 1, cache[layer_no - 1]["output"])
                 total = term if total is None else total + term
             mean_term = total * (1.0 / len(selected))
         else:  # a non-finite layer has no measure: the NaN loss flags the divergence
             mean_term = Tensor(np.nan)
         reg_value = mean_term.item()
-        loss = ce + train_cfg.eta_reg * mean_term
+        loss = ad.segmented_sum(ce, train_cfg.eta_reg * mean_term, [entry["input"] for entry in cache])
 
     parts = {
         "ce": ce.item(),

@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from . import layers as ly
 from .analysis import HyperPoint, ZooRecord, CorrelationReport, correlation_report
 from .data import DatasetSpec, build_dataset
-from .errors import ConfigError, FormatError, config_fields
+from .errors import ConfigError, FormatError, NumericError, config_fields
 from .linalg import stable_seed
 from .measures import FIELD_ORDER, measure_csv_row, measure_vector, measures_csv_header
 from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
@@ -75,6 +76,9 @@ class GridSpec:
                     raise ConfigError(f"grid axis {name}: element {v!r} is not {what}")
             # numpy scalars become Python ones, so keys and the manifest JSON see plain values
             object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
+        if not _is_number(self.seed, integral=True):
+            raise ConfigError(f"grid seed {self.seed!r} is not an int")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
     def paper(cls, seed: int = 0) -> "GridSpec":
@@ -220,7 +224,8 @@ def run_zoo(
 def measure_zoo(out_dir: str, seed: int = 0) -> str:
     """Evaluate the full measure vector for every trained cell on the
     manifest's dataset; writes measures.csv in grid cell order and returns
-    its path."""
+    its path.  A cell whose checkpoint is unreadable or whose measures fail
+    numerically gets no row, like a diverged cell, and one stderr line."""
     manifest = _read_manifest(out_dir)
     if not manifest["cells"]:
         raise FormatError(f"no manifest with trained cells under {out_dir}")
@@ -233,8 +238,12 @@ def measure_zoo(out_dir: str, seed: int = 0) -> str:
         entry = manifest["cells"].get(key)
         if entry is None or entry["status"] != "done" or entry["diverged"]:
             continue
-        model = load_checkpoint(os.path.join(out_dir, entry["checkpoint"]))
-        mv, _errors = measure_vector(model, dataset, seed=seed)
+        try:
+            model = load_checkpoint(os.path.join(out_dir, entry["checkpoint"]))
+            mv, _errors = measure_vector(model, dataset, seed=seed)
+        except (FormatError, NumericError) as exc:
+            print(f"measure_zoo: skipped cell {key}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            continue
         lines.append(measure_csv_row(key, mv))
     path = os.path.join(out_dir, MEASURES_NAME)
     _write_atomic(path, "\n".join(lines) + "\n")

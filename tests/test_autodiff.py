@@ -281,3 +281,58 @@ class TestFusedOps:
         sm = np.exp(logits0) / np.exp(logits0).sum(axis=1, keepdims=True)
         sm[np.arange(4), labels] -= 1
         np.testing.assert_allclose(got, sm / 4, atol=1e-12)
+
+
+class TestTape:
+    def test_segmented_walks_release_interior_grads(self):
+        # with no cut, a segmented sum is first + second: h feeds both tapes,
+        # so the second walk must find it without the first walk's cotangent
+        x0 = rng_for(11).standard_normal((3, 4))
+        w = ad.Tensor(rng_for(12).standard_normal((4, 4)), requires_grad=True)
+
+        def parts(v):
+            h = ad.softmax_cols(v @ w)
+            y = ad.layer_norm_cols(h * v, np.ones(3), np.zeros(3))
+            return h, (y * y).sum(), (h * h).sum()
+
+        x = ad.Tensor(x0, requires_grad=True)
+        h, first, second = parts(x)
+        loss = ad.segmented_sum(first, second, [])
+        loss.backward()
+        assert all(t.grad is None for t in (h, first, second))
+        fx = lambda v: sum(t.item() for t in parts(ad.Tensor(v))[1:])
+        np.testing.assert_allclose(x.grad, numeric_grad(fx, x0), atol=1e-6)
+        assert w.grad.shape == (4, 4) and w.grad.any()
+
+    def test_closed_cut_stops_a_walk(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        h = x * 3.0
+        c = ad.cut(h)
+        assert np.array_equal(c.data, h.data)
+        first = (c * c).sum()  # d/dx = 18 x
+        second = (c * 2.0).sum()  # d/dx = 6 behind the cut
+        loss = ad.segmented_sum(first, second, [c])
+        assert loss.item() == first.item() + second.item()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 18.0 * x.data)
+        # the cut is open again: the same graph walked from second reaches x
+        assert c.requires_grad
+        x.grad = None
+        second.backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+    def test_segmented_sum_matches_one_walk_over_detached_copies(self):
+        # the second tape sees the cut node's input as a constant, exactly as
+        # a copy built on h.detach() would
+        x0 = rng_for(13).standard_normal((2, 3))
+        x = ad.Tensor(x0, requires_grad=True)
+        w = ad.Tensor(rng_for(14).standard_normal((3, 3)), requires_grad=True)
+        h = x @ w
+        c = ad.cut(h)
+        ad.segmented_sum((c * c).sum(), (c @ w).sum(), [c]).backward()
+        seg = (x.grad, w.grad)
+        x.grad = w.grad = None
+        h = x @ w
+        ((h * h).sum() + (h.detach() @ w).sum()).backward()
+        np.testing.assert_array_equal(seg[0], x.grad)
+        np.testing.assert_array_equal(seg[1], w.grad)

@@ -349,6 +349,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
 
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(init_model(tiny_cfg()), str(path))
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(FormatError, match="unreadable checkpoint"):
+            load_checkpoint(str(path))
+
     def test_missing_parameter_rejected(self, tmp_path):
         path = str(tmp_path / "m.npz")
         save_checkpoint(init_model(tiny_cfg()), path)

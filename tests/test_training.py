@@ -221,14 +221,15 @@ class TestRegularizedLoss:
         assert parts["reg_value"] == pytest.approx(np.mean(terms), abs=1e-10)
 
     def test_term_is_the_shared_measure_of_the_replayed_output(self):
+        # the term is the shared measure of the forward's own cached output
         model = tiny_model(L=2, d=8, K=2)
         x, y = tiny_batch(model, B=3)
         _, parts = srr_regularized_loss(model, (x, y), TrainConfig(eta_reg=0.1, reg_mode="all_layers"))
         mcfg = model.cfg
         gamma = mcfg.attention_gamma(mcfg.tokens)
         for i, entry in enumerate(parts["cache"]):
-            term, l0 = _layer_srr_value_and_term(model, i, entry)
-            zout = model.apply_layer(i, entry["input"].detach()).data
+            term, l0 = _layer_srr_value_and_term(model, i, entry["output"])
+            zout = entry["output"].data
             r, rc, l0s = _layer_rates(zout, model.params[f"layers.{i}.U"].data, mcfg.K, gamma, mcfg.K * gamma)
             assert l0 == np.mean(l0s)
             want = mcfg.lambda_sparsity * np.mean(l0s) + np.mean(rc.data) - np.mean(r.data)
@@ -256,8 +257,9 @@ class TestRegularizedLoss:
             srr_regularized_loss(model, (x, y), cfg)
 
     def test_dropout_masks_replayed_exactly(self):
-        # with dropout active, the regularizer replays the same masks: the
-        # recomputed layer output must match the cached forward output
+        # with dropout active, the cache holds the masks the forward drew: a
+        # layer rerun from its cached input with them rebuilds the cached
+        # output node the regularizer reads, bit for bit
         model = tiny_model(L=2, d=8, K=2, dropout=0.3)
         x, y = tiny_batch(model, B=2)
         cfg = TrainConfig(eta_reg=0.1, reg_mode="all_layers")
@@ -267,6 +269,66 @@ class TestRegularizedLoss:
                 i, entry["input"].detach(), entry["attn_masks"], entry["out_mask"]
             )
             np.testing.assert_array_equal(replay.data, entry["output"].data)
+            term, _ = _layer_srr_value_and_term(model, i, entry["output"])
+            again, _ = _layer_srr_value_and_term(model, i, replay)
+            assert term.item() == again.item()
+
+
+def replay_loss(model, batch, train_cfg, rng):
+    """The regularized loss as one tape whose regularizer replays each
+    selected layer from a detached copy of its cached input, with the cached
+    dropout masks: the bitwise oracle of the segmented backward."""
+    x, y = batch
+    tokens = model.embed_inputs(x, train_mode=True, rng=rng)
+    logits, cache = model.run(tokens, train_mode=True, rng=rng, keep_cache=True)
+    ce = ad.softmax_cross_entropy(logits, np.asarray(y))
+    L = model.cfg.L
+    if train_cfg.reg_mode == "all_layers":
+        selected = list(range(1, L + 1))
+    elif train_cfg.reg_mode == "fixed_layer":
+        selected = [train_cfg.reg_layer]
+    else:
+        selected = [int(rng.integers(1, L + 1))]
+    total = None
+    for layer_no in selected:
+        entry = cache[layer_no - 1]
+        zout = model.apply_layer(layer_no - 1, entry["input"].detach(), entry["attn_masks"], entry["out_mask"])
+        term, _ = _layer_srr_value_and_term(model, layer_no - 1, zout)
+        total = term if total is None else total + term
+    return ce + train_cfg.eta_reg * (total * (1.0 / len(selected)))
+
+
+class TestSegmentedGradient:
+    @pytest.mark.parametrize(
+        "variant, dropout, train_kw",
+        [
+            ("crate_c", 0.1, dict(reg_mode="all_layers", eta_reg=0.3)),
+            ("crate", 0.2, dict(reg_mode="fixed_layer", reg_layer=2, eta_reg=0.5)),
+            ("crate_fix", 0.15, dict(reg_mode="random_layer", eta_reg=0.4)),
+            ("crate_c", 0.0, dict(reg_mode="fixed_layer", reg_layer=3, eta_reg=0.2)),
+        ],
+        ids=["crate_c-all", "crate-fixed", "crate_fix-random", "crate_c-fixed-nodrop"],
+    )
+    def test_bitwise_equal_to_the_replay(self, variant, dropout, train_kw):
+        cfg = TrainConfig(**train_kw)
+        seg, rep = (tiny_model(L=3, d=8, K=2, variant=variant, dropout=dropout) for _ in range(2))
+        adam_seg, adam_rep = Adam(seg.trainable_params()), Adam(rep.trainable_params())
+        for step in range(3):
+            x, y = tiny_batch(seg, B=4, seed=step)
+            loss, parts = srr_regularized_loss(seg, (x, y), cfg, rng=rng_for(5, step))
+            g_seg = gradients(loss, seg.trainable_params())
+            oracle = replay_loss(rep, (x, y), cfg, rng_for(5, step))
+            g_rep = gradients(oracle, rep.trainable_params())
+            assert np.array_equal(loss.data, oracle.data)
+            assert g_seg.keys() == g_rep.keys()
+            for name in g_seg:
+                assert np.array_equal(g_seg[name], g_rep[name]), (step, name)
+            # the walk leaves every cut open and no interior cotangent behind
+            for entry in parts["cache"]:
+                assert entry["input"].requires_grad
+                assert entry["input"].grad is None and entry["output"].grad is None
+            adam_seg.step(g_seg, 1e-2)
+            adam_rep.step(g_rep, 1e-2)
 
 
 class TestAdam:

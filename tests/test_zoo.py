@@ -120,6 +120,19 @@ class TestGridSpec:
         assert sorted(on_disk["cells"]) == sorted(k for k, _ in plain.cells())
         assert all(entry["status"] == "done" for entry in on_disk["cells"].values())
 
+    def test_numpy_seed_normalized(self):
+        grid = GridSpec.desk(seed=np.int64(1))
+        assert type(grid.seed) is int and grid == GridSpec.desk(seed=1)
+        assert json.loads(json.dumps(dataclasses.asdict(grid)))["seed"] == 1
+        assert [grid.cell_seed(pt) for _, pt in grid.cells()] == [
+            GridSpec.desk(seed=1).cell_seed(pt) for _, pt in grid.cells()
+        ]
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "1", None], ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=f"grid seed {seed!r} is not an int"):
+            GridSpec.desk(seed=seed)
+
     def test_int_valued_float_axes_key_as_floats(self):
         grid = GridSpec(batch_sizes=(8,), lrs=(1,), widths=(8,), dropouts=(0,), variants=("crate_c",))
         [(key, pt)] = grid.cells()
@@ -219,6 +232,21 @@ class TestMeasureZoo:
         keys = [ln.split(",", 1)[0] for ln in Path(path).read_text().strip().split("\n")[1:]]
         assert keys == [key for key, c in DIVERGING.cells() if c.lr_init == 5e-3]
         assert all(not manifest["cells"][key]["diverged"] for key in keys)
+
+    def test_unreadable_checkpoint_skips_only_its_cell(self, tmp_path, capsys):
+        grid = dataclasses.replace(MINI, dropouts=(0.0,))
+        manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        (bad, _), (good, _) = grid.cells()
+        healthy = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
+        capsys.readouterr()
+        ckpt = tmp_path / manifest["cells"][bad]["checkpoint"]
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        text = Path(measure_zoo(str(tmp_path))).read_text()
+        # the healthy cell's row keeps its bytes; the broken cell has none
+        assert text.split("\n") == [healthy[0], healthy[2], ""]
+        assert healthy[2].startswith(good + ",")
+        [line] = capsys.readouterr().err.splitlines()
+        assert bad in line and "FormatError" in line
 
     def test_missing_zoo_rejected(self, tmp_path):
         with pytest.raises(FormatError):
