@@ -80,9 +80,9 @@ def _usable(rec: ZooRecord, name: str) -> bool:
     return math.isfinite(_measure_of(rec, name)) and math.isfinite(rec.gap)
 
 
-def granulated_psi(records, measure_name: str, axes=REPORT_AXES):
-    """Per-axis mean Kendall tau over slices that vary only that axis,
-    plus their average.
+def granulated_psi(records, measure_name: str):
+    """Per-axis mean Kendall tau over slices that vary only that axis, for
+    each of the ``REPORT_AXES``, plus their average.
 
     Returns (per_axis, psi) where per_axis maps axis name -> mean tau or
     None when the axis has no slice with >= 2 usable points (such axes are
@@ -91,7 +91,7 @@ def granulated_psi(records, measure_name: str, axes=REPORT_AXES):
     """
     recs = [r for r in records if _usable(r, measure_name)]
     per_axis: dict[str, float | None] = {}
-    for axis in axes:
+    for axis in REPORT_AXES:
         slices: dict[tuple, list] = {}
         for r in recs:
             key = tuple(getattr(r.theta, a) for a in AXES if a != axis)
@@ -167,7 +167,7 @@ def correlation_report(records, measure_names, width_filter: int | None = None) 
     report.n_excluded = len(pool) - report.n_converged
     for name in measure_names:
         usable = [r for r in pool if _usable(r, name)]
-        per_axis, psi = granulated_psi(pool, name, axes=REPORT_AXES)
+        per_axis, psi = granulated_psi(pool, name)
         row: dict = {"measure": name}
         for axis in REPORT_AXES:
             row[_COLUMN_OF[axis]] = per_axis[axis]

@@ -107,13 +107,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        return Tensor(-self.data, _parents=(self,), _vjp=vjp)
-
     def __sub__(self, other):
         other = as_tensor(other)
 
@@ -140,11 +133,6 @@ class Tensor:
         return Tensor(self.data * other.data, _parents=(self, other), _vjp=vjp)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return self * (1.0 / float(scalar))
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -174,9 +162,6 @@ class Tensor:
         return Tensor(np.swapaxes(self.data, -1, -2), _parents=(self,), _vjp=vjp)
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-
         def vjp(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.data.shape))
@@ -200,26 +185,15 @@ class Tensor:
         return Tensor(np.broadcast_to(self.data, shape), _parents=(self,), _vjp=vjp)
 
     # ------------------------------------------------------------------ reductions
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self) -> "Tensor":
         def vjp(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
+            if self.requires_grad:
                 self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _vjp=vjp)
+        return Tensor(self.data.sum(), _parents=(self,), _vjp=vjp)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
     # ------------------------------------------------------------------ nonlinearities
     def relu(self) -> "Tensor":

@@ -90,7 +90,12 @@ def _cmd_train(args) -> int:
     data_spec = _dataset_spec(args, cfg)
     mcfg = _model_config(cfg, data_spec)
     tsection = config_fields(TrainConfig, cfg.get("train", {}), "train")
-    tsection.update(_parse_reg(args.reg, args.eta))
+    # flags override the train section only when given; --reg alone keeps its nonzero eta_reg
+    if args.reg is not None:
+        eta = args.eta if args.eta is not None else tsection.get("eta_reg") or None
+        tsection.update(_parse_reg(args.reg, eta))
+    elif args.eta is not None:
+        tsection["eta_reg"] = args.eta
     if args.epochs is not None:
         tsection["epochs"] = args.epochs
     if args.seed is not None:
@@ -117,6 +122,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     data_spec = _dataset_spec(args, _load_config(args.config))
     model = load_checkpoint(args.checkpoint)
     dataset = build_dataset(data_spec)
@@ -215,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config with model/train/data sections")
     p.add_argument("--data", choices=["cifar10", "cifar100", "synthetic"])
     p.add_argument("--data-path", help="directory or file with CIFAR binaries")
-    p.add_argument("--reg", default="none", help="none | all | layer:K | random")
-    p.add_argument("--eta", type=float, default=None, help="regularization weight (default 0.001 when regularizing)")
+    p.add_argument("--reg", help="none | all | layer:K | random (default: the config's reg_mode, else none)")
+    p.add_argument("--eta", type=float, help="regularization weight (default: the config's eta_reg, else 0.001)")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="model.ckpt.npz")

@@ -189,13 +189,12 @@ def load_cifar(path: str, variant: int = 10, patch: int = 4, augment_flip: bool 
 # ----------------------------------------------------------------------
 # synthetic token sequences
 
-def synth_dataset(spec: DatasetSpec, seed: int | None = None) -> Dataset:
+def synth_dataset(spec: DatasetSpec) -> Dataset:
     """Class-conditioned Gaussian token columns on a shared low-dimensional
     subspace.  Class identity enters only through the mean direction scaled
     by ``separation`` — at separation 0 the classes are indistinguishable
     by construction."""
-    seed = spec.seed if seed is None else seed
-    rng = rng_for(seed, "synth")
+    rng = rng_for(spec.seed, "synth")
     F, r, C = spec.feat_dim, spec.subspace_dim, spec.classes
     if r > F:
         raise ConfigError("subspace_dim cannot exceed feat_dim")

@@ -2,10 +2,10 @@
 layer norm, and patch tokenization.
 
 Every operator runs on either plain float64 ndarrays (inference, probing,
-toy dynamics) or autodiff ``Tensor``s (training).  The small ``_mT`` and
-``_softmax_cols`` helpers dispatch on type; where the two differ, the
-ndarray branch works in place on its own temporaries, with the same
-floating-point operations in the same order.
+toy dynamics) or autodiff ``Tensor``s (training); the type of its token
+input picks the branch, and the weights may be Tensors only when it is one.
+Where the two branches differ, the ndarray branch works in place on its own
+temporaries, with the same floating-point operations in the same order.
 Token matrices are d x N with tokens as columns; batched inputs carry a
 leading batch axis (B, d, N).
 """
@@ -47,18 +47,6 @@ CRATE_IDENTITY = "crate_identity"  # +, head stack used directly
 VARIANTS = (CRATE_C, CRATE_N, CRATE_T, CRATE, CRATE_FIX, CRATE_IDENTITY)
 
 
-def _is_tensor(x) -> bool:
-    return isinstance(x, ad.Tensor)
-
-
-def _mT(x):
-    return x.mT if _is_tensor(x) else np.swapaxes(x, -1, -2)
-
-
-def _softmax_cols(x):
-    return ad.softmax_cols(x) if _is_tensor(x) else linalg.softmax_columns(x)
-
-
 def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
     """The Kp x N vertical stack of per-head attention outputs.
 
@@ -67,22 +55,22 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
     is a length-K list of multiplicative masks applied to the softmax
     output (training-time dropout).
     """
-    if not (_is_tensor(Z) or _is_tensor(U)):
+    if not isinstance(Z, ad.Tensor):
         # each head's A @ S lands in its row block of one preallocated stack
         heads = split_heads(U, num_heads)
         p = heads[0].shape[1]
         stack = np.empty(Z.shape[:-2] + (num_heads * p, Z.shape[-1]))
         for k, Uk in enumerate(heads):
-            A = _mT(Uk) @ Z
-            S = linalg.softmax_columns(_mT(A) @ A)
+            A = Uk.mT @ Z
+            S = linalg.softmax_columns(A.mT @ A)
             if attn_masks is not None:
                 S *= attn_masks[k]
             np.matmul(A, S, out=stack[..., k * p : (k + 1) * p, :])
         return stack
     parts = []
     for k, Uk in enumerate(split_heads(U, num_heads)):
-        A = _mT(Uk) @ Z
-        S = _softmax_cols(_mT(A) @ A)
+        A = Uk.mT @ Z
+        S = ad.softmax_cols(A.mT @ A)
         if attn_masks is not None:
             S = S * attn_masks[k]
         parts.append(A @ S)
@@ -92,20 +80,16 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
 def mssa(Z, U, num_heads: int):
     """Multi-head subspace self-attention, summed form.
 
-    sum_k U_k U_k^T Z softmax_cols((U_k^T Z)^T (U_k^T Z)).
-
-    Equal to ``[U_1 ... U_K] @ stacked_attention_heads(Z, U, K)`` — the two
-    factorizations are tested against each other.
+    sum_k U_k U_k^T Z softmax_cols((U_k^T Z)^T (U_k^T Z)): head k's basis
+    times its row block of ``stacked_attention_heads(Z, U, K)``, summed
+    over the heads in order.
     """
-    total = None
-    for k, Uk in enumerate(split_heads(U, num_heads)):
-        A = _mT(Uk) @ Z
-        S = _softmax_cols(_mT(A) @ A)
-        term = Uk @ (A @ S)
-        if total is None:
-            total = term
-        else:
-            total += term  # in place on an ndarray; a Tensor has no __iadd__ and adds a node
+    heads = split_heads(U, num_heads)
+    stack = stacked_attention_heads(Z, U, num_heads)
+    p = heads[0].shape[-1]
+    total = heads[0] @ stack[..., :p, :]
+    for k in range(1, num_heads):
+        total += heads[k] @ stack[..., k * p : (k + 1) * p, :]  # in place on an ndarray; a Tensor adds a node
     return total
 
 
@@ -131,7 +115,7 @@ def attention_update(
     elif variant == CRATE_T:
         if U.shape[-1] != d:
             raise ConfigError("transposed output requires a square basis (d = K*p)")
-        out = _mT(U) @ stack
+        out = U.mT @ stack
     elif variant == CRATE_IDENTITY:
         if stack.shape[-2] != d:
             raise ConfigError("identity output requires the head stack to be d-dimensional (d = K*p)")
@@ -139,7 +123,7 @@ def attention_update(
     else:
         out = U @ stack
     scale = (-1.0 if variant == CRATE_N else 1.0) * alpha * gamma * gamma
-    if _is_tensor(out):
+    if isinstance(Z, ad.Tensor):
         return Z + scale * (out if out_mask is None else out * out_mask)
     if out_mask is not None:
         out *= out_mask
@@ -156,13 +140,13 @@ def ista_step(Y, D, beta: float, lambda_sparsity: float):
     """
     if beta < 0 or lambda_sparsity < 0:
         raise ConfigError("beta and lambda_sparsity must be nonnegative")
-    if _is_tensor(Y) or _is_tensor(D):
+    if isinstance(Y, ad.Tensor):
         resid = Y - D @ Y
-        pre = Y + beta * (_mT(D) @ resid) - beta * lambda_sparsity
+        pre = Y + beta * (D.mT @ resid) - beta * lambda_sparsity
         return pre.relu()
     resid = D @ Y
     np.subtract(Y, resid, out=resid)
-    pre = _mT(D) @ resid
+    pre = D.mT @ resid
     pre *= beta
     pre += Y
     pre -= beta * lambda_sparsity
@@ -172,8 +156,8 @@ def ista_step(Y, D, beta: float, lambda_sparsity: float):
 def layer_norm(Z, gain, bias):
     """Column-wise layer norm: zero mean, unit variance over the d features,
     then per-feature gain and bias.  Variance gets the ``autodiff.LN_EPS`` floor."""
-    if _is_tensor(Z) or _is_tensor(gain) or _is_tensor(bias):
-        return ad.layer_norm_cols(ad.as_tensor(Z), ad.as_tensor(gain), ad.as_tensor(bias))
+    if isinstance(Z, ad.Tensor):
+        return ad.layer_norm_cols(Z, gain, bias)
     d = Z.shape[-2]
     xc = Z - linalg._reduce(np.add, Z, -2) / d
     var = linalg._reduce(np.add, xc * xc, -2)

@@ -23,14 +23,14 @@ __all__ = [
 ]
 
 
-def logdet_psd(mat: np.ndarray, sym_tol: float = 1e-10) -> float:
+def logdet_psd(mat: np.ndarray) -> float:
     """log det of a symmetric positive definite matrix via Cholesky.
 
     Uses ``2 * sum(log(diag(L)))`` with ``L`` the lower Cholesky factor,
     which is far better conditioned than forming the determinant.
 
     Raises ShapeError for non-square input, DefinitenessError when the
-    matrix is asymmetric beyond ``sym_tol`` or the factorization fails.
+    matrix is asymmetric beyond 1e-10 or the factorization fails.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -38,7 +38,7 @@ def logdet_psd(mat: np.ndarray, sym_tol: float = 1e-10) -> float:
     if not np.isfinite(mat).all():
         raise NumericError("matrix contains non-finite entries")
     asym = np.abs(mat - mat.T).max() if mat.size else 0.0
-    if asym > sym_tol:
+    if asym > 1e-10:
         raise DefinitenessError(f"matrix is not symmetric (max|M - M^T| = {asym:.3e})")
     try:
         chol = np.linalg.cholesky(mat)
@@ -95,8 +95,9 @@ def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - picked))
 
 
-def spectral_norm(mat: np.ndarray, iters: int = 500, tol: float = 1e-12) -> float:
-    """Largest singular value by power iteration on the smaller Gram matrix.
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value by power iteration on the smaller Gram matrix
+    (500 steps at most, stopping once a step moves it by <= 1e-12 relative).
 
     The start vector is a fixed seeded Gaussian, so repeated calls on the
     same matrix give the same value.  A zero matrix returns 0.0.
@@ -116,13 +117,13 @@ def spectral_norm(mat: np.ndarray, iters: int = 500, tol: float = 1e-12) -> floa
     vec = np.random.default_rng(0xC0FFEE).standard_normal(n)
     vec /= np.linalg.norm(vec)
     prev = 0.0
-    for _ in range(iters):
+    for _ in range(500):
         vec = gram @ vec
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             return 0.0
         vec /= norm
-        if abs(norm - prev) <= tol * max(1.0, norm):
+        if abs(norm - prev) <= 1e-12 * max(1.0, norm):
             break
         prev = norm
     return float(np.sqrt(float(vec @ (gram @ vec))))

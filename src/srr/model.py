@@ -172,7 +172,7 @@ class Model:
         A regularized forward builds each layer this way on a ``cut`` of its
         input, so the layer's subgraph is a segment of its own."""
         P = self._table(isinstance(Z, Tensor))
-        return _apply_layer(Z, P, i, self.cfg, self.cfg.attention_gamma(Z.shape[-1]), False, attn_masks, out_mask)
+        return _apply_layer(Z, P, i, self.cfg, False, attn_masks, out_mask)
 
     # ------------------------------------------------------------------
     def run(self, tokens, train_mode: bool = False, rng=None, ln_identity: bool = False, keep_cache: bool = False,
@@ -191,7 +191,6 @@ class Model:
         if tokens.shape[-2] != cfg.d:
             raise ShapeError(f"token dimension {tokens.shape[-2]} does not match width {cfg.d}")
         n_tok = tokens.shape[-1]
-        gamma = cfg.attention_gamma(n_tok)
         use_dropout = train_mode and cfg.dropout > 0.0 and traced
         if train_mode and cfg.dropout > 0.0 and rng is None:
             raise ConfigError("training-mode dropout needs an rng")
@@ -212,7 +211,7 @@ class Model:
                 Z = self.apply_layer(i, layer_in, attn_masks, out_mask)
             else:
                 layer_in = Z
-                Z = _apply_layer(Z, P, i, cfg, gamma, ln_identity, attn_masks, out_mask)
+                Z = _apply_layer(Z, P, i, cfg, ln_identity, attn_masks, out_mask)
             if cache is not None:
                 cache.append(
                     {"input": layer_in, "attn_masks": attn_masks, "out_mask": out_mask, "output": Z}
@@ -254,11 +253,12 @@ def _dropout_mask(rng, shape, p: float) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def _apply_layer(Z, P: dict, i: int, cfg: ModelConfig, gamma: float, ln_identity: bool, attn_masks, out_mask):
-    """Layer ``i`` of the table ``P`` (Tensors or arrays) on ``Z``, with
-    alpha, beta, K, lambda and the variant from ``cfg``."""
+def _apply_layer(Z, P: dict, i: int, cfg: ModelConfig, ln_identity: bool, attn_masks, out_mask):
+    """Layer ``i`` of the table ``P`` (Tensors or arrays) on ``Z``, with alpha,
+    beta, K, lambda, the variant and the attention scale for Z from ``cfg``."""
     w = f"layers.{i}."
     Zn = Z if ln_identity else ly.layer_norm(Z, P[w + "ln1_gain"], P[w + "ln1_bias"])
+    gamma = cfg.attention_gamma(Z.shape[-1])
     Za = ly.attention_update(
         Zn, P[w + "U"], cfg.K, cfg.variant, gamma, cfg.alpha, P.get(w + "W"), attn_masks, out_mask
     )

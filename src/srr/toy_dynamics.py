@@ -119,6 +119,8 @@ def run_dynamics(
             tag = canon[tag]
         else:
             raise ConfigError(f"unknown dynamics rule {rule!r}")
+    if L < 1:
+        raise ConfigError(f"depth L must be at least 1, got {L}")
     if d % K != 0:
         raise ConfigError(f"d = {d} must be divisible by K = {K}")
     if not gamma > 0:

@@ -163,19 +163,19 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
 
 
 class Adam:
-    """Adam with bias correction; the learning rate is passed per step so a
+    """Adam with bias correction and the standard constants beta1 = 0.9,
+    beta2 = 0.999, eps = 1e-8; the learning rate is passed per step so a
     schedule can drive it."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for name, p in self.params.items():
@@ -186,15 +186,15 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
-def evaluate(model: Model, x: np.ndarray, y: np.ndarray, batch: int = 256) -> tuple[float, float]:
+def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Plain-inference CE and accuracy over a dataset split."""
     y = np.asarray(y)
     if len(y) == 0:
         raise ConfigError("cannot evaluate an empty split")
-    logits = model.logits(x, batch=batch)
+    logits = model.logits(x)
     return cross_entropy_np(logits, y), float(np.mean(np.argmax(logits, axis=-1) == y))
 
 

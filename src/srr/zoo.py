@@ -185,7 +185,7 @@ def run_zoo(
     data: DatasetSpec,
     train_template: TrainConfig,
     out_dir: str,
-    model_template: ModelConfig | None = None,
+    model_template: ModelConfig,
     workers: int = 1,
     retry_failed: bool = False,
 ) -> dict:
@@ -196,8 +196,6 @@ def run_zoo(
     """
     os.makedirs(out_dir, exist_ok=True)
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
-    if model_template is None:
-        model_template = ModelConfig()
     manifest = _read_manifest(out_dir)
     manifest.setdefault("cells", {})
     manifest["grid"] = dataclasses.asdict(grid)
@@ -225,7 +223,8 @@ def measure_zoo(out_dir: str, seed: int = 0) -> str:
     """Evaluate the full measure vector for every trained cell on the
     manifest's dataset; writes measures.csv in grid cell order and returns
     its path.  A cell whose checkpoint is unreadable or whose measures fail
-    numerically gets no row, like a diverged cell, and one stderr line."""
+    numerically gets no row, like a diverged cell, and one stderr line, as
+    does each note ``measure_vector`` returns (a NaN or pinned field)."""
     manifest = _read_manifest(out_dir)
     if not manifest["cells"]:
         raise FormatError(f"no manifest with trained cells under {out_dir}")
@@ -240,10 +239,12 @@ def measure_zoo(out_dir: str, seed: int = 0) -> str:
             continue
         try:
             model = load_checkpoint(os.path.join(out_dir, entry["checkpoint"]))
-            mv, _errors = measure_vector(model, dataset, seed=seed)
+            mv, errors = measure_vector(model, dataset, seed=seed)
         except (FormatError, NumericError) as exc:
             print(f"measure_zoo: skipped cell {key}: {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
+        for name, why in sorted(errors.items()):
+            print(f"measure_zoo: note: {key}: {name}: {why}", file=sys.stderr)
         lines.append(measure_csv_row(key, mv))
     path = os.path.join(out_dir, MEASURES_NAME)
     _write_atomic(path, "\n".join(lines) + "\n")

@@ -1,7 +1,9 @@
-"""The package surface: every exported name resolves, and importing the
-package loads numpy as its only third-party dependency."""
+"""The package surface: every exported name and every name the benchmark
+tracer wraps resolves, and importing the package loads numpy as its only
+third-party dependency."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -18,6 +20,25 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(srr.__path__))
 def test_every_export_resolves(name):
     module = importlib.import_module(f"srr.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_every_traced_name_resolves():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("bench_tracer", os.path.join(root, "bench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, attrs in tracer.TRACED.items():
+        module = importlib.import_module(f"srr.{mod_name}")
+        for attr in attrs:
+            if "." in attr:  # a method, looked up where the tracer replaces it
+                cls_name, meth = attr.split(".")
+                found = meth in vars(getattr(module, cls_name, object))
+            else:
+                found = callable(getattr(module, attr, None))
+            if not found:
+                missing.append(f"{mod_name}.{attr}")
     assert missing == []
 
 

@@ -102,6 +102,31 @@ class TestTrainCommand:
         reg_col = header.index("reg_value")
         assert all(float(ln.split(",")[reg_col]) != 0.0 for ln in text[1:])
 
+    @staticmethod
+    def train_with(tmp_path, train_section, name, extra=()):
+        """Train from SYNTH with extra train keys; returns the trace's
+        reg_value column and the checkpoint's embedding."""
+        cfg = write_config(tmp_path, dict(SYNTH, train={**SYNTH["train"], **train_section}), f"{name}.json")
+        ckpt, trace = str(tmp_path / f"{name}.npz"), tmp_path / f"{name}.csv"
+        assert main(["train", "--config", cfg, "--out", ckpt, "--trace", str(trace), *extra]) == 0
+        rows = [ln.split(",") for ln in trace.read_text().strip().split("\n")]
+        col = rows[0].index("reg_value")
+        return [float(r[col]) for r in rows[1:]], load_checkpoint(ckpt).params["embed"].data
+
+    def test_config_regularizer_applies_without_flags(self, tmp_path, capsys):
+        reg, _ = self.train_with(tmp_path, {"reg_mode": "all_layers", "eta_reg": 0.01}, "file")
+        assert len(reg) == 4 and all(v != 0.0 for v in reg)
+
+    def test_flags_override_the_config_regularizer(self, tmp_path, capsys):
+        section = {"reg_mode": "all_layers", "eta_reg": 0.01}
+        off, _ = self.train_with(tmp_path, section, "off", ("--reg", "none"))
+        assert off == [0.0] * 4
+        # --eta alone reweights the file's mode: the weights of a file that carries that eta
+        _, flagged = self.train_with(tmp_path, section, "flag", ("--eta", "0.5"))
+        _, filed = self.train_with(tmp_path, {**section, "eta_reg": 0.5}, "filed")
+        _, light = self.train_with(tmp_path, section, "light")
+        assert np.array_equal(flagged, filed) and not np.array_equal(flagged, light)
+
     def test_bad_config_is_a_clean_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"train": {"schedule": "warp"}}))
@@ -308,8 +333,14 @@ def test_bad_grid_element_is_a_clean_error(tmp_path, capsys, element):
 
 @pytest.mark.parametrize(
     "command, args",
-    [("probe", ["--samples", "0"]), ("toy", ["--gamma", "0"]), ("toy", ["--gamma", "-1"])],
-    ids=["probe-no-samples", "toy-zero-gamma", "toy-negative-gamma"],
+    [
+        ("probe", ["--samples", "0"]),
+        ("probe", ["--samples", "-3"]),
+        ("toy", ["--gamma", "0"]),
+        ("toy", ["--gamma", "-1"]),
+        ("toy", ["--layers", "0"]),
+    ],
+    ids=["probe-no-samples", "probe-negative-samples", "toy-zero-gamma", "toy-negative-gamma", "toy-no-layers"],
 )
 def test_degenerate_arguments_write_no_nan_rows(tmp_path, capsys, command, args):
     out = tmp_path / "out.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ class TestSynthetic:
     def test_determinism_and_seed_override(self):
         a = synth_dataset(self.SPEC)
         b = synth_dataset(self.SPEC)
-        c = synth_dataset(self.SPEC, seed=99)
+        c = synth_dataset(dataclasses.replace(self.SPEC, seed=99))
         assert np.array_equal(a.train_x, b.train_x)
         assert np.array_equal(a.train_y, b.train_y)
         assert not np.array_equal(a.train_x, c.train_x)

@@ -227,6 +227,17 @@ def heads_oracle(Z, U, num_heads, attn_masks=None):
     return np.concatenate(parts, axis=-2)
 
 
+def mssa_oracle(Z, U, num_heads):
+    # the per-head loop mssa ran before it summed the head stack's row blocks
+    total = None
+    for Uk in split_heads(U, num_heads):
+        A = np.swapaxes(Uk, -1, -2) @ Z
+        S = softmax_columns(np.swapaxes(A, -1, -2) @ A)
+        term = Uk @ (A @ S)
+        total = term if total is None else total + term
+    return total
+
+
 def update_oracle(Z, U, num_heads, variant, gamma, alpha=1.0, W=None, attn_masks=None, out_mask=None):
     stack = heads_oracle(Z, U, num_heads, attn_masks)
     if variant in (CRATE, CRATE_FIX):
@@ -291,6 +302,13 @@ class TestKernelOracles:
         before = [m.copy() for m in masks]
         assert_bitwise_and_untouched(stacked_attention_heads, heads_oracle, Z, U, 4, masks)
         assert all(np.array_equal(m, b) for m, b in zip(masks, before))
+
+    @pytest.mark.parametrize(
+        "shape, K", [((384, 196), 6), ((256, 32, 9), 4)], ids=["toy-paper", "desk-batch"]
+    )
+    def test_mssa(self, shape, K):
+        Z, U = rng_for(84).standard_normal(shape), orthonormal_basis(shape[-2], seed=85)
+        assert_bitwise_and_untouched(mssa, mssa_oracle, Z, U, K)
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("variant", VARIANTS)

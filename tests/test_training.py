@@ -5,7 +5,7 @@ import srr.autodiff as ad
 from srr.autodiff import Tensor
 from srr.data import DatasetSpec, synth_dataset
 from srr.errors import ConfigError, NumericError
-from srr.linalg import orthonormal_basis, rng_for
+from srr.linalg import cross_entropy_np, orthonormal_basis, rng_for
 from srr.model import ModelConfig, _layer_rates, init_model
 from srr.rates import coding_rate, grad_projected_coding_rate, sparsity_l0
 from srr.training import (
@@ -362,9 +362,13 @@ class TestEvaluate:
     def test_chunking_invariance(self):
         model = tiny_model()
         ds = sep_dataset()
-        a = evaluate(model, ds.val_x, ds.val_y, batch=4)
-        b = evaluate(model, ds.val_x, ds.val_y, batch=1000)
-        assert a == pytest.approx(b, abs=1e-12)
+        chunked = model.logits(ds.val_x, batch=4)
+        whole = model.logits(ds.val_x, batch=1000)
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+        logits = model.logits(ds.val_x)
+        assert evaluate(model, ds.val_x, ds.val_y) == (
+            cross_entropy_np(logits, ds.val_y), np.mean(np.argmax(logits, axis=-1) == ds.val_y)
+        )
 
     def test_empty_split_rejected(self):
         ds = sep_dataset()

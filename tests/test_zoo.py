@@ -9,7 +9,7 @@ import pytest
 from srr.data import DatasetSpec
 from srr.errors import ConfigError, FormatError
 from srr.measures import FIELD_ORDER
-from srr.model import ModelConfig
+from srr.model import ModelConfig, load_checkpoint, save_checkpoint
 from srr.training import TrainConfig
 from srr.zoo import (
     GridSpec,
@@ -247,6 +247,22 @@ class TestMeasureZoo:
         assert healthy[2].startswith(good + ",")
         [line] = capsys.readouterr().err.splitlines()
         assert bad in line and "FormatError" in line
+
+    def test_cell_notes_go_to_stderr(self, tmp_path, capsys):
+        grid = dataclasses.replace(MINI, dropouts=(0.0,))
+        manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        (flat, _), (good, _) = grid.cells()
+        healthy = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
+        assert capsys.readouterr().err == ""
+        # equal head rows and no bias: every logit ties, so the margin is zero
+        path = str(tmp_path / manifest["cells"][flat]["checkpoint"])
+        model = load_checkpoint(path)
+        model.params["head.weight"].data[:] = model.params["head.weight"].data[0]
+        model.params["head.bias"].data[:] = 0.0
+        save_checkpoint(model, path)
+        rows = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
+        assert capsys.readouterr().err.splitlines() == [f"measure_zoo: note: {flat}: inv_margin: zero margin"]
+        assert rows[1].startswith(flat + ",") and rows[2] == healthy[2] and rows[2].startswith(good + ",")
 
     def test_missing_zoo_rejected(self, tmp_path):
         with pytest.raises(FormatError):
