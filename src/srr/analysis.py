@@ -61,12 +61,9 @@ def kendall_tau(samples) -> float:
     if n < 2:
         raise ConfigError("kendall tau needs at least 2 samples")
     total = 0
-    for i in range(n):
-        mi, gi = pts[i]
-        for j in range(n):
-            if i == j:
-                continue
-            total += _sign(mi - pts[j][0]) * _sign(gi - pts[j][1])
+    for mi, gi in pts:
+        for mj, gj in pts:  # the i == j term is zero
+            total += _sign(mi - mj) * _sign(gi - gj)
     return total / (n * (n - 1))
 
 
@@ -133,12 +130,7 @@ class CorrelationReport:
             cells = {}
             for c in self.COLUMNS:
                 v = row[c]
-                if v is None:
-                    cells[c] = "-"
-                elif isinstance(v, str):
-                    cells[c] = v
-                else:
-                    cells[c] = f"{v:+.3f}"
+                cells[c] = "-" if v is None else v if isinstance(v, str) else f"{v:+.3f}"
                 widths[c] = max(widths[c], len(cells[c]))
             formatted.append(cells)
         header = "  ".join(c.ljust(widths[c]) for c in self.COLUMNS)
@@ -171,10 +163,8 @@ def correlation_report(records, measure_names, width_filter: int | None = None) 
         row: dict = {"measure": name}
         for axis in REPORT_AXES:
             row[_COLUMN_OF[axis]] = per_axis[axis]
-        if len(usable) >= 2:
-            row["overall_tau"] = kendall_tau([(_measure_of(r, name), r.gap) for r in usable])
-        else:
-            row["overall_tau"] = None
+        pts = [(_measure_of(r, name), r.gap) for r in usable]
+        row["overall_tau"] = kendall_tau(pts) if len(pts) >= 2 else None
         row["psi"] = None if math.isnan(psi) else psi
         report.rows.append(row)
     return report

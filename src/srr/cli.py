@@ -16,13 +16,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import toy_dynamics
 from .data import DatasetSpec, build_dataset
 from .errors import ConfigError, config_fields
 from .measures import measure_csv_row, measure_vector, measures_csv_header
-from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from .model import ModelConfig, _check_entries, _read_npz, init_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 from .zoo import GridSpec, correlate_zoo, measure_zoo, run_zoo
 
@@ -180,8 +178,9 @@ def _cmd_measure(args) -> int:
     if args.init_snapshot == "none":
         model.init_snapshot = None
     elif args.init_snapshot:
-        with np.load(args.init_snapshot) as snap:
-            model.init_snapshot = {k: snap[k] for k in snap.files}
+        snapshot = _read_npz(args.init_snapshot, "init snapshot")
+        _check_entries(args.init_snapshot, snapshot, {name: t.shape for name, t in model.params.items()})
+        model.init_snapshot = snapshot
     dataset = build_dataset(data_spec)
     mv, errors = measure_vector(model, dataset, seed=args.seed)
     key = os.path.basename(args.checkpoint)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import ConfigError
 from .linalg import cross_entropy_np, rng_for, spectral_norm
 from .model import Model
@@ -64,6 +65,12 @@ class MeasureVector:
 FIELD_ORDER = tuple(f.name for f in fields(MeasureVector))
 
 PROBE_SAMPLES = 8  # training samples the layer-averaged SRR probe runs on
+PAC_BAYES_SAMPLES = 512  # training samples the PAC-Bayes CE is estimated on
+_SIGMA_NOTES = {  # measure note of each sigma_search flag but "ok"
+    "upper_bracket": "loss too flat: sigma pinned at the upper bracket",
+    "lower_bracket_exceeded": "loss too sharp: sigma pinned at the lower bracket",
+    "non_finite": "a perturbed forward gave a non-finite CE increase",
+}
 
 
 def margin_quantile(model: Model, dataset, q: float) -> float:
@@ -85,52 +92,46 @@ def margin_quantile(model: Model, dataset, q: float) -> float:
 def path_norm(model: Model) -> float:
     """Forward the all-ones input through the network with every parameter
     squared (softmax left intact, LayerNorm bypassed) and sum the outputs."""
-    originals = {name: t.data for name, t in model.params.items()}
-    try:
-        for name, t in model.params.items():
-            t.data = originals[name] ** 2
-        ones = np.ones((model.cfg.in_dim, model.cfg.grid_tokens))
-        return float(np.sum(model.logits(ones[None], ln_identity=True)))
-    finally:
-        for name, t in model.params.items():
-            t.data = originals[name]
+    squared = Model(model.cfg, {name: Tensor(t.data**2) for name, t in model.params.items()}, None)
+    ones = np.ones((model.cfg.in_dim, model.cfg.grid_tokens))
+    return float(np.sum(squared.logits(ones[None], ln_identity=True)))
 
 
 def sigma_search(increase_fn, target: float, lo: float = 1e-5, hi: float = 10.0, iters: int = 20) -> tuple[float, str]:
     """Largest sigma in [lo, hi] with increase_fn(sigma) <= target, by
     bisection.  Returns (sigma, flag); flag is "ok", "upper_bracket" when
-    even hi passes, or "lower_bracket_exceeded" when even lo fails."""
+    even hi passes, "lower_bracket_exceeded" when even lo fails, or
+    "non_finite" when any increase was NaN or inf (a NaN counts as too sharp)."""
     if target <= 0:
         raise ConfigError("target increase must be positive")
-    if increase_fn(hi) <= target:
-        return hi, "upper_bracket"
-    if increase_fn(lo) > target:
-        return lo, "lower_bracket_exceeded"
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if increase_fn(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo, "ok"
+    increases = []
+
+    def passes(sigma: float) -> bool:
+        increases.append(increase_fn(sigma))
+        return increases[-1] <= target
+
+    if passes(hi):
+        sigma, flag = hi, "upper_bracket"
+    elif not passes(lo):
+        sigma, flag = lo, "lower_bracket_exceeded"
+    else:
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        sigma, flag = lo, "ok"
+    return sigma, flag if np.isfinite(increases).all() else "non_finite"
 
 
 def pac_bayes_sigma(
-    model: Model,
-    dataset,
-    target_increase: float = 0.1,
-    mc_samples: int = 8,
-    seed: int = 0,
-    eval_cap: int = 512,
+    model: Model, dataset, target_increase: float = 0.1, mc_samples: int = 8, seed: int = 0
 ) -> tuple[float, str]:
     """Perturbation scale at which Gaussian parameter noise N(0, sigma^2 I)
     raises training CE by the target amount (Monte-Carlo estimate, unit
-    noise drawn once and reused across the whole bisection)."""
+    noise drawn once and reused across the whole bisection).  Each draw is
+    a model of its own; the frozen ``crate_fix`` W is left unperturbed."""
     params = model.trainable_params()
-    n_eval = min(len(dataset.train_y), eval_cap)
-    x = dataset.train_x[:n_eval]
-    y = np.asarray(dataset.train_y[:n_eval])
-    base = {name: t.data.copy() for name, t in params.items()}
+    x = dataset.train_x[:PAC_BAYES_SAMPLES]
+    y = np.asarray(dataset.train_y[:PAC_BAYES_SAMPLES])
     noises = []
     for m in range(mc_samples):
         rng = rng_for(seed, "pac_bayes", m)
@@ -139,14 +140,10 @@ def pac_bayes_sigma(
 
     def increase(sigma: float) -> float:
         total = 0.0
-        try:
-            for eps in noises:
-                for name, t in params.items():
-                    t.data = base[name] + sigma * eps[name]
-                total += cross_entropy_np(model.logits(x, ln_identity=True), y) - base_ce
-        finally:
-            for name, t in params.items():
-                t.data = base[name]
+        for eps in noises:
+            noisy = {name: Tensor(t.data + sigma * eps[name]) for name, t in params.items()}
+            draw = Model(model.cfg, {**model.params, **noisy}, None)
+            total += cross_entropy_np(draw.logits(x, ln_identity=True), y) - base_ce
         return total / mc_samples
 
     return sigma_search(increase, target_increase)
@@ -187,13 +184,16 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
     mv.sum_of_spec = M * _geo_mean(spec_sq)
     mv.prod_of_fro = float(np.prod(fro_sq)) if all(v > 0 for v in fro_sq) else 0.0
     mv.sum_of_fro = M * _geo_mean(fro_sq)
+    zero = [name for (name, _), s in zip(mats, spec_sq) if s == 0.0]
+    if zero:  # a fro/spec ratio is undefined
+        errors["fro_over_spec"] = errors["spec_orig_main"] = f"zero spectral norm of {zero[0]}"
+    else:
+        mv.fro_over_spec = float(sum(f / s for f, s in zip(fro_sq, spec_sq)))
     if margin_sq:
         mv.sum_of_spec_over_margin = mv.sum_of_spec / margin_sq
         mv.prod_of_spec_over_margin = mv.prod_of_spec / margin_sq
         mv.sum_of_fro_over_margin = mv.sum_of_fro / margin_sq
         mv.prod_of_fro_over_margin = mv.prod_of_fro / margin_sq
-    mv.fro_over_spec = float(sum(f / s for f, s in zip(fro_sq, spec_sq)))
-    if margin_sq:
         mv.spec_orig_main = mv.prod_of_spec * mv.fro_over_spec / margin_sq
     mv.param_norm = float(sum(fro_sq))
     mv.path_norm = path_norm(model)
@@ -201,8 +201,8 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
     sigma, flag = pac_bayes_sigma(model, dataset, seed=seed)
     mv.pac_bayes_flatness_inv_sigma = 1.0 / sigma
     mv.pac_bayes_orig = mv.l2_norm / (4.0 * sigma * sigma)
-    if flag == "lower_bracket_exceeded":
-        errors["pac_bayes_flatness_inv_sigma"] = "loss too sharp: sigma pinned at the lower bracket"
+    if flag != "ok":
+        errors["pac_bayes_flatness_inv_sigma"] = _SIGMA_NOTES[flag]
 
     probes = model.probe(dataset.train_x[:PROBE_SAMPLES])
     mv.srr = float(np.mean([p.srr for p in probes]))
@@ -220,7 +220,9 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
         mv.spec_distance = float(
             sum(spectral_norm(w - init_snapshot[name]) ** 2 for name, w in mats)
         )
-        if margin_sq:
+        if zero:
+            errors["spec_init_main"] = errors["fro_over_spec"]
+        elif margin_sq:
             mv.spec_init_main = (
                 mv.prod_of_spec * sum(df / s for df, s in zip(diff_fro, spec_sq)) / margin_sq
             )

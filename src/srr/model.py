@@ -10,6 +10,7 @@ each layer's raw (post-ISTA) output against that layer's own basis.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
@@ -345,6 +346,7 @@ def init_model(cfg: ModelConfig) -> Model:
 # frozen parameters, and the initial snapshot.
 
 def save_checkpoint(model: Model, path: str) -> None:
+    """Write the checkpoint atomically, at exactly ``path`` (no ``.npz`` appended)."""
     payload: dict[str, np.ndarray] = {
         "meta.version": np.array(CHECKPOINT_VERSION),
         "meta.config": np.array(json.dumps(asdict(model.cfg))),
@@ -355,7 +357,43 @@ def save_checkpoint(model: Model, path: str) -> None:
                 payload[f"{group}.{name}"] = t.data
     for name, arr in model.init_snapshot.items():
         payload[f"init.{name}"] = arr
-    np.savez(path, **payload)
+    _write_atomic(path, lambda fh: np.savez(fh, **payload))
+
+
+def _write_atomic(path: str, write) -> None:
+    """Call ``write`` on a binary handle to a temporary file beside ``path``,
+    then move it onto ``path``: readers never see a partly written file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:  # gone after a successful replace
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read_npz(path: str, what: str) -> dict[str, np.ndarray]:
+    """Every entry of the .npz file ``path``; FormatError naming ``what`` when it is unreadable."""
+    try:
+        # an open handle of our own: np.load leaks its handle on a bad zip
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as zf:
+            return {key: zf[key] for key in zf.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise FormatError(f"{path}: unreadable {what}: {exc}") from exc
+
+
+def _check_entries(path: str, entries: dict[str, np.ndarray], expected: dict[str, tuple]) -> None:
+    """FormatError naming the first entry of ``expected`` that ``entries``
+    lacks or holds in another shape, else the first entry not expected."""
+    for key, shape in expected.items():
+        if key not in entries:
+            raise FormatError(f"{path}: missing entry {key!r}")
+        if entries[key].shape != shape:
+            raise FormatError(f"{path}: entry {key!r} has shape {entries[key].shape}, expected {shape}")
+    extra = [key for key in entries if key not in expected]
+    if extra:
+        raise FormatError(f"{path}: unexpected entry {extra[0]!r}")
 
 
 def load_checkpoint(path: str) -> Model:
@@ -363,12 +401,7 @@ def load_checkpoint(path: str) -> Model:
     entry names and shapes must be exactly those ``init_model`` allocates
     for the stored config; the first mismatch, or a file that is no
     readable .npz, raises FormatError."""
-    try:
-        # an open handle of our own: np.load leaks its handle on a bad zip
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as zf:
-            entries = {key: zf[key] for key in zf.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
+    entries = _read_npz(path, "checkpoint")
     if "meta.version" not in entries or int(entries["meta.version"]) != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version in {path}")
     raw = json.loads(str(entries["meta.config"])) if "meta.config" in entries else None
@@ -386,13 +419,6 @@ def load_checkpoint(path: str) -> Model:
     expected = {"meta.version": (), "meta.config": ()}
     for name, shape in shapes.items():
         expected[f"{_group(cfg, name)}.{name}"] = expected[f"init.{name}"] = shape
-    for key, shape in expected.items():
-        if key not in entries:
-            raise FormatError(f"{path}: missing entry {key!r}")
-        if entries[key].shape != shape:
-            raise FormatError(f"{path}: entry {key!r} has shape {entries[key].shape}, expected {shape}")
-    extra = [key for key in entries if key not in expected]
-    if extra:
-        raise FormatError(f"{path}: unexpected entry {extra[0]!r}")
+    _check_entries(path, entries, expected)
     live = {name: entries[f"{_group(cfg, name)}.{name}"] for name in shapes}
     return _assemble(cfg, live, {name: entries[f"init.{name}"] for name in shapes})

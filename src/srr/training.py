@@ -56,6 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be positive")
+        if not 0 < self.lr_init < math.inf:
+            raise ConfigError(f"lr_init must be a positive finite number, got {self.lr_init!r}")
         if self.schedule not in ("cosine", "constant"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.reg_mode not in REG_MODES:
@@ -97,7 +99,7 @@ def gradients(loss: Tensor, params: dict[str, Tensor], layer_outputs=None) -> di
     }
 
 
-def _layer_srr_value_and_term(model: Model, i: int, zout: Tensor) -> tuple[Tensor, float]:
+def _layer_srr_term(model: Model, i: int, zout: Tensor) -> Tensor:
     """Regularizer term for layer i (0-based): lambda*l0 + R_c - R on the
     layer's output node ``zout``."""
     cfg = model.cfg
@@ -106,8 +108,7 @@ def _layer_srr_value_and_term(model: Model, i: int, zout: Tensor) -> tuple[Tenso
     diff = rc - r
     if diff.data.ndim:
         diff = diff.mean()
-    l0 = float(np.mean(l0))
-    return diff + cfg.lambda_sparsity * l0, l0
+    return diff + cfg.lambda_sparsity * float(np.mean(l0))
 
 
 def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
@@ -144,7 +145,7 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
         if _first_nonfinite_layer(cache) is None:
             total = None
             for layer_no in selected:
-                term, _ = _layer_srr_value_and_term(model, layer_no - 1, cache[layer_no - 1]["output"])
+                term = _layer_srr_term(model, layer_no - 1, cache[layer_no - 1]["output"])
                 total = term if total is None else total + term
             mean_term = total * (1.0 / len(selected))
         else:  # a non-finite layer has no measure: the NaN loss flags the divergence
@@ -224,9 +225,6 @@ class TrainingTrace:
     diverged: bool = False
     stopped_epoch: int | None = None
     note: str = ""
-
-    def final_train_ce(self) -> float:
-        return self.epochs[-1].train_ce if self.epochs else float("nan")
 
     def to_csv_text(self) -> str:
         return "\n".join([",".join(TRACE_COLUMNS)] + [_trace_row(e) for e in self.epochs]) + "\n"

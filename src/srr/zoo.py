@@ -27,7 +27,7 @@ from .data import DatasetSpec, build_dataset
 from .errors import ConfigError, FormatError, NumericError, config_fields
 from .linalg import stable_seed
 from .measures import FIELD_ORDER, measure_csv_row, measure_vector, measures_csv_header
-from .model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from .model import ModelConfig, _write_atomic, init_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 __all__ = [
@@ -109,15 +109,9 @@ class GridSpec:
         return stable_seed(self.seed, pt.batch_size, repr(pt.lr_init), pt.width, repr(pt.dropout), pt.model_variant)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_manifest(out_dir: str, manifest: dict) -> None:
-    _write_atomic(os.path.join(out_dir, MANIFEST_NAME), json.dumps(manifest, indent=2, sort_keys=True))
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    _write_atomic(os.path.join(out_dir, MANIFEST_NAME), lambda fh: fh.write(text.encode()))
 
 
 def _read_manifest(out_dir: str) -> dict:
@@ -247,7 +241,7 @@ def measure_zoo(out_dir: str, seed: int = 0) -> str:
             print(f"measure_zoo: note: {key}: {name}: {why}", file=sys.stderr)
         lines.append(measure_csv_row(key, mv))
     path = os.path.join(out_dir, MEASURES_NAME)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode()))
     return path
 
 

@@ -134,6 +134,25 @@ class TestTrainCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_checkpoint_at_exactly_the_out_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", cfg, "--out", ckpt]) == 0
+        assert f"checkpoint: {ckpt}" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "model.ckpt"]
+        out = str(tmp_path / "row.csv")
+        assert main(["measure", "--checkpoint", ckpt, "--config", cfg, "--out", out]) == 0
+        assert Path(out).read_text().split("\n")[1].startswith("model.ckpt,")
+
+    @pytest.mark.parametrize("lr", [-0.5, 0])
+    def test_non_positive_lr_is_a_clean_error(self, tmp_path, capsys, lr):
+        cfg = write_config(tmp_path, dict(SYNTH, train=dict(SYNTH["train"], lr_init=lr)))
+        ckpt = tmp_path / "m.npz"
+        assert main(["train", "--config", cfg, "--out", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lr_init" in err
+        assert not ckpt.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -256,6 +275,51 @@ class TestMeasureCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'param.embed'" in err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda e: e.pop("pos"), "'pos'"),
+            (lambda e: e.update({"layers.0.U": np.zeros((8, 6))}), "'layers.0.U'"),
+            (lambda e: e.update({"extra": np.zeros(3)}), "'extra'"),
+        ],
+        ids=["missing", "misshapen", "unexpected"],
+    )
+    def test_mismatched_init_snapshot_is_a_clean_error(self, tmp_path, capsys, edit, named):
+        cfg, ckpt, _ = train_small(tmp_path)
+        snapshot = dict(load_checkpoint(ckpt).init_snapshot)
+        edit(snapshot)
+        snap = str(tmp_path / "snap.npz")
+        np.savez(snap, **snapshot)
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        rc = main(["measure", "--checkpoint", ckpt, "--config", cfg, "--init-snapshot", snap, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
+
+    def test_truncated_init_snapshot_is_a_clean_error(self, tmp_path, capsys):
+        cfg, ckpt, _ = train_small(tmp_path)
+        snap = tmp_path / "snap.npz"
+        np.savez(str(snap), **load_checkpoint(ckpt).init_snapshot)
+        snap.write_bytes(snap.read_bytes()[: snap.stat().st_size // 2])
+        capsys.readouterr()
+        rc = main(["measure", "--checkpoint", ckpt, "--config", cfg, "--init-snapshot", str(snap),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {snap}: unreadable init snapshot")
+
+    def test_matching_init_snapshot_is_used(self, tmp_path, capsys):
+        cfg, ckpt, _ = train_small(tmp_path)
+        snap = str(tmp_path / "snap.npz")
+        np.savez(snap, **load_checkpoint(ckpt).init_snapshot)
+        rows = {}
+        for name, extra in (("own", []), ("file", ["--init-snapshot", snap])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["measure", "--checkpoint", ckpt, "--config", cfg, "--out", str(out), *extra]) == 0
+            rows[name] = out.read_text()
+        assert rows["own"] == rows["file"]
 
     def test_measure_row(self, tmp_path, capsys):
         cfg, ckpt, _ = train_small(tmp_path)

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import srr.measures
 from srr.data import DatasetSpec, synth_dataset
 from srr.errors import ConfigError
 from srr.linalg import spectral_norm
@@ -18,7 +19,7 @@ from srr.measures import (
     path_norm,
     sigma_search,
 )
-from srr.model import ModelConfig, init_model
+from srr.model import Model, ModelConfig, init_model
 
 
 @dataclass
@@ -39,6 +40,21 @@ class TableModel:
 
 def table_dataset(table, labels):
     return FakeDataset(np.arange(len(labels)), np.asarray(labels))
+
+
+def untouched_check(model):
+    """A callable asserting that every entry of ``model.params`` still holds
+    the array object it holds now, with the same bits."""
+    objects = {name: t.data for name, t in model.params.items()}
+    bits = {name: t.data.copy() for name, t in model.params.items()}
+
+    def check():
+        assert list(model.params) == list(objects)
+        for name, t in model.params.items():
+            assert t.data is objects[name]
+            assert np.array_equal(t.data, bits[name])
+
+    return check
 
 
 def tiny_setup(seed=0):
@@ -134,6 +150,22 @@ class TestPathNorm:
         for n, t in model.params.items():
             assert np.array_equal(t.data, before[n])
 
+    def test_model_left_alone_during_the_forward(self, monkeypatch):
+        model, _ = tiny_setup()
+        check = untouched_check(model)
+        original = Model.logits
+        calls = []
+
+        def checked_logits(self, *args, **kwargs):
+            check()
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "logits", checked_logits)
+        path_norm(model)
+        assert calls and all(m is not model for m in calls)
+        check()
+
 
 class TestSigmaSearch:
     def test_quadratic_oracle(self):
@@ -155,6 +187,16 @@ class TestSigmaSearch:
         with pytest.raises(ConfigError):
             sigma_search(lambda s: s, 0.0)
 
+    def test_nan_is_flagged(self):
+        assert sigma_search(lambda s: float("nan"), 0.1) == (1e-5, "non_finite")
+
+    def test_partly_non_finite_search_keeps_its_bisection(self):
+        # NaN above sigma = 1 still steers the search downwards, as "too sharp"
+        sigma, flag = sigma_search(lambda s: s * s if s < 1.0 else float("nan"), 0.1)
+        assert flag == "non_finite"
+        assert sigma == sigma_search(lambda s: s * s, 0.1)[0]
+        assert sigma_search(lambda s: -math.inf, 0.1) == (10.0, "non_finite")
+
 
 class TestPacBayes:
     def test_deterministic_and_restoring(self):
@@ -166,6 +208,43 @@ class TestPacBayes:
         assert 1e-5 <= s1 <= 10.0
         for n, t in model.trainable_params().items():
             assert np.array_equal(t.data, before[n])
+
+    def test_model_left_alone_during_every_evaluation(self, monkeypatch):
+        model, ds = tiny_setup()
+        check = untouched_check(model)
+        original = srr.measures.cross_entropy_np
+        calls = []
+
+        def checked_ce(logits, y):
+            check()
+            calls.append(1)
+            return original(logits, y)
+
+        monkeypatch.setattr(srr.measures, "cross_entropy_np", checked_ce)
+        pac_bayes_sigma(model, ds, mc_samples=2)
+        assert len(calls) > 2
+        check()
+
+    def test_frozen_w_is_not_perturbed(self, monkeypatch):
+        cfg = ModelConfig(L=2, d=8, K=2, feat_dim=6, num_tokens=4, num_classes=3, variant="crate_fix")
+        model = init_model(cfg)
+        _, ds = tiny_setup()
+        frozen = {n: t for n, t in model.params.items() if not t.requires_grad}
+        assert frozen
+        seen = []
+        original = Model.logits
+
+        def spy(self, *args, **kwargs):
+            seen.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "logits", spy)
+        pac_bayes_sigma(model, ds, mc_samples=1)
+        draws = [m for m in seen if m is not model]
+        assert draws
+        for draw in draws:
+            assert all(draw.params[n] is t for n, t in frozen.items())
+            assert not any(draw.params[n] is t for n, t in model.trainable_params().items())
 
     def test_sharper_target_gives_smaller_sigma(self):
         model, ds = tiny_setup()
@@ -260,6 +339,27 @@ class TestMeasureVectorOfModel:
         assert math.isfinite(mv.l2_norm)
         assert math.isfinite(mv.srr)
         assert math.isfinite(mv.path_norm)
+
+    def test_zero_matrix_gives_nan_ratios_with_a_note(self):
+        model, ds = tiny_setup()
+        model.params["head.weight"].data[:] = 0.0
+        mv, errors = measure_vector(model, ds)
+        for f in ("fro_over_spec", "spec_orig_main", "spec_init_main"):
+            assert math.isnan(mv.get(f))
+            assert errors[f] == "zero spectral norm of head.weight"
+        assert mv.prod_of_spec == 0.0
+        assert math.isfinite(mv.path_norm) and math.isfinite(mv.srr)
+
+    @pytest.mark.parametrize("flag, words", [
+        ("upper_bracket", "upper bracket"),
+        ("lower_bracket_exceeded", "lower bracket"),
+        ("non_finite", "non-finite"),
+    ])
+    def test_every_sigma_flag_has_a_note(self, monkeypatch, flag, words):
+        model, ds = tiny_setup()
+        monkeypatch.setattr(srr.measures, "pac_bayes_sigma", lambda *a, **k: (1e-5, flag))
+        _, errors = measure_vector(model, ds)
+        assert words in errors["pac_bayes_flatness_inv_sigma"]
 
     def test_srr_is_mean_probe_value(self):
         model, ds = tiny_setup()

@@ -343,6 +343,39 @@ class TestCheckpoint:
         b, _ = loaded.run(tok)
         assert np.array_equal(a, b)
 
+    def test_written_at_exactly_the_given_path(self, tmp_path):
+        # np.savez appends ".npz" to any other name given as a path
+        model = init_model(tiny_cfg())
+        path = tmp_path / "x.bin"
+        save_checkpoint(model, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+        loaded = load_checkpoint(str(path))
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, loaded.params[name].data)
+
+    def test_same_bytes_as_a_plain_savez(self, tmp_path):
+        model = init_model(tiny_cfg(variant=CRATE_FIX))
+        save_checkpoint(model, str(tmp_path / "a.npz"))
+        with np.load(str(tmp_path / "a.npz")) as zf:
+            entries = {key: zf[key] for key in zf.files}
+        np.savez(str(tmp_path / "b.npz"), **entries)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_failed_write_leaves_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.npz"
+        save_checkpoint(init_model(tiny_cfg()), str(path))
+        before = path.read_bytes()
+
+        def broken_savez(fh, **entries):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(init_model(tiny_cfg(seed=1)), str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
+        assert path.read_bytes() == before
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(str(path), **{"meta.version": np.array(999), "meta.config": np.array("{}")})

@@ -12,7 +12,7 @@ from srr.training import (
     Adam,
     TRACE_COLUMNS,
     TrainConfig,
-    _layer_srr_value_and_term,
+    _layer_srr_term,
     cross_entropy_np,
     evaluate,
     gradients,
@@ -52,6 +52,11 @@ class TestTrainConfig:
     def test_fixed_layer_needs_index(self):
         with pytest.raises(ConfigError):
             TrainConfig(eta_reg=0.1, reg_mode="fixed_layer")
+
+    @pytest.mark.parametrize("lr", [-0.5, 0.0, float("nan"), float("inf")])
+    def test_lr_init_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ConfigError, match="lr_init"):
+            TrainConfig(lr_init=lr)
 
     def test_unknown_mode_and_schedule(self):
         with pytest.raises(ConfigError):
@@ -228,7 +233,9 @@ class TestRegularizedLoss:
         mcfg = model.cfg
         gamma = mcfg.attention_gamma(mcfg.tokens)
         for i, entry in enumerate(parts["cache"]):
-            term, l0 = _layer_srr_value_and_term(model, i, entry["output"])
+            term = _layer_srr_term(model, i, entry["output"])
+            U = model.params[f"layers.{i}.U"]
+            l0 = np.mean(_layer_rates(entry["output"], U, mcfg.K, gamma, mcfg.K * gamma)[2])
             zout = entry["output"].data
             r, rc, l0s = _layer_rates(zout, model.params[f"layers.{i}.U"].data, mcfg.K, gamma, mcfg.K * gamma)
             assert l0 == np.mean(l0s)
@@ -269,8 +276,8 @@ class TestRegularizedLoss:
                 i, entry["input"].detach(), entry["attn_masks"], entry["out_mask"]
             )
             np.testing.assert_array_equal(replay.data, entry["output"].data)
-            term, _ = _layer_srr_value_and_term(model, i, entry["output"])
-            again, _ = _layer_srr_value_and_term(model, i, replay)
+            term = _layer_srr_term(model, i, entry["output"])
+            again = _layer_srr_term(model, i, replay)
             assert term.item() == again.item()
 
 
@@ -293,7 +300,7 @@ def replay_loss(model, batch, train_cfg, rng):
     for layer_no in selected:
         entry = cache[layer_no - 1]
         zout = model.apply_layer(layer_no - 1, entry["input"].detach(), entry["attn_masks"], entry["out_mask"])
-        term, _ = _layer_srr_value_and_term(model, layer_no - 1, zout)
+        term = _layer_srr_term(model, layer_no - 1, zout)
         total = term if total is None else total + term
     return ce + train_cfg.eta_reg * (total * (1.0 / len(selected)))
 
@@ -383,7 +390,7 @@ class TestTrain:
         cfg = TrainConfig(batch_size=16, lr_init=1e-2, epochs=50, stop_criterion=0.05)
         trace = train(model, ds, cfg)
         assert trace.converged
-        assert trace.final_train_ce() <= 0.05
+        assert trace.epochs[-1].train_ce <= 0.05
         assert trace.stopped_epoch == len(trace.epochs) - 1
         assert not trace.diverged
 

@@ -248,6 +248,23 @@ class TestMeasureZoo:
         [line] = capsys.readouterr().err.splitlines()
         assert bad in line and "FormatError" in line
 
+    def test_zero_matrix_cell_gets_a_row_and_a_note(self, tmp_path, capsys):
+        grid = dataclasses.replace(MINI, dropouts=(0.0,))
+        manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        (zero, _), (good, _) = grid.cells()
+        healthy = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
+        capsys.readouterr()
+        path = str(tmp_path / manifest["cells"][zero]["checkpoint"])
+        model = load_checkpoint(path)
+        model.params["head.weight"].data[:] = 0.0
+        save_checkpoint(model, path)
+        rows = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
+        assert rows[1].startswith(zero + ",") and rows[2] == healthy[2]
+        row = rows[1].split(",")
+        assert row[1 + FIELD_ORDER.index("fro_over_spec")] == "nan"
+        notes = capsys.readouterr().err.splitlines()
+        assert f"measure_zoo: note: {zero}: fro_over_spec: zero spectral norm of head.weight" in notes
+
     def test_cell_notes_go_to_stderr(self, tmp_path, capsys):
         grid = dataclasses.replace(MINI, dropouts=(0.0,))
         manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
