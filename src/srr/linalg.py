@@ -88,7 +88,8 @@ def _reduce(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
 
 def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of integer labels under row-wise softmax of a
-    (B, C) logit matrix."""
+    (B, C) logit matrix.  Never negative, which the PAC-Bayes early exit
+    relies on: the shifted maximum is exactly 0, so each row's lse is >= 0."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(len(labels)), labels]

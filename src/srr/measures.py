@@ -128,7 +128,14 @@ def pac_bayes_sigma(
     """Perturbation scale at which Gaussian parameter noise N(0, sigma^2 I)
     raises training CE by the target amount (Monte-Carlo estimate, unit
     noise drawn once and reused across the whole bisection).  Each draw is
-    a model of its own; the frozen ``crate_fix`` W is left unperturbed."""
+    a model of its own; the frozen ``crate_fix`` W is left unperturbed.
+
+    A bisection step stops drawing once it is sure to fail: CE is never
+    negative, so each remaining draw adds at least ``-base_ce``, and when
+    that floor already exceeds the target the floor is returned.  Every
+    pass/fail, and so the sigma, is that of running all draws.  The flag
+    ``non_finite`` means that a draw that ran gave a NaN or inf CE; a draw
+    skipped by the early exit is never seen."""
     params = model.trainable_params()
     x = dataset.train_x[:PAC_BAYES_SAMPLES]
     y = np.asarray(dataset.train_y[:PAC_BAYES_SAMPLES])
@@ -140,10 +147,15 @@ def pac_bayes_sigma(
 
     def increase(sigma: float) -> float:
         total = 0.0
-        for eps in noises:
+        for m, eps in enumerate(noises, 1):
             noisy = {name: Tensor(t.data + sigma * eps[name]) for name, t in params.items()}
             draw = Model(model.cfg, {**model.params, **noisy}, None)
             total += cross_entropy_np(draw.logits(x, ln_identity=True), y) - base_ce
+            floor = total  # the same += in the same order: rounding keeps it below the full sum
+            for _ in range(mc_samples - m):
+                floor += -base_ce
+            if floor / mc_samples > target_increase:  # false on NaN
+                return floor / mc_samples
         return total / mc_samples
 
     return sigma_search(increase, target_increase)

@@ -377,10 +377,15 @@ def _read_npz(path: str, what: str) -> dict[str, np.ndarray]:
     """Every entry of the .npz file ``path``; FormatError naming ``what`` when it is unreadable."""
     try:
         # an open handle of our own: np.load leaks its handle on a bad zip
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as zf:
-            return {key: zf[key] for key in zf.files}
+        with open(path, "rb") as fh:
+            zf = np.load(fh, allow_pickle=False)
+            if isinstance(zf, np.lib.npyio.NpzFile):
+                with zf:
+                    return {key: zf[key] for key in zf.files}
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise FormatError(f"{path}: unreadable {what}: {exc}") from exc
+    # np.load reads a .npy file as one array
+    raise FormatError(f"{path}: unreadable {what}: one .npy array, not an .npz archive")
 
 
 def _check_entries(path: str, entries: dict[str, np.ndarray], expected: dict[str, tuple]) -> None:

@@ -185,8 +185,9 @@ def run_zoo(
 ) -> dict:
     """Train every grid cell, resuming from an existing manifest.
 
-    Cells already marked done (or failed, unless retry_failed) are skipped.
-    Returns the final manifest dict.
+    Cells already marked done (or failed, unless retry_failed) are skipped;
+    each cell trained prints one progress line to stderr.  Returns the
+    final manifest dict.
     """
     os.makedirs(out_dir, exist_ok=True)
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
@@ -206,11 +207,16 @@ def run_zoo(
 
     # one worker trains in this process, in order, writing the manifest after each cell
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for (key, *_), entry in zip(pending, (pool.map if pool else map)(_run_cell, pending)):
+        for i, ((key, *_), entry) in enumerate(zip(pending, (pool.map if pool else map)(_run_cell, pending)), 1):
             manifest["cells"][key] = entry
             _write_manifest(out_dir, manifest)
+            _progress("run_zoo", i, len(pending), key, entry["status"], entry["wall_time"])
     _write_manifest(out_dir, manifest)
     return manifest
+
+
+def _progress(stage: str, index: int, total: int, key: str, status: str, seconds: float) -> None:
+    print(f"{stage}: [{index}/{total}] {key} {status} {seconds:.2f}s", file=sys.stderr)
 
 
 def measure_zoo(out_dir: str, seed: int = 0) -> str:
@@ -218,7 +224,8 @@ def measure_zoo(out_dir: str, seed: int = 0) -> str:
     manifest's dataset; writes measures.csv in grid cell order and returns
     its path.  A cell whose checkpoint is unreadable or whose measures fail
     numerically gets no row, like a diverged cell, and one stderr line, as
-    does each note ``measure_vector`` returns (a NaN or pinned field)."""
+    does each note ``measure_vector`` returns (a NaN or pinned field).
+    Each measured or skipped cell ends with a progress line on stderr."""
     manifest = _read_manifest(out_dir)
     if not manifest["cells"]:
         raise FormatError(f"no manifest with trained cells under {out_dir}")
@@ -226,20 +233,25 @@ def measure_zoo(out_dir: str, seed: int = 0) -> str:
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
     dataset = build_dataset(data)
     grid = GridSpec(**config_fields(GridSpec, manifest["grid"], "grid"))
+    trained = [
+        (key, entry) for key, _ in grid.cells()
+        if (entry := manifest["cells"].get(key)) and entry["status"] == "done" and not entry["diverged"]
+    ]
     lines = [measures_csv_header()]
-    for key, _ in grid.cells():
-        entry = manifest["cells"].get(key)
-        if entry is None or entry["status"] != "done" or entry["diverged"]:
-            continue
+    for i, (key, entry) in enumerate(trained, 1):
+        started = time.perf_counter()
         try:
             model = load_checkpoint(os.path.join(out_dir, entry["checkpoint"]))
             mv, errors = measure_vector(model, dataset, seed=seed)
         except (FormatError, NumericError) as exc:
             print(f"measure_zoo: skipped cell {key}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            continue
-        for name, why in sorted(errors.items()):
-            print(f"measure_zoo: note: {key}: {name}: {why}", file=sys.stderr)
-        lines.append(measure_csv_row(key, mv))
+            status = "skipped"
+        else:
+            for name, why in sorted(errors.items()):
+                print(f"measure_zoo: note: {key}: {name}: {why}", file=sys.stderr)
+            lines.append(measure_csv_row(key, mv))
+            status = "measured"
+        _progress("measure_zoo", i, len(trained), key, status, time.perf_counter() - started)
     path = os.path.join(out_dir, MEASURES_NAME)
     _write_atomic(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode()))
     return path

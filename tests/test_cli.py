@@ -310,6 +310,18 @@ class TestMeasureCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {snap}: unreadable init snapshot")
 
+    @pytest.mark.parametrize("option, what", [("--checkpoint", "checkpoint"), ("--init-snapshot", "init snapshot")])
+    def test_npy_file_is_a_clean_error(self, tmp_path, capsys, option, what):
+        cfg, ckpt, _ = train_small(tmp_path)
+        npy = tmp_path / "v.npy"
+        np.save(str(npy), np.zeros(3))
+        args = {"--checkpoint": ckpt, "--init-snapshot": None, option: str(npy)}
+        capsys.readouterr()
+        rc = main(["measure", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                   *(token for opt, path in args.items() if path for token in (opt, path))])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {npy}: unreadable {what}")
+
     def test_matching_init_snapshot_is_used(self, tmp_path, capsys):
         cfg, ckpt, _ = train_small(tmp_path)
         snap = str(tmp_path / "snap.npz")

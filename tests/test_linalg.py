@@ -5,6 +5,7 @@ from srr.errors import DefinitenessError, NumericError, ShapeError
 from srr.linalg import (
     _reduce,
     _softmax,
+    cross_entropy_np,
     logdet_psd,
     orthonormal_basis,
     rng_for,
@@ -158,6 +159,27 @@ class TestSoftmaxKernel:
         want = ufunc.reduce(x, axis=-2, keepdims=True)
         assert np.array_equal(_reduce(ufunc, x, -2), want)
         assert np.array_equal(_reduce(ufunc, x[::-1], -2), ufunc.reduce(x[::-1], axis=-2, keepdims=True))
+
+
+class TestCrossEntropy:
+    """The PAC-Bayes early exit counts on a CE that is never negative."""
+
+    @pytest.mark.parametrize(
+        "logits, labels",
+        [
+            (np.zeros((4, 3)), [0, 1, 2, 0]),  # tied logits
+            (np.full((2, 5), 7.25), [4, 0]),
+            (np.array([[3.0], [-2.0]]), [0, 0]),  # a single class
+            (np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]]), [0, 0, 1]),
+            (np.array([[2.0, -np.inf, 0.5], [-np.inf, 1.0, -np.inf]]), [0, 1]),  # -inf away from the max
+            (np.array([[2.0, -np.inf, 0.5]]), [1]),  # the label's own logit is -inf
+            (np.random.default_rng(0).standard_normal((64, 10)) * 50, np.arange(64) % 10),
+        ],
+        ids=["tied", "tied-offset", "one-class", "huge", "neg-inf", "neg-inf-label", "random"],
+    )
+    def test_never_negative(self, logits, labels):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert cross_entropy_np(logits, np.asarray(labels)) >= 0.0
 
 
 class TestSpectralNorm:

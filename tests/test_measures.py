@@ -7,9 +7,11 @@ import pytest
 import srr.measures
 from srr.data import DatasetSpec, synth_dataset
 from srr.errors import ConfigError
-from srr.linalg import spectral_norm
+from srr.autodiff import Tensor
+from srr.linalg import cross_entropy_np, rng_for, spectral_norm
 from srr.measures import (
     FIELD_ORDER,
+    PAC_BAYES_SAMPLES,
     MeasureVector,
     margin_quantile,
     measure_csv_row,
@@ -251,6 +253,107 @@ class TestPacBayes:
         loose, _ = pac_bayes_sigma(model, ds, target_increase=1.0, mc_samples=2)
         tight, _ = pac_bayes_sigma(model, ds, target_increase=0.01, mc_samples=2)
         assert tight <= loose
+
+
+def all_draws_search(model, ds, mc_samples, target=0.1, seed=0, nan_first_draw_from=math.inf):
+    """The bisection with every draw at every step, as it ran before the
+    early exit: (sigma, flag, [(sigma, increase) per step]).  At each step
+    with sigma >= ``nan_first_draw_from`` the first draw's CE is NaN."""
+    params = model.trainable_params()
+    x = ds.train_x[:PAC_BAYES_SAMPLES]
+    y = np.asarray(ds.train_y[:PAC_BAYES_SAMPLES])
+    noises = []
+    for m in range(mc_samples):
+        rng = rng_for(seed, "pac_bayes", m)
+        noises.append({name: rng.standard_normal(t.data.shape) for name, t in params.items()})
+    base_ce = cross_entropy_np(model.logits(x, ln_identity=True), y)
+    steps = []
+
+    def increase(sigma):
+        total = 0.0
+        for m, eps in enumerate(noises):
+            noisy = {name: Tensor(t.data + sigma * eps[name]) for name, t in params.items()}
+            draw = Model(model.cfg, {**model.params, **noisy}, None)
+            ce = cross_entropy_np(draw.logits(x, ln_identity=True), y)
+            total += (math.nan if m == 0 and sigma >= nan_first_draw_from else ce) - base_ce
+        steps.append((sigma, total / mc_samples))
+        return total / mc_samples
+
+    sigma, flag = sigma_search(increase, target)
+    return sigma, flag, steps
+
+
+def recorded_steps(monkeypatch):
+    """Record (sigma, increase) of every step ``pac_bayes_sigma`` bisects."""
+    steps = []
+    search = srr.measures.sigma_search
+
+    def spy(increase_fn, target):
+        def recorded(sigma):
+            steps.append((sigma, increase_fn(sigma)))
+            return steps[-1][1]
+
+        return search(recorded, target)
+
+    monkeypatch.setattr(srr.measures, "sigma_search", spy)
+    return steps
+
+
+class TestPacBayesEarlyExit:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mc_samples", [1, 2, 8])
+    def test_same_bisection_as_all_draws(self, monkeypatch, seed, mc_samples):
+        model, ds = tiny_setup(seed)
+        sigma, flag, oracle = all_draws_search(model, ds, mc_samples)
+        steps = recorded_steps(monkeypatch)
+        assert pac_bayes_sigma(model, ds, mc_samples=mc_samples) == (sigma, flag)
+        assert [s for s, _ in steps] == [s for s, _ in oracle]
+        for (_, got), (_, full) in zip(steps, oracle):
+            assert (got <= 0.1) == (full <= 0.1)
+            if full <= 0.1:
+                assert got == full  # a passing step ran every draw
+            else:
+                assert 0.1 < got <= full
+        if mc_samples > 1:
+            assert any(got < full for (_, got), (_, full) in zip(steps, oracle))
+
+    def test_failing_steps_stop_drawing(self, monkeypatch):
+        model, ds = tiny_setup()
+        calls = []
+        original = srr.measures.cross_entropy_np
+
+        def counted_ce(logits, y):
+            calls.append(1)
+            return original(logits, y)
+
+        monkeypatch.setattr(srr.measures, "cross_entropy_np", counted_ce)
+        sigma, flag = pac_bayes_sigma(model, ds, mc_samples=8)
+        assert flag == "ok"  # 22 steps: both brackets and 20 bisections
+        draws = len(calls) - 1  # the first call is the unperturbed CE
+        assert draws < 22 * 8
+
+    @pytest.mark.parametrize("nan_from", [0.0, 1.0])
+    def test_nan_first_draw_is_still_flagged(self, monkeypatch, nan_from):
+        model, ds = tiny_setup()
+        sigma, flag, _ = all_draws_search(model, ds, 8, nan_first_draw_from=nan_from)
+        assert flag == "non_finite"
+        search, original = srr.measures.sigma_search, srr.measures.cross_entropy_np
+        starting = []  # the sigma of a step whose first draw has not run yet
+
+        def marking_search(increase_fn, target):
+            def marked(s):
+                starting.append(s)
+                return increase_fn(s)
+
+            return search(marked, target)
+
+        def nan_on_first_draw(logits, y):
+            value = original(logits, y)
+            return math.nan if starting and starting.pop() >= nan_from else value
+
+        monkeypatch.setattr(srr.measures, "sigma_search", marking_search)
+        monkeypatch.setattr(srr.measures, "cross_entropy_np", nan_on_first_draw)
+        assert pac_bayes_sigma(model, ds, mc_samples=8) == (sigma, "non_finite")
 
 
 class TestMeasureVectorOfModel:

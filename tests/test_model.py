@@ -389,6 +389,12 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="unreadable checkpoint"):
             load_checkpoint(str(path))
 
+    def test_npy_file_rejected(self, tmp_path):
+        path = tmp_path / "v.npy"
+        np.save(str(path), np.zeros(3))
+        with pytest.raises(FormatError, match="unreadable checkpoint: one .npy array"):
+            load_checkpoint(str(path))
+
     def test_missing_parameter_rejected(self, tmp_path):
         path = str(tmp_path / "m.npz")
         save_checkpoint(init_model(tiny_cfg()), path)

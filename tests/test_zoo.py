@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,14 @@ DIVERGING = dataclasses.replace(MINI, lrs=(5e-3, 1e200), dropouts=(0.0,))
 
 def reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
+
+
+PROGRESS = re.compile(r"(run|measure)_zoo: \[(\d+)/(\d+)\] (\S+) (\w+) (\d+\.\d\d)s$")
+
+
+def diagnostics(err):
+    """The stderr lines that are not per-cell progress lines."""
+    return [line for line in err.splitlines() if not PROGRESS.match(line)]
 
 
 def run_mini(out_dir, **kw):
@@ -245,7 +254,7 @@ class TestMeasureZoo:
         # the healthy cell's row keeps its bytes; the broken cell has none
         assert text.split("\n") == [healthy[0], healthy[2], ""]
         assert healthy[2].startswith(good + ",")
-        [line] = capsys.readouterr().err.splitlines()
+        [line] = diagnostics(capsys.readouterr().err)
         assert bad in line and "FormatError" in line
 
     def test_zero_matrix_cell_gets_a_row_and_a_note(self, tmp_path, capsys):
@@ -262,7 +271,7 @@ class TestMeasureZoo:
         assert rows[1].startswith(zero + ",") and rows[2] == healthy[2]
         row = rows[1].split(",")
         assert row[1 + FIELD_ORDER.index("fro_over_spec")] == "nan"
-        notes = capsys.readouterr().err.splitlines()
+        notes = diagnostics(capsys.readouterr().err)
         assert f"measure_zoo: note: {zero}: fro_over_spec: zero spectral norm of head.weight" in notes
 
     def test_cell_notes_go_to_stderr(self, tmp_path, capsys):
@@ -270,7 +279,7 @@ class TestMeasureZoo:
         manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
         (flat, _), (good, _) = grid.cells()
         healthy = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
-        assert capsys.readouterr().err == ""
+        assert diagnostics(capsys.readouterr().err) == []
         # equal head rows and no bias: every logit ties, so the margin is zero
         path = str(tmp_path / manifest["cells"][flat]["checkpoint"])
         model = load_checkpoint(path)
@@ -278,7 +287,7 @@ class TestMeasureZoo:
         model.params["head.bias"].data[:] = 0.0
         save_checkpoint(model, path)
         rows = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
-        assert capsys.readouterr().err.splitlines() == [f"measure_zoo: note: {flat}: inv_margin: zero margin"]
+        assert diagnostics(capsys.readouterr().err) == [f"measure_zoo: note: {flat}: inv_margin: zero margin"]
         assert rows[1].startswith(flat + ",") and rows[2] == healthy[2] and rows[2].startswith(good + ",")
 
     def test_missing_zoo_rejected(self, tmp_path):
@@ -290,6 +299,48 @@ class TestMeasureZoo:
         first = Path(measure_zoo(str(tmp_path))).read_text()
         second = Path(measure_zoo(str(tmp_path))).read_text()
         assert first == second
+
+
+class TestProgress:
+    def test_one_stderr_line_per_cell_in_each_stage(self, tmp_path, capsys):
+        grid = dataclasses.replace(DIVERGING, lrs=(5e-3, 1e200, 1e-2), variants=("crate_c",))
+        keys = [key for key, _ in grid.cells()]
+        run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        trained = [PROGRESS.match(line).groups() for line in capsys.readouterr().err.splitlines()]
+        assert [(stage, int(i), int(n), key, status) for stage, i, n, key, status, _ in trained] == [
+            ("run", i, 3, key, "done") for i, key in enumerate(keys, 1)
+        ]
+        measure_zoo(str(tmp_path))
+        measured = [m.groups() for m in map(PROGRESS.match, capsys.readouterr().err.splitlines()) if m]
+        # the diverged cell has no row and no progress line
+        assert [(stage, int(i), int(n), key, status) for stage, i, n, key, status, _ in measured] == [
+            ("measure", 1, 2, keys[0], "measured"), ("measure", 2, 2, keys[2], "measured")
+        ]
+        assert all(float(seconds) >= 0 for *_, seconds in trained + measured)
+
+    def test_resumed_and_skipped_cells(self, tmp_path, capsys):
+        grid = dataclasses.replace(MINI, dropouts=(0.0,))
+        manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        (bad, _), (good, _) = grid.cells()
+        capsys.readouterr()
+        assert run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL) == manifest
+        assert capsys.readouterr().err == ""  # nothing left to train
+        ckpt = tmp_path / manifest["cells"][bad]["checkpoint"]
+        ckpt.write_bytes(b"")
+        measure_zoo(str(tmp_path))
+        lines = capsys.readouterr().err.splitlines()
+        assert [m.group(2, 3, 4, 5) for m in map(PROGRESS.match, lines) if m] == [
+            ("1", "2", bad, "skipped"), ("2", "2", good, "measured")
+        ]
+
+    def test_artifacts_carry_no_progress(self, tmp_path, capsys):
+        run_mini(tmp_path)
+        measure_zoo(str(tmp_path))
+        printed = capsys.readouterr().err.splitlines()
+        assert len(printed) == 2 * len(MINI.cells()) and all(map(PROGRESS.match, printed))
+        for path in tmp_path.iterdir():
+            text = path.read_bytes()
+            assert b"run_zoo" not in text and b"measure_zoo" not in text
 
 
 class TestRecordsAndReport:
