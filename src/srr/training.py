@@ -14,7 +14,6 @@ piecewise constant).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,11 +206,10 @@ class EpochStats:
     val_ce: float
     val_acc: float
     lr: float
-    wall_time: float
     reg_value: float = 0.0
 
 
-TRACE_COLUMNS = ("epoch", "train_ce", "train_acc", "val_ce", "val_acc", "lr", "wall_time", "reg_value")
+TRACE_COLUMNS = ("epoch", "train_ce", "train_acc", "val_ce", "val_acc", "lr", "reg_value")
 
 
 def _trace_row(e: EpochStats) -> str:
@@ -223,11 +221,7 @@ class TrainingTrace:
     epochs: list[EpochStats] = field(default_factory=list)
     converged: bool = False
     diverged: bool = False
-    stopped_epoch: int | None = None
     note: str = ""
-
-    def to_csv_text(self) -> str:
-        return "\n".join([",".join(TRACE_COLUMNS)] + [_trace_row(e) for e in self.epochs]) + "\n"
 
 
 def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None) -> TrainingTrace:
@@ -249,7 +243,6 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
             fh.write(",".join(TRACE_COLUMNS) + "\n")
 
     for epoch in range(cfg.epochs):
-        t_start = time.perf_counter()
         lr = schedule_lr(cfg, epoch)
         perm = rng_for(cfg.seed, "shuffle", epoch).permutation(n)
         ce_sum = acc_sum = reg_sum = 0.0
@@ -284,7 +277,6 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
             val_ce=val_ce,
             val_acc=val_acc,
             lr=lr,
-            wall_time=time.perf_counter() - t_start,
             reg_value=reg_sum / seen,
         )
         trace.epochs.append(stats)
@@ -293,7 +285,6 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
                 fh.write(_trace_row(stats) + "\n")
         if stats.train_ce <= cfg.stop_criterion:
             trace.converged = True
-            trace.stopped_epoch = epoch
             break
     return trace
 

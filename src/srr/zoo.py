@@ -18,13 +18,14 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from . import layers as ly
 from .analysis import HyperPoint, ZooRecord, CorrelationReport, correlation_report
 from .data import DatasetSpec, build_dataset
-from .errors import ConfigError, FormatError, NumericError, config_fields
+from .errors import ConfigError, FormatError, config_fields
 from .linalg import stable_seed
 from .measures import FIELD_ORDER, measure_csv_row, measure_vector, measures_csv_header
 from .model import ModelConfig, _write_atomic, init_model, load_checkpoint, save_checkpoint
@@ -133,9 +134,14 @@ def _cell_configs(pt: HyperPoint, seed: int, model_template: ModelConfig, train_
     return mcfg, tcfg
 
 
-def _run_cell(args) -> dict:
+def _failed_entry(pt: HyperPoint, seed: int, exc: Exception) -> dict:
+    return {"status": "failed", "coords": dataclasses.asdict(pt), "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_cell(args) -> tuple[dict, float]:
+    """Train one cell: its manifest entry, and its seconds for the progress line only."""
     key, pt, seed, model_template, train_template, data_spec, out_dir = args
-    started = time.time()
+    started = time.perf_counter()
     try:
         mcfg, tcfg = _cell_configs(pt, seed, model_template, train_template)
         dataset = build_dataset(data_spec)
@@ -159,19 +165,26 @@ def _run_cell(args) -> dict:
             "val_ce": _finite_or_none(val_ce),
             "gap": _finite_or_none(val_ce - train_ce),
             "epochs_run": len(trace.epochs),
-            "wall_time": time.time() - started,
         }
         if trace.note:
             entry["note"] = trace.note
-        return entry
     except Exception as exc:  # cell failure must not kill the zoo
-        return {
-            "status": "failed",
-            "coords": dataclasses.asdict(pt),
-            "seed": seed,
-            "error": f"{type(exc).__name__}: {exc}",
-            "wall_time": time.time() - started,
-        }
+        entry = _failed_entry(pt, seed, exc)
+    return entry, time.perf_counter() - started
+
+
+def _pooled_cells(pool: ProcessPoolExecutor, pending: list):
+    """(key, entry, seconds) of each cell as its worker finishes.  A worker
+    that dies (BrokenProcessPool) fails every cell whose result never
+    arrived, so the sweep still ends with a manifest."""
+    started = time.perf_counter()
+    futures = {pool.submit(_run_cell, args): args for args in pending}
+    for future in as_completed(futures):
+        key, pt, seed, *_ = futures[future]
+        try:
+            yield key, *future.result()
+        except BrokenProcessPool as exc:
+            yield key, _failed_entry(pt, seed, exc), time.perf_counter() - started
 
 
 def run_zoo(
@@ -186,16 +199,28 @@ def run_zoo(
     """Train every grid cell, resuming from an existing manifest.
 
     Cells already marked done (or failed, unless retry_failed) are skipped;
-    each cell trained prints one progress line to stderr.  Returns the
-    final manifest dict.
+    each cell trained prints one progress line to stderr.  Resuming with
+    another data spec or train template raises ConfigError, since the cells
+    already trained would no longer match the manifest.  Returns the final
+    manifest dict.
     """
     os.makedirs(out_dir, exist_ok=True)
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
     manifest = _read_manifest(out_dir)
     manifest.setdefault("cells", {})
-    manifest["grid"] = dataclasses.asdict(grid)
-    manifest["data"] = dataclasses.asdict(data)
-    manifest["train_template"] = dataclasses.asdict(train_template)
+    # compared in the form the manifest stores them, after a JSON round trip
+    settings = {"data": dataclasses.asdict(data), "train_template": dataclasses.asdict(train_template)}
+    settings = json.loads(json.dumps(settings))
+    if manifest["cells"]:
+        for section, now in settings.items():
+            was = manifest.get(section, {})
+            for name in [*now, *was]:
+                if was.get(name) != now.get(name):
+                    raise ConfigError(
+                        f"{out_dir} holds cells trained with {section}.{name} = {was.get(name)!r}, "
+                        f"not {now.get(name)!r}; train into a new directory"
+                    )
+    manifest.update(settings, grid=dataclasses.asdict(grid))
 
     pending = []
     for key, pt in grid.cells():
@@ -205,12 +230,13 @@ def run_zoo(
                 continue
         pending.append((key, pt, grid.cell_seed(pt), model_template, train_template, data, out_dir))
 
-    # one worker trains in this process, in order, writing the manifest after each cell
+    # one worker trains in this process, in order; the manifest is written after each cell
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for i, ((key, *_), entry) in enumerate(zip(pending, (pool.map if pool else map)(_run_cell, pending)), 1):
+        cells = _pooled_cells(pool, pending) if pool else ((args[0], *_run_cell(args)) for args in pending)
+        for i, (key, entry, seconds) in enumerate(cells, 1):
             manifest["cells"][key] = entry
             _write_manifest(out_dir, manifest)
-            _progress("run_zoo", i, len(pending), key, entry["status"], entry["wall_time"])
+            _progress("run_zoo", i, len(pending), key, entry["status"], seconds)
     _write_manifest(out_dir, manifest)
     return manifest
 
@@ -222,9 +248,10 @@ def _progress(stage: str, index: int, total: int, key: str, status: str, seconds
 def measure_zoo(out_dir: str, seed: int = 0) -> str:
     """Evaluate the full measure vector for every trained cell on the
     manifest's dataset; writes measures.csv in grid cell order and returns
-    its path.  A cell whose checkpoint is unreadable or whose measures fail
-    numerically gets no row, like a diverged cell, and one stderr line, as
-    does each note ``measure_vector`` returns (a NaN or pinned field).
+    its path.  A cell whose checkpoint is missing, unreadable or of another
+    geometry, or whose measures raise, gets no row, like a diverged cell,
+    and one stderr line, as does each note ``measure_vector`` returns (a
+    NaN or pinned field).
     Each measured or skipped cell ends with a progress line on stderr."""
     manifest = _read_manifest(out_dir)
     if not manifest["cells"]:
@@ -243,7 +270,7 @@ def measure_zoo(out_dir: str, seed: int = 0) -> str:
         try:
             model = load_checkpoint(os.path.join(out_dir, entry["checkpoint"]))
             mv, errors = measure_vector(model, dataset, seed=seed)
-        except (FormatError, NumericError) as exc:
+        except Exception as exc:  # one bad cell must not end the stage
             print(f"measure_zoo: skipped cell {key}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = "skipped"
         else:

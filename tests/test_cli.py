@@ -253,6 +253,17 @@ class TestZooCommand:
         model = load_checkpoint(str(zoo_dir / manifest["cells"]["bs4-lr0.001-w48-do0.0-crate_c"]["checkpoint"]))
         assert (model.cfg.patch, model.cfg.num_classes, model.cfg.d) == (8, 100, 48)
 
+    def test_resume_with_other_data_is_a_clean_error(self, tmp_path, capsys):
+        grid = self.grid_config(tmp_path)
+        zoo_dir = str(tmp_path / "zoo")
+        assert main(["zoo", "--grid", grid, "--out", zoo_dir]) == 0
+        cfg = json.loads(Path(grid).read_text())
+        cfg["data"]["separation"] = 1.0
+        capsys.readouterr()
+        assert main(["zoo", "--grid", write_config(tmp_path, cfg, "grid.json"), "--out", zoo_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "data.separation = 4.0, not 1.0" in err
+
     def test_correlate_without_measures_file(self, tmp_path, capsys):
         grid = self.grid_config(tmp_path)
         zoo_dir = str(tmp_path / "zoo")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 from srr.data import DatasetSpec
 from srr.errors import ConfigError, FormatError
 from srr.measures import FIELD_ORDER
-from srr.model import ModelConfig, load_checkpoint, save_checkpoint
+from srr.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from srr.training import TrainConfig
+from srr import zoo
 from srr.zoo import (
     GridSpec,
     MANIFEST_NAME,
@@ -63,6 +65,21 @@ def run_mini(out_dir, **kw):
 
 def run_conv(out_dir, **kw):
     return run_zoo(MINI_CONV, DATA, CONV_TRAIN, str(out_dir), model_template=MODEL, **kw)
+
+
+def measure_with_one_damaged_checkpoint(tmp_path, capsys, damage):
+    """Measure a 2-cell zoo, apply ``damage`` to the first cell's checkpoint
+    path and measure again.  Returns the first cell's key, the stderr lines
+    that are not progress lines, and the lines of both measures.csv files."""
+    grid = dataclasses.replace(MINI, dropouts=(0.0,))
+    manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
+    (bad, _), (good, _) = grid.cells()
+    healthy = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
+    capsys.readouterr()
+    damage(tmp_path / manifest["cells"][bad]["checkpoint"])
+    damaged = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
+    assert healthy[2].startswith(good + ",")
+    return bad, diagnostics(capsys.readouterr().err), healthy, damaged
 
 
 class TestGridSpec:
@@ -202,6 +219,54 @@ class TestRunZoo:
                            retry_failed=True)
         assert all(e["status"] == "done" for e in manifest["cells"].values())
 
+    @pytest.mark.parametrize(
+        "changed, name",
+        [
+            ({"data": dataclasses.replace(DATA, separation=1.0)}, "data.separation = 4.0, not 1.0"),
+            ({"train_template": dataclasses.replace(TRAIN, epochs=4)}, "train_template.epochs = 3, not 4"),
+        ],
+        ids=["data", "train_template"],
+    )
+    def test_resume_with_other_settings_rejected(self, tmp_path, changed, name):
+        grid = dataclasses.replace(MINI, dropouts=(0.0,))
+        settings = {"data": DATA, "train_template": TRAIN}
+        run_zoo(grid, **settings, out_dir=str(tmp_path), model_template=MODEL)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        # the trained cells would no longer match the manifest's data or template
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            run_zoo(grid, **{**settings, **changed}, out_dir=str(tmp_path), model_template=MODEL)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_done_entry_carries_what_the_benchmark_reads(self, tmp_path):
+        # bench/workloads.py reads status, converged and gap, and bench/tracer.py
+        # reads epochs_run through .get(..., 0), so a rename would count 0 epochs
+        for entry in run_mini(tmp_path)["cells"].values():
+            assert entry["status"] == "done"
+            assert type(entry["converged"]) is bool and type(entry["gap"]) is float
+            assert type(entry["epochs_run"]) is int and entry["epochs_run"] == 3
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched train only when forked")
+    def test_crashed_worker_fails_its_cell_and_retry_trains_it(self, tmp_path, monkeypatch):
+        grid = dataclasses.replace(MINI, dropouts=(0.0,), variants=("crate_c", "crate_n", "crate_t"))
+        keys = [key for key, _ in grid.cells()]
+        real_train = zoo.train
+
+        def crash_on_second_cell(model, dataset, cfg, trace_path=None):
+            if os.path.basename(trace_path).startswith(keys[1] + "."):
+                os._exit(1)
+            return real_train(model, dataset, cfg, trace_path=trace_path)
+
+        monkeypatch.setattr(zoo, "train", crash_on_second_cell)
+        manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL, workers=2)
+        assert sorted(manifest["cells"]) == sorted(keys)
+        assert json.loads((tmp_path / MANIFEST_NAME).read_text())["cells"] == manifest["cells"]
+        crashed = manifest["cells"][keys[1]]
+        assert crashed["status"] == "failed" and crashed["error"].startswith("BrokenProcessPool: ")
+        monkeypatch.undo()
+        manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL, workers=2, retry_failed=True)
+        assert [manifest["cells"][key]["status"] for key in keys] == ["done"] * 3
+
     def test_cell_seeds_recorded(self, tmp_path):
         manifest = run_mini(tmp_path)
         for key, pt in MINI.cells():
@@ -243,19 +308,28 @@ class TestMeasureZoo:
         assert all(not manifest["cells"][key]["diverged"] for key in keys)
 
     def test_unreadable_checkpoint_skips_only_its_cell(self, tmp_path, capsys):
-        grid = dataclasses.replace(MINI, dropouts=(0.0,))
-        manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL)
-        (bad, _), (good, _) = grid.cells()
-        healthy = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
-        capsys.readouterr()
-        ckpt = tmp_path / manifest["cells"][bad]["checkpoint"]
-        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
-        text = Path(measure_zoo(str(tmp_path))).read_text()
+        def truncate(ckpt):
+            ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+
+        bad, [line], healthy, damaged = measure_with_one_damaged_checkpoint(tmp_path, capsys, truncate)
         # the healthy cell's row keeps its bytes; the broken cell has none
-        assert text.split("\n") == [healthy[0], healthy[2], ""]
-        assert healthy[2].startswith(good + ",")
-        [line] = diagnostics(capsys.readouterr().err)
+        assert damaged == [healthy[0], healthy[2], ""]
         assert bad in line and "FormatError" in line
+
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            (os.remove, "FileNotFoundError"),
+            # a well-formed checkpoint of a model that reads 5-dim features, where the data has 6
+            (lambda ckpt: save_checkpoint(init_model(dataclasses.replace(MODEL, feat_dim=5)), str(ckpt)),
+             "ShapeError: expected 5-dim feature columns, got 6"),
+        ],
+        ids=["missing", "other-geometry"],
+    )
+    def test_any_bad_checkpoint_skips_only_its_cell(self, tmp_path, capsys, damage, error):
+        bad, [line], healthy, damaged = measure_with_one_damaged_checkpoint(tmp_path, capsys, damage)
+        assert damaged == [healthy[0], healthy[2], ""]
+        assert line.startswith(f"measure_zoo: skipped cell {bad}: {error}")
 
     def test_zero_matrix_cell_gets_a_row_and_a_note(self, tmp_path, capsys):
         grid = dataclasses.replace(MINI, dropouts=(0.0,))
@@ -341,6 +415,22 @@ class TestProgress:
         for path in tmp_path.iterdir():
             text = path.read_bytes()
             assert b"run_zoo" not in text and b"measure_zoo" not in text
+
+
+class TestReproducibility:
+    def test_every_file_is_byte_identical_whatever_the_workers(self, tmp_path):
+        dirs = [tmp_path / name for name in ("first", "second", "two-workers")]
+        for out, workers in zip(dirs, (1, 1, 2)):
+            run_conv(out, workers=workers)
+            measure_zoo(str(out))
+            correlate_zoo(str(out)).save(out / "report.csv")
+        names = sorted(path.name for path in dirs[0].iterdir())
+        # a manifest, a measures file, a report, and a checkpoint and a trace per cell
+        assert len(names) == 3 + 2 * len(MINI_CONV.cells())
+        for out in dirs[1:]:
+            assert sorted(path.name for path in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (dirs[0] / name).read_bytes(), name
 
 
 class TestRecordsAndReport:
