@@ -3,20 +3,25 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates vector-Jacobian products into ``.grad`` of every tensor that
-requires gradients.  A ``cut`` is an identity node where a segment of the
-tape begins; ``segmented_sum`` walks two tapes in turn, the second with its
-cuts closed, so a term of the second tape is differentiated only inside
-its own segment.  Its walks release each interior node's ``.grad`` once
-that node's VJP has run, so the second walk finds the nodes it shares with
-the first fresh, and only leaves keep theirs.
+requires gradients.
+
+Every op states its value and one map per parent, from the cotangent g of
+its result to that parent's term, and ``_node`` routes them by one rule:
+each parent that requires grad, in parent order, gets its map of g summed
+back down to its shape (broadcasting follows numpy), and the map of a
+parent that needs no gradient is never called.
+
+A ``cut`` is an identity node where a segment of the tape begins;
+``segmented_sum``, the one op with a VJP of its own, walks two tapes in
+turn, the second with its cuts closed, so a term of the second tape is
+differentiated only inside its own segment.  Its walks release each
+interior node's ``.grad`` once that node's VJP has run, so the second walk
+finds the nodes it shares with the first fresh, and only leaves keep theirs.
 
 Only the operations the models actually use are implemented, several of
 them fused (softmax over columns, layer norm over columns, the log-det Gram
 volume, softmax cross-entropy) so their backward passes are both fast and
 numerically tight.
-
-Broadcasting follows numpy; gradients flowing into a broadcast operand are
-summed back down to its original shape.
 """
 
 from __future__ import annotations
@@ -96,112 +101,55 @@ class Tensor:
     # ------------------------------------------------------------------ arithmetic
     def __add__(self, other):
         other = as_tensor(other)
-
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
-
-        return Tensor(self.data + other.data, _parents=(self, other), _vjp=vjp)
+        return _node(self.data + other.data, (self, other), (None, None))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = as_tensor(other)
-
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.data.shape))
-
-        return Tensor(self.data - other.data, _parents=(self, other), _vjp=vjp)
+        return _node(self.data - other.data, (self, other), (None, np.negative))
 
     def __rsub__(self, other):
         return as_tensor(other) - self
 
     def __mul__(self, other):
         other = as_tensor(other)
-
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-
-        return Tensor(self.data * other.data, _parents=(self, other), _vjp=vjp)
+        return _node(self.data * other.data, (self, other), (lambda g: g * other.data, lambda g: g * self.data))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        a, b = self, other
-
-        def vjp(g):
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accumulate(_unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accumulate(_unbroadcast(gb, b.data.shape))
-
-        return Tensor(a.data @ b.data, _parents=(a, b), _vjp=vjp)
-
-    def __rmatmul__(self, other):
-        return as_tensor(other) @ self
+        return _node(
+            self.data @ other.data,
+            (self, other),
+            (lambda g: g @ np.swapaxes(other.data, -1, -2), lambda g: np.swapaxes(self.data, -1, -2) @ g),
+        )
 
     # ------------------------------------------------------------------ shape ops
     @property
     def mT(self) -> "Tensor":
         """Transpose of the last two axes."""
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(g, -1, -2))
-
-        return Tensor(np.swapaxes(self.data, -1, -2), _parents=(self,), _vjp=vjp)
-
-    def reshape(self, *shape) -> "Tensor":
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.data.shape))
-
-        return Tensor(self.data.reshape(shape), _parents=(self,), _vjp=vjp)
+        return _node(np.swapaxes(self.data, -1, -2), (self,), (lambda g: np.swapaxes(g, -1, -2),))
 
     def __getitem__(self, idx) -> "Tensor":
-        def vjp(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                full[idx] = g
-                self._accumulate(full)
+        def scatter(g):
+            full = np.zeros_like(self.data)
+            full[idx] = g
+            return full
 
-        return Tensor(self.data[idx], _parents=(self,), _vjp=vjp)
-
-    def broadcast_to(self, shape) -> "Tensor":
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-
-        return Tensor(np.broadcast_to(self.data, shape), _parents=(self,), _vjp=vjp)
+        return _node(self.data[idx], (self,), (scatter,))
 
     # ------------------------------------------------------------------ reductions
     def sum(self) -> "Tensor":
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-
-        return Tensor(self.data.sum(), _parents=(self,), _vjp=vjp)
+        return _node(self.data.sum(), (self,), (lambda g: np.broadcast_to(g, self.data.shape).copy(),))
 
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.data.size)
 
     # ------------------------------------------------------------------ nonlinearities
     def relu(self) -> "Tensor":
-        def vjp(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > 0.0))
-
-        return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _vjp=vjp)
+        return _node(np.maximum(self.data, 0.0), (self,), (lambda g: g * (self.data > 0.0),))
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -210,6 +158,20 @@ class Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _node(value, parents: tuple, maps: tuple) -> Tensor:
+    """The tensor ``value`` computed from ``parents``.  Its VJP routes the
+    cotangent g into each parent that requires grad, in parent order, as
+    ``map(g)`` summed down to that parent's shape (a map of None passes g
+    on as it is); the map of a parent that needs no gradient is never
+    called."""
+    def vjp(g):
+        for parent, grad_map in zip(parents, maps):
+            if parent.requires_grad:
+                parent._accumulate(_unbroadcast(g if grad_map is None else grad_map(g), parent.data.shape))
+
+    return Tensor(value, _parents=parents, _vjp=vjp)
 
 
 def _walk(root: Tensor, g: np.ndarray, release: bool) -> None:
@@ -252,10 +214,7 @@ def cut(x: Tensor) -> Tensor:
     for its second walk: it then reads as a constant, and a walk stops there
     as it would at ``x.detach()``.
     """
-    def vjp(g):
-        x._accumulate(g)
-
-    return Tensor(x.data, _parents=(x,), _vjp=vjp)
+    return _node(x.data, (x,), (None,))
 
 
 def segmented_sum(first: Tensor, second: Tensor, cuts) -> Tensor:
@@ -285,30 +244,22 @@ def segmented_sum(first: Tensor, second: Tensor, cuts) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; gradients are split back by size."""
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors), _vjp=vjp)
+    tensors = tuple(as_tensor(t) for t in tensors)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    lead = (slice(None),) * (axis % tensors[0].data.ndim)  # the axes before ``axis``
+    maps = tuple(lambda g, part=slice(lo, hi): g[lead + (part,)] for lo, hi in zip(offsets[:-1], offsets[1:]))
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, maps)
 
 
 def softmax_cols(scores: Tensor) -> Tensor:
     """Softmax over axis -2 (column-normalized), fused forward/backward."""
     sm = _softmax(scores.data, -2)
 
-    def vjp(g):
-        if scores.requires_grad:
-            inner = (g * sm).sum(axis=-2, keepdims=True)
-            scores._accumulate(sm * (g - inner))
+    def grad(g):
+        inner = (g * sm).sum(axis=-2, keepdims=True)
+        return sm * (g - inner)
 
-    return Tensor(sm, _parents=(scores,), _vjp=vjp)
+    return _node(sm, (scores,), (grad,))
 
 
 def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -327,19 +278,16 @@ def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).mean(axis=-2, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
+    cols = (0, -1) if x.data.ndim == 3 else -1  # the batch and token axes
 
-    def vjp(g):
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).sum(axis=(0, -1)) if g.ndim == 3 else (g * xhat).sum(axis=-1))
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, -1)) if g.ndim == 3 else g.sum(axis=-1))
-        if x.requires_grad:
-            gx = g * gcol
-            term1 = gx.mean(axis=-2, keepdims=True)
-            term2 = (gx * xhat).mean(axis=-2, keepdims=True)
-            x._accumulate(inv * (gx - term1 - xhat * term2))
+    def grad_x(g):
+        gx = g * gcol
+        term1 = gx.mean(axis=-2, keepdims=True)
+        term2 = (gx * xhat).mean(axis=-2, keepdims=True)
+        return inv * (gx - term1 - xhat * term2)
 
-    return Tensor(gcol * xhat + bias.data.reshape((d, 1)), _parents=(x, gain, bias), _vjp=vjp)
+    maps = (grad_x, lambda g: (g * xhat).sum(axis=cols), lambda g: g.sum(axis=cols))
+    return _node(gcol * xhat + bias.data.reshape((d, 1)), (x, gain, bias), maps)
 
 
 def logdet_gram(z: Tensor, scale: float) -> Tensor:
@@ -368,18 +316,16 @@ def logdet_gram(z: Tensor, scale: float) -> Tensor:
         raise NumericError("Gram log-volume: matrix lost positive definiteness") from exc
     diag = np.diagonal(chol, axis1=-2, axis2=-1)
 
-    def vjp(g):
-        if not z.requires_grad:
-            return
+    def grad(g):
         if use_cols:
             # z @ M^{-1}: solve M X = z^T then transpose
             sol = np.linalg.solve(M, np.swapaxes(z.data, -1, -2))
             dz = scale * np.swapaxes(sol, -1, -2)
         else:
             dz = scale * np.linalg.solve(M, z.data)
-        z._accumulate(np.asarray(g)[..., None, None] * dz)
+        return np.asarray(g)[..., None, None] * dz
 
-    return Tensor(np.log(diag).sum(axis=-1), _parents=(z,), _vjp=vjp)
+    return _node(np.log(diag).sum(axis=-1), (z,), (grad,))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -392,11 +338,9 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     labels = np.asarray(labels)
     B = logits.data.shape[0]
 
-    def vjp(g):
-        if logits.requires_grad:
-            probs = _softmax(logits.data, 1)
-            probs[np.arange(B), labels] -= 1.0
-            logits._accumulate(float(g) * probs / B)
+    def grad(g):
+        probs = _softmax(logits.data, 1)
+        probs[np.arange(B), labels] -= 1.0
+        return float(g) * probs / B
 
-    return Tensor(cross_entropy_np(logits.data, labels), _parents=(logits,), _vjp=vjp)
-
+    return _node(cross_entropy_np(logits.data, labels), (logits,), (grad,))

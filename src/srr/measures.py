@@ -174,6 +174,7 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
     they come back NaN with an explanation in the errors dict while
     everything else is still computed.
     """
+    model.check_labels(dataset)
     init_snapshot = model.init_snapshot
     mv = MeasureVector()
     errors: dict[str, str] = {}

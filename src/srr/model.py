@@ -18,7 +18,7 @@ import numpy as np
 
 from . import layers as ly
 from . import rates
-from .autodiff import Tensor, as_tensor, concat, cut, logdet_gram
+from .autodiff import Tensor, _node, as_tensor, cut, logdet_gram
 from .errors import ConfigError, FormatError, NumericError, ShapeError, config_fields
 from .linalg import rng_for
 
@@ -137,28 +137,35 @@ class Model:
         and the head — every 2-d parameter but the positional table."""
         return [(name, t.data) for name, t in self.params.items() if t.ndim == 2 and name != "pos"]
 
+    def check_labels(self, dataset) -> None:
+        """ConfigError naming both class counts unless every label of both splits is below ``cfg.num_classes``."""
+        if max(np.max(dataset.train_y, initial=-1), np.max(dataset.val_y, initial=-1)) >= self.cfg.num_classes:
+            raise ConfigError(f"the data has {dataset.num_classes} classes, the model {self.cfg.num_classes}")
+
     # ------------------------------------------------------------------
     def embed_inputs(self, raw: np.ndarray, train_mode: bool = False, rng=None):
         """Feature columns (B, F, T) or (F, T) -> token matrix with CLS and
-        positional encoding.  Training mode builds the autodiff graph and
-        applies embedding dropout."""
+        positional encoding, by one ndarray kernel on both paths.  Training
+        mode returns the tokens as one autodiff node behind the embedding,
+        CLS and positional parameters (each gets one gradient term per
+        walk) and applies embedding dropout."""
         raw = np.asarray(raw, dtype=np.float64)
         single = raw.ndim == 2
         if single:
             raw = raw[None]
         if raw.shape[1] != self.cfg.in_dim:
             raise ShapeError(f"expected {self.cfg.in_dim}-dim feature columns, got {raw.shape[1]}")
-        P = self._table(train_mode)
-        embed, cls, pos = P["embed"], P["cls"], P["pos"]
+        if raw.shape[2] != self.cfg.grid_tokens:
+            raise ShapeError(f"expected {self.cfg.grid_tokens} tokens per sample, got {raw.shape[2]}")
+        embed, cls, pos = self.params["embed"], self.params["cls"], self.params["pos"]
         B, _, T = raw.shape
+        tok = np.empty((B, self.cfg.d, T + 1))
+        tok[..., 0] = cls.data
+        np.matmul(embed.data, raw, out=tok[..., 1:])
+        tok += pos.data
         if train_mode:
-            head_col = cls.reshape(self.cfg.d, 1).broadcast_to((B, self.cfg.d, 1))
-            tok = concat([head_col, embed @ Tensor(raw)], axis=-1) + pos
-        else:
-            tok = np.empty((B, self.cfg.d, T + 1))
-            tok[..., 0] = cls
-            np.matmul(embed, raw, out=tok[..., 1:])
-            tok += pos
+            maps = (lambda g: g[..., 1:] @ raw.mT, lambda g: g[..., 0], None)
+            tok = _node(tok, (embed, cls, pos), maps)
         if train_mode and self.cfg.dropout > 0.0:
             if rng is None:
                 raise ConfigError("training-mode dropout needs an rng")

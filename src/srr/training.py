@@ -233,6 +233,7 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
     """
     if cfg.reg_mode == "fixed_layer" and cfg.reg_layer > model.cfg.L:
         raise ConfigError(f"reg_layer {cfg.reg_layer} exceeds model depth {model.cfg.L}")
+    model.check_labels(dataset)
     n = dataset.n_train
     if n == 0:
         raise ConfigError("empty training set")

@@ -204,6 +204,8 @@ def run_zoo(
     already trained would no longer match the manifest.  Returns the final
     manifest dict.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
     manifest = _read_manifest(out_dir)
@@ -299,6 +301,8 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
     for row in rows[1:]:
         parts = row.split(",")
         key = parts[0]
+        if len(parts) != len(header):
+            raise FormatError(f"measures.csv row {key!r} has {len(parts)} fields, its header {len(header)}")
         entry = manifest["cells"].get(key)
         if entry is None:
             raise FormatError(f"measures.csv row {key!r} not in manifest")

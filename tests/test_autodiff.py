@@ -4,6 +4,7 @@ import pytest
 import srr.autodiff as ad
 from srr.errors import ShapeError
 from srr.linalg import logdet_psd, rng_for, softmax_columns
+from srr.model import Model, ModelConfig, init_model
 
 
 def numeric_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -51,12 +52,12 @@ class TestBasicOps:
         # every op on constants drops its VJP closure, and with it the
         # intermediate arrays the closure would keep alive
         a = ad.Tensor(rng_for(3).standard_normal((2, 4, 4)))
-        col = ad.concat([a[:, :, :1].mT.reshape(2, 4, 1), 1.0 - a[:, :, 1:2]], axis=-1)
+        col = ad.concat([a[:, :1, :].mT, 1.0 - a[:, :, 1:2]], axis=-1)
         outs = [
             ad.logdet_gram(ad.softmax_cols(a @ a), 1.0),
             ad.layer_norm_cols(a, np.ones(4), np.zeros(4)),
             ad.softmax_cross_entropy(a[:, 0, :], np.array([0, 1])),
-            (a * 2.0 - 1.0).relu().broadcast_to((3, 2, 4, 4)),
+            (a * 2.0 - 1.0).relu() + np.zeros((3, 2, 4, 4)),
             col.mean(),
         ]
         for out in outs:
@@ -107,9 +108,10 @@ class TestBasicOps:
         want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), A0)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
-    def test_getitem_and_reshape(self):
+    def test_getitem_gradient(self):
         x0 = rng_for(7).standard_normal((3, 4))
-        build = lambda x: (x[1:, :2].reshape(4) * np.arange(4.0)).sum()
+        # overlapping reads of one entry add up
+        build = lambda x: (x[1:, :2] * np.arange(4.0).reshape(2, 2)).sum() + (x[::2, 1] * x[2, 1:3]).sum()
         got = grad_of(build, x0)
         want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
         np.testing.assert_allclose(got, want, atol=1e-6)
@@ -152,6 +154,25 @@ class TestBasicOps:
         (ad.concat([a, b], axis=0) * w).sum().backward()
         np.testing.assert_allclose(a.grad, w[:2])
         np.testing.assert_allclose(b.grad, w[2:])
+
+    def test_node_calls_only_the_maps_of_parents_with_grad(self):
+        a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        b = ad.Tensor(np.ones(3), requires_grad=True)
+        const = ad.Tensor(np.ones(3))
+        calls = []
+
+        def scaled(name, factor):
+            def grad_map(g):
+                calls.append(name)
+                return factor * g
+
+            return grad_map
+
+        maps = (scaled("a", 2.0), scaled("const", 1.0), scaled("b", 3.0))
+        ad._node(a.data + const.data + b.data, (a, const, b), maps).sum().backward()
+        assert calls == ["a", "b"]  # parent order, the constant's map never runs
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(b.grad, np.full(3, 6.0))  # summed down over the broadcast axis
 
     def test_detach_blocks_gradient(self):
         x = ad.Tensor([2.0], requires_grad=True)
@@ -330,3 +351,21 @@ class TestTape:
         ((h * h).sum() + (h.detach() @ w).sum()).backward()
         np.testing.assert_array_equal(seg[0], x.grad)
         np.testing.assert_array_equal(seg[1], w.grad)
+
+
+class TestEmbedNode:
+    def test_train_mode_embedding_is_the_kernel_with_exact_gradients(self):
+        cfg = ModelConfig(L=1, d=4, K=2, feat_dim=3, num_tokens=2, num_classes=2, seed=5)
+        model = init_model(cfg)
+        raw = rng_for(30).standard_normal((2, cfg.in_dim, cfg.grid_tokens))
+        w = rng_for(31).standard_normal((2, cfg.d, cfg.tokens))
+        tok = model.embed_inputs(raw, train_mode=True)
+        assert np.array_equal(tok.data, model.embed_inputs(raw))
+        (tok * w).sum().backward()
+        for name in ("embed", "cls", "pos"):
+            def loss(a, name=name):
+                other = Model(cfg, {**model.params, name: ad.Tensor(a)}, None)
+                return float(np.sum(other.embed_inputs(raw) * w))
+
+            want = numeric_grad(loss, model.params[name].data.copy())
+            np.testing.assert_allclose(model.params[name].grad, want, atol=1e-7, err_msg=name)

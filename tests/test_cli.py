@@ -158,6 +158,14 @@ class TestTrainCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_fewer_model_classes_than_data_classes_is_a_clean_error(self, tmp_path, capsys):
+        cfg = dict(SYNTH, data=dict(SYNTH["data"], classes=3), model=dict(SYNTH["model"], num_classes=2))
+        ckpt = tmp_path / "m.npz"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "data has 3 classes, the model 2" in err
+        assert not ckpt.exists()
+
 
 class TestProbeCommand:
     def test_probe_csv(self, tmp_path, capsys):
@@ -183,6 +191,14 @@ class TestProbeCommand:
             rows[lam] = Path(out).read_text().strip().split("\n")[1].split(",")
         assert rows["0.1"][1] == rows["0.4"][1]  # r unchanged
         assert float(rows["0.1"][4]) != float(rows["0.4"][4])
+
+    def test_token_count_mismatch_is_a_clean_error(self, tmp_path, capsys):
+        _, ckpt, _ = train_small(tmp_path)
+        cfg = write_config(tmp_path, dict(SYNTH, data=dict(SYNTH["data"], tokens=3)), "short.json")
+        capsys.readouterr()
+        assert main(["probe", "--checkpoint", ckpt, "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "expected 4 tokens per sample, got 3" in err
 
 
 class TestZooCommand:
@@ -264,6 +280,14 @@ class TestZooCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "data.separation = 4.0, not 1.0" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_clean_error(self, tmp_path, capsys, workers):
+        zoo_dir = tmp_path / "zoo"
+        assert main(["zoo", "--grid", self.grid_config(tmp_path), "--out", str(zoo_dir), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"workers must be at least 1, got {workers}" in err
+        assert not zoo_dir.exists()
+
     def test_correlate_without_measures_file(self, tmp_path, capsys):
         grid = self.grid_config(tmp_path)
         zoo_dir = str(tmp_path / "zoo")
@@ -343,6 +367,16 @@ class TestMeasureCommand:
             assert main(["measure", "--checkpoint", ckpt, "--config", cfg, "--out", str(out), *extra]) == 0
             rows[name] = out.read_text()
         assert rows["own"] == rows["file"]
+
+    def test_checkpoint_with_fewer_classes_than_the_data_is_a_clean_error(self, tmp_path, capsys):
+        _, ckpt, _ = train_small(tmp_path)
+        cfg = write_config(tmp_path, dict(SYNTH, data=dict(SYNTH["data"], classes=3)), "three.json")
+        out = tmp_path / "row.csv"
+        capsys.readouterr()
+        assert main(["measure", "--checkpoint", ckpt, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "data has 3 classes, the model 2" in err
+        assert not out.exists()
 
     def test_measure_row(self, tmp_path, capsys):
         cfg, ckpt, _ = train_small(tmp_path)

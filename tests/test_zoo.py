@@ -469,6 +469,18 @@ class TestRecordsAndReport:
         with pytest.raises(FormatError, match="ghost-cell"):
             load_zoo_records(str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "edit", [lambda row: row.rsplit(",", 1)[0], lambda row: row + ",1.0"], ids=["short", "long"]
+    )
+    def test_row_with_another_field_count_names_its_cell(self, tmp_path, edit):
+        run_zoo(dataclasses.replace(MINI, dropouts=(0.0,)), DATA, TRAIN, str(tmp_path), model_template=MODEL)
+        path = Path(measure_zoo(str(tmp_path)))
+        lines = path.read_text().split("\n")
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError, match=re.escape(repr(lines[2].split(",")[0]))):
+            load_zoo_records(str(tmp_path))
+
     def test_correlate_zoo(self, tmp_path):
         run_conv(tmp_path)
         measure_zoo(str(tmp_path))
