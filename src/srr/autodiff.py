@@ -3,25 +3,28 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates vector-Jacobian products into ``.grad`` of every tensor that
-requires gradients.
+requires gradients.  Every walk releases each interior node's ``.grad``
+once that node's VJP has run, so only leaves keep theirs.
 
 Every op states its value and one map per parent, from the cotangent g of
 its result to that parent's term, and ``_node`` routes them by one rule:
 each parent that requires grad, in parent order, gets its map of g summed
 back down to its shape (broadcasting follows numpy), and the map of a
-parent that needs no gradient is never called.
+parent that needs no gradient is never called.  A fused op may list a
+parent once per term, and may give a ``prep`` that turns g into the
+intermediates its maps share; they live for that one VJP call only.
 
 A ``cut`` is an identity node where a segment of the tape begins;
 ``segmented_sum``, the one op with a VJP of its own, walks two tapes in
 turn, the second with its cuts closed, so a term of the second tape is
-differentiated only inside its own segment.  Its walks release each
-interior node's ``.grad`` once that node's VJP has run, so the second walk
-finds the nodes it shares with the first fresh, and only leaves keep theirs.
+differentiated only inside its own segment.  Released cotangents let the
+second walk find the nodes it shares with the first fresh.
 
 Only the operations the models actually use are implemented, several of
 them fused (softmax over columns, layer norm over columns, the log-det Gram
-volume, softmax cross-entropy) so their backward passes are both fast and
-numerically tight.
+volume, softmax cross-entropy; the attention update and the ISTA step are
+fused in ``srr.layers``) so their backward passes are both fast and
+numerically tight, and each keeps only what its VJP reads.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .linalg import _softmax, cross_entropy_np
 __all__ = [
     "Tensor",
     "as_tensor",
-    "concat",
     "cut",
     "segmented_sum",
     "softmax_cols",
@@ -96,7 +98,7 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
         self.grad = None
-        _walk(self, np.ones_like(self.data), release=False)
+        _walk(self, np.ones_like(self.data))
 
     # ------------------------------------------------------------------ arithmetic
     def __add__(self, other):
@@ -147,10 +149,6 @@ class Tensor:
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.data.size)
 
-    # ------------------------------------------------------------------ nonlinearities
-    def relu(self) -> "Tensor":
-        return _node(np.maximum(self.data, 0.0), (self,), (lambda g: g * (self.data > 0.0),))
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -160,30 +158,28 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _node(value, parents: tuple, maps: tuple) -> Tensor:
-    """The tensor ``value`` computed from ``parents``.  Its VJP routes the
-    cotangent g into each parent that requires grad, in parent order, as
-    ``map(g)`` summed down to that parent's shape (a map of None passes g
+def _node(value, parents: tuple, maps: tuple, prep=None) -> Tensor:
+    """The tensor ``value`` computed from ``parents``.  Its VJP turns the
+    cotangent g into ``c = prep(g)`` (g itself without ``prep``), then
+    routes c into each parent that requires grad, in parent order, as
+    ``map(c)`` summed down to that parent's shape (a map of None passes c
     on as it is); the map of a parent that needs no gradient is never
-    called."""
+    called.  c is a local of the one VJP call, so no walk sees another's."""
     def vjp(g):
+        c = g if prep is None else prep(g)
         for parent, grad_map in zip(parents, maps):
             if parent.requires_grad:
-                parent._accumulate(_unbroadcast(g if grad_map is None else grad_map(g), parent.data.shape))
+                parent._accumulate(_unbroadcast(c if grad_map is None else grad_map(c), parent.data.shape))
 
     return Tensor(value, _parents=parents, _vjp=vjp)
 
 
-def _walk(root: Tensor, g: np.ndarray, release: bool) -> None:
+def _walk(root: Tensor, g: np.ndarray) -> None:
     """Accumulate ``g`` into ``root``, then run the VJP of every node behind
     it in reverse topological order.  The walk stops at nodes that need no
-    gradient (constants, closed cuts).  With ``release``, each interior
-    node's ``.grad`` is dropped once its VJP has run; leaves keep theirs.
-
-    A plain ``backward`` keeps the interior cotangents until the graph is
-    dropped: at desk scale, releasing them early leaves a smaller heap
-    behind, and the B=256 inference temporaries that follow in the same
-    process then land on freshly faulted pages on every call.
+    gradient (constants, closed cuts).  Each interior node's ``.grad`` is
+    dropped once its VJP has run, so a cotangent lives only until its
+    node's parents have their terms; leaves keep theirs.
     """
     root._accumulate(g)
     order: list[Tensor] = []
@@ -203,8 +199,7 @@ def _walk(root: Tensor, g: np.ndarray, release: bool) -> None:
     for node in reversed(order):
         if node._vjp is not None:
             node._vjp(node.grad)
-            if release:
-                node.grad = None
+            node.grad = None
 
 
 def cut(x: Tensor) -> Tensor:
@@ -228,11 +223,11 @@ def segmented_sum(first: Tensor, second: Tensor, cuts) -> Tensor:
     cuts = tuple(cuts)
 
     def vjp(g):
-        _walk(first, _unbroadcast(g, first.data.shape), release=True)
+        _walk(first, _unbroadcast(g, first.data.shape))
         for c in cuts:
             c.requires_grad = False
         try:
-            _walk(second, _unbroadcast(g, second.data.shape), release=True)
+            _walk(second, _unbroadcast(g, second.data.shape))
         finally:
             for c in cuts:
                 c.requires_grad = True
@@ -242,24 +237,16 @@ def segmented_sum(first: Tensor, second: Tensor, cuts) -> Tensor:
     )
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; gradients are split back by size."""
-    tensors = tuple(as_tensor(t) for t in tensors)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-    lead = (slice(None),) * (axis % tensors[0].data.ndim)  # the axes before ``axis``
-    maps = tuple(lambda g, part=slice(lo, hi): g[lead + (part,)] for lo, hi in zip(offsets[:-1], offsets[1:]))
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, maps)
-
-
 def softmax_cols(scores: Tensor) -> Tensor:
     """Softmax over axis -2 (column-normalized), fused forward/backward."""
     sm = _softmax(scores.data, -2)
+    return _node(sm, (scores,), (lambda g: _softmax_cols_vjp(sm, g),))
 
-    def grad(g):
-        inner = (g * sm).sum(axis=-2, keepdims=True)
-        return sm * (g - inner)
 
-    return _node(sm, (scores,), (grad,))
+def _softmax_cols_vjp(sm: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The scores' cotangent of a column softmax ``sm``, given its cotangent g."""
+    inner = (g * sm).sum(axis=-2, keepdims=True)
+    return sm * (g - inner)
 
 
 def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -1,11 +1,15 @@
 """Layer operators: subspace self-attention, the ISTA sparsification step,
 layer norm, and patch tokenization.
 
-Every operator runs on either plain float64 ndarrays (inference, probing,
-toy dynamics) or autodiff ``Tensor``s (training); the type of its token
-input picks the branch, and the weights may be Tensors only when it is one.
-Where the two branches differ, the ndarray branch works in place on its own
-temporaries, with the same floating-point operations in the same order.
+Every operator is one ndarray kernel (inference, probing, toy dynamics)
+that works in place on its own temporaries.  Given a ``Workspace``, a
+kernel takes its temporaries and its result from it, so repeated calls of
+one shape allocate nothing.  On an autodiff ``Tensor`` token input
+(training) the attention update, the ISTA step and layer norm each become
+one autodiff node whose value is the kernel's: it keeps only what its VJP
+reads and adds to each parent the terms of the composed graph of matmuls,
+softmaxes and masks it replaces, in that graph's order, so every gradient
+keeps its bits.  Weights may be Tensors only when the token input is one.
 Token matrices are d x N with tokens as columns; batched inputs carry a
 leading batch axis (B, d, N).
 """
@@ -47,38 +51,66 @@ CRATE_IDENTITY = "crate_identity"  # +, head stack used directly
 VARIANTS = (CRATE_C, CRATE_N, CRATE_T, CRATE, CRATE_FIX, CRATE_IDENTITY)
 
 
-def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None):
+class Workspace:
+    """Named float64 buffers that the ndarray kernels reuse from call to call.
+
+    ``take(name, shape)`` returns the buffer kept under ``name``, allocating
+    it when it is missing or has another shape.  A new buffer is kept only
+    while the workspace then holds at most ``limit`` bytes; past that,
+    ``take`` hands out a fresh array.  A kernel's result under a name is
+    overwritten by the next call that takes that name, so a caller copies
+    what it keeps.  Not thread-safe.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self.buffers.pop(name, None)
+        if buf is None or buf.shape != shape:
+            buf = np.empty(shape)
+        if sum(b.nbytes for b in self.buffers.values()) + buf.nbytes <= self.limit:
+            self.buffers[name] = buf
+        return buf
+
+
+def _take(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    return np.empty(shape) if ws is None else ws.take(name, shape)
+
+
+def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None, ws: Workspace | None = None, _saved=None):
     """The Kp x N vertical stack of per-head attention outputs.
 
     Head k computes A_k = U_k^T Z and weights its tokens by the column
     softmax of the head Gram matrix A_k^T A_k.  ``attn_masks``, when given,
     is a length-K list of multiplicative masks applied to the softmax
-    output (training-time dropout).
+    output (training-time dropout).  ``Z`` and ``U`` are ndarrays.  Without
+    a workspace, ``_saved`` (a list) receives each head's A_k and unmasked
+    softmax, for the VJP of the attention node; the scores then go through
+    the softmax unchecked, as on the rest of the training path.
     """
-    if not isinstance(Z, ad.Tensor):
-        # each head's A @ S lands in its row block of one preallocated stack
-        heads = split_heads(U, num_heads)
-        p = heads[0].shape[1]
-        stack = np.empty(Z.shape[:-2] + (num_heads * p, Z.shape[-1]))
-        for k, Uk in enumerate(heads):
-            A = Uk.mT @ Z
-            S = linalg.softmax_columns(A.mT @ A)
-            if attn_masks is not None:
-                S *= attn_masks[k]
-            np.matmul(A, S, out=stack[..., k * p : (k + 1) * p, :])
-        return stack
-    parts = []
-    for k, Uk in enumerate(split_heads(U, num_heads)):
-        A = Uk.mT @ Z
-        S = ad.softmax_cols(A.mT @ A)
+    heads = split_heads(U, num_heads)
+    p = heads[0].shape[1]
+    lead, n = Z.shape[:-2], Z.shape[-1]
+    # each head's A @ S lands in its row block of one preallocated stack
+    stack = _take(ws, "heads.stack", lead + (num_heads * p, n))
+    for k, Uk in enumerate(heads):
+        A = np.matmul(Uk.mT, Z, out=_take(ws, "heads.A", lead + (p, n)))
+        S = np.matmul(A.mT, A, out=_take(ws, "heads.S", lead + (n, n)))
+        if _saved is None:
+            linalg.softmax_columns(S, out=S)
+        else:  # unchecked, so that a diverging training step is recorded, not raised
+            linalg._softmax(S, -2, out=S)
+            _saved.append((A, S))
         if attn_masks is not None:
             S = S * attn_masks[k]
-        parts.append(A @ S)
-    return ad.concat(parts, axis=-2)
+        np.matmul(A, S, out=stack[..., k * p : (k + 1) * p, :])
+    return stack
 
 
 def mssa(Z, U, num_heads: int):
-    """Multi-head subspace self-attention, summed form.
+    """Multi-head subspace self-attention, summed form, on ndarrays.
 
     sum_k U_k U_k^T Z softmax_cols((U_k^T Z)^T (U_k^T Z)): head k's basis
     times its row block of ``stacked_attention_heads(Z, U, K)``, summed
@@ -89,12 +121,31 @@ def mssa(Z, U, num_heads: int):
     p = heads[0].shape[-1]
     total = heads[0] @ stack[..., :p, :]
     for k in range(1, num_heads):
-        total += heads[k] @ stack[..., k * p : (k + 1) * p, :]  # in place on an ndarray; a Tensor adds a node
+        total += heads[k] @ stack[..., k * p : (k + 1) * p, :]
     return total
 
 
+def _output_matrix(variant: str, U, W, d: int):
+    """The variant's output matrix applied to the head stack (None for the
+    identity), after the checks that it fits."""
+    if variant in (CRATE, CRATE_FIX):
+        if W is None:
+            raise ConfigError(f"variant {variant!r} requires an output matrix W")
+        return W
+    if variant == CRATE_T:
+        if U.shape[-1] != d:
+            raise ConfigError("transposed output requires a square basis (d = K*p)")
+        return U.mT
+    if variant == CRATE_IDENTITY:
+        if U.shape[-1] != d:
+            raise ConfigError("identity output requires the head stack to be d-dimensional (d = K*p)")
+        return None
+    return U
+
+
 def attention_update(
-    Z, U, num_heads: int, variant: str, gamma: float, alpha: float = 1.0, W=None, attn_masks=None, out_mask=None
+    Z, U, num_heads: int, variant: str, gamma: float, alpha: float = 1.0, W=None, attn_masks=None, out_mask=None,
+    ws: Workspace | None = None,
 ):
     """Residual attention update: Z ± alpha * gamma^2 * Out @ HeadStack.
 
@@ -102,65 +153,142 @@ def attention_update(
     negative for the N variant, positive otherwise; ``Out`` is the variant's
     output matrix ([U_1...U_K], its transpose, the output matrix ``W`` of
     the crate/crate_fix variants, or the identity).  ``out_mask`` is an
-    optional multiplicative dropout mask on the projection output.
+    optional multiplicative dropout mask on the projection output.  On a
+    Tensor ``Z`` the update is one autodiff node (``_attention_node``).
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown attention variant {variant!r}")
-    stack = stacked_attention_heads(Z, U, num_heads, attn_masks)
-    d = Z.shape[-2]
-    if variant in (CRATE, CRATE_FIX):
-        if W is None:
-            raise ConfigError(f"variant {variant!r} requires an output matrix W")
-        out = W @ stack
-    elif variant == CRATE_T:
-        if U.shape[-1] != d:
-            raise ConfigError("transposed output requires a square basis (d = K*p)")
-        out = U.mT @ stack
-    elif variant == CRATE_IDENTITY:
-        if stack.shape[-2] != d:
-            raise ConfigError("identity output requires the head stack to be d-dimensional (d = K*p)")
-        out = stack
-    else:
-        out = U @ stack
     scale = (-1.0 if variant == CRATE_N else 1.0) * alpha * gamma * gamma
     if isinstance(Z, ad.Tensor):
-        return Z + scale * (out if out_mask is None else out * out_mask)
+        U = ad.as_tensor(U)
+        W = None if W is None else ad.as_tensor(W)
+        return _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask)
+    Out = _output_matrix(variant, U, W, Z.shape[-2])
+    return _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws)[0]
+
+
+def _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws, saved=None):
+    """The attention kernel on ndarrays: (update, head stack)."""
+    stack = stacked_attention_heads(Z, U, num_heads, attn_masks, ws, saved)
+    out = stack if Out is None else np.matmul(Out, stack, out=_take(ws, "attn.out", Z.shape))
     if out_mask is not None:
         out *= out_mask
     out *= scale
     out += Z
-    return out
+    return out, stack
 
 
-def ista_step(Y, D, beta: float, lambda_sparsity: float):
+def _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask):
+    """``attention_update`` of the Tensor ``Z`` as one autodiff node.
+
+    It keeps each head's A_k and softmax S_k, the head stack and the masks.
+    Its terms are those of the composed graph (per-head projections, Gram
+    matrices, softmaxes and masks, the stack, the output matrix, the mask,
+    the scale and the residual), in its order: Z gets the residual's term,
+    then one term per head; U the output matrix's term (crate_c/n/t), then
+    one matrix of its head blocks; W (crate/crate_fix) its one term.
+    """
+    z, u = Z.data, U.data
+    Out = _output_matrix(variant, u, None if W is None else W.data, z.shape[-2])
+    saved: list[tuple[np.ndarray, np.ndarray]] = []
+    value, stack = _attention(z, u, num_heads, Out, scale, attn_masks, out_mask, None, saved)
+    heads = split_heads(u, num_heads)
+    p = heads[0].shape[1]
+    scale_arr = np.asarray(scale, dtype=np.float64)
+
+    def prep(g):
+        g_out = g * scale_arr
+        if out_mask is not None:
+            g_out = g_out * out_mask
+        g_stack = g_out if Out is None else Out.mT @ g_out
+        g_heads = []
+        for k, (A, S) in enumerate(saved):
+            mask = None if attn_masks is None else attn_masks[k]
+            g_AS = g_stack[..., k * p : (k + 1) * p, :]
+            g_A = g_AS @ (S if mask is None else S * mask).mT
+            g_S = A.mT @ g_AS
+            if mask is not None:
+                g_S = g_S * mask
+            g_gram = ad._softmax_cols_vjp(S, g_S)
+            g_A = g_A + A @ g_gram
+            g_heads.append(g_A + (g_gram @ A.mT).mT)
+        return g, g_out, g_heads
+
+    def head_blocks(c):
+        blocks = np.empty_like(u)
+        for k, g_A in enumerate(c[2]):
+            blocks[:, k * p : (k + 1) * p] = ad._unbroadcast(g_A @ z.mT, (p, z.shape[-2])).mT
+        return blocks
+
+    parents = [Z] * (num_heads + 1)
+    maps = [lambda c: c[0]] + [lambda c, k=k: heads[k] @ c[2][k] for k in range(num_heads)]
+    if variant in (CRATE_C, CRATE_N):
+        parents.append(U)
+        maps.append(lambda c: c[1] @ stack.mT)
+    elif variant == CRATE_T:
+        parents.append(U)
+        maps.append(lambda c: ad._unbroadcast(c[1] @ stack.mT, Out.shape).mT)
+    parents.append(U)
+    maps.append(head_blocks)
+    if variant in (CRATE, CRATE_FIX):
+        parents.append(W)
+        maps.append(lambda c: c[1] @ stack.mT)
+    return ad._node(value, tuple(parents), tuple(maps), prep)
+
+
+def ista_step(Y, D, beta: float, lambda_sparsity: float, ws: Workspace | None = None):
     """One sparsifying step: ReLU(Y + beta D^T (Y - D Y) - beta*lambda).
 
     The threshold subtracts the scalar beta*lambda from every entry; the
-    ReLU guarantees a nonnegative output.
+    ReLU guarantees a nonnegative output.  On a Tensor ``Y`` the step is
+    one autodiff node that keeps the residual Y - D Y and reads its ReLU
+    gate off its own output.
     """
     if beta < 0 or lambda_sparsity < 0:
         raise ConfigError("beta and lambda_sparsity must be nonnegative")
-    if isinstance(Y, ad.Tensor):
-        resid = Y - D @ Y
-        pre = Y + beta * (D.mT @ resid) - beta * lambda_sparsity
-        return pre.relu()
-    resid = D @ Y
+    if not isinstance(Y, ad.Tensor):
+        return _ista(Y, D, beta, lambda_sparsity, ws)[0]
+    D = ad.as_tensor(D)
+    y, dm = Y.data, D.data
+    value, resid = _ista(y, dm, beta, lambda_sparsity, None)
+    beta_arr = np.asarray(beta, dtype=np.float64)
+
+    def prep(g):
+        # the composed graph's cotangents of the ReLU input, beta * D^T resid, resid and D Y
+        g_pre = g * (value > 0.0)
+        g_m = g_pre * beta_arr
+        g_resid = dm @ g_m
+        return g_pre, g_m, g_resid, np.negative(g_resid)
+
+    maps = (
+        lambda c: c[0],
+        lambda c: c[2],
+        lambda c: dm.mT @ c[3],
+        lambda c: ad._unbroadcast(c[1] @ resid.mT, dm.mT.shape).mT,
+        lambda c: c[3] @ y.mT,
+    )
+    return ad._node(value, (Y, Y, Y, D, D), maps, prep)
+
+
+def _ista(Y, D, beta, lambda_sparsity, ws):
+    """The ISTA kernel on ndarrays: (step, residual Y - D Y)."""
+    resid = np.matmul(D, Y, out=_take(ws, "ista.resid", Y.shape))
     np.subtract(Y, resid, out=resid)
-    pre = D.mT @ resid
+    pre = np.matmul(D.mT, resid, out=_take(ws, "ista.out", Y.shape))
     pre *= beta
     pre += Y
     pre -= beta * lambda_sparsity
-    return np.maximum(pre, 0.0, out=pre)
+    return np.maximum(pre, 0.0, out=pre), resid
 
 
-def layer_norm(Z, gain, bias):
+def layer_norm(Z, gain, bias, ws: Workspace | None = None):
     """Column-wise layer norm: zero mean, unit variance over the d features,
     then per-feature gain and bias.  Variance gets the ``autodiff.LN_EPS`` floor."""
     if isinstance(Z, ad.Tensor):
         return ad.layer_norm_cols(Z, gain, bias)
     d = Z.shape[-2]
-    xc = Z - linalg._reduce(np.add, Z, -2) / d
-    var = linalg._reduce(np.add, xc * xc, -2)
+    xc = np.subtract(Z, linalg._reduce(np.add, Z, -2) / d, out=_take(ws, "ln.out", Z.shape))
+    var = linalg._reduce(np.add, np.multiply(xc, xc, out=_take(ws, "ln.sq", Z.shape)), -2)
     var /= d
     var += ad.LN_EPS
     xc /= np.sqrt(var, out=var)

@@ -64,8 +64,13 @@ class ModelConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.variant not in ly.VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.eps_sq is not None and self.eps_sq <= 0:
-            raise ConfigError("eps_sq must be positive when given")
+        if not np.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
+        for name in ("beta", "lambda_sparsity"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be a nonnegative finite number, got {getattr(self, name)!r}")
+        if self.eps_sq is not None and not 0 < self.eps_sq < np.inf:
+            raise ConfigError(f"eps_sq must be a positive finite number when given, got {self.eps_sq!r}")
         if (self.feat_dim is None) != (self.num_tokens is None):
             raise ConfigError("feat_dim and num_tokens must be given together")
         if self.feat_dim is None and self.image_size % self.patch != 0:
@@ -143,12 +148,14 @@ class Model:
             raise ConfigError(f"the data has {dataset.num_classes} classes, the model {self.cfg.num_classes}")
 
     # ------------------------------------------------------------------
-    def embed_inputs(self, raw: np.ndarray, train_mode: bool = False, rng=None):
+    def embed_inputs(self, raw: np.ndarray, train_mode: bool = False, rng=None, _pooled: bool = False):
         """Feature columns (B, F, T) or (F, T) -> token matrix with CLS and
         positional encoding, by one ndarray kernel on both paths.  Training
         mode returns the tokens as one autodiff node behind the embedding,
         CLS and positional parameters (each gets one gradient term per
-        walk) and applies embedding dropout."""
+        walk) and applies embedding dropout.  ``_pooled`` (inference) writes
+        the tokens into the workspace of their shape, for ``run`` to read
+        before the next pooled embedding of that shape overwrites them."""
         raw = np.asarray(raw, dtype=np.float64)
         single = raw.ndim == 2
         if single:
@@ -159,9 +166,12 @@ class Model:
             raise ShapeError(f"expected {self.cfg.grid_tokens} tokens per sample, got {raw.shape[2]}")
         embed, cls, pos = self.params["embed"], self.params["cls"], self.params["pos"]
         B, _, T = raw.shape
-        tok = np.empty((B, self.cfg.d, T + 1))
+        shape = (B, self.cfg.d, T + 1)
+        ws = _workspace(shape) if _pooled else None
+        tok = ly._take(ws, "tokens", shape)
         tok[..., 0] = cls.data
-        np.matmul(embed.data, raw, out=tok[..., 1:])
+        # a contiguous product, copied in: into the strided block matmul would allocate its own
+        tok[..., 1:] = np.matmul(embed.data, raw, out=ly._take(ws, "embed.proj", (B, self.cfg.d, T)))
         tok += pos.data
         if train_mode:
             maps = (lambda g: g[..., 1:] @ raw.mT, lambda g: g[..., 0], None)
@@ -204,6 +214,9 @@ class Model:
             raise ConfigError("training-mode dropout needs an rng")
 
         P = self._table(traced)
+        # the temporaries of an inference pass come from its shape's workspace;
+        # a traced pass and a cached one keep theirs
+        ws = None if traced or keep_cache else _workspace(tokens.shape)
         Z = tokens
         cache: list[dict] | None = [] if keep_cache else None
         for i in range(cfg.L):
@@ -219,7 +232,7 @@ class Model:
                 Z = self.apply_layer(i, layer_in, attn_masks, out_mask)
             else:
                 layer_in = Z
-                Z = _apply_layer(Z, P, i, cfg, ln_identity, attn_masks, out_mask)
+                Z = _apply_layer(Z, P, i, cfg, ln_identity, attn_masks, out_mask, ws)
             if cache is not None:
                 cache.append(
                     {"input": layer_in, "attn_masks": attn_masks, "out_mask": out_mask, "output": Z}
@@ -228,9 +241,9 @@ class Model:
 
     def logits(self, raw: np.ndarray, ln_identity: bool = False, batch: int = 256) -> np.ndarray:
         """Inference logits of a (B, F, T) feature batch, ``batch`` samples
-        at a time."""
+        at a time, each chunk through the reused buffers of its shape."""
         chunks = [
-            self.run(self.embed_inputs(raw[start : start + batch]), ln_identity=ln_identity)[0]
+            self.run(self.embed_inputs(raw[start : start + batch], _pooled=True), ln_identity=ln_identity)[0]
             for start in range(0, len(raw), batch)
         ]
         return np.concatenate(chunks, axis=0)
@@ -256,22 +269,44 @@ class Model:
         ]
 
 
+# Inference workspaces, one per token shape (B, d, N), the most recently used
+# last: at most _WORKSPACE_SHAPES of them, each holding at most
+# _WORKSPACE_BYTES of buffers (a larger pass allocates as it goes).  They
+# outlive any one Model, because every PAC-Bayes draw and every checkpoint
+# of a sweep is a Model of its own, and reusing the buffers keeps the heap
+# from growing and shrinking, and faulting in fresh pages, on each pass.
+# No result depends on them: every pass overwrites what it reads.
+_WORKSPACES: dict[tuple[int, ...], ly.Workspace] = {}
+_WORKSPACE_SHAPES = 4
+_WORKSPACE_BYTES = 8 << 20
+
+
+def _workspace(shape: tuple[int, ...]) -> ly.Workspace:
+    ws = _WORKSPACES.pop(shape, None) or ly.Workspace(_WORKSPACE_BYTES)
+    _WORKSPACES[shape] = ws
+    if len(_WORKSPACES) > _WORKSPACE_SHAPES:
+        del _WORKSPACES[next(iter(_WORKSPACES))]
+    return ws
+
+
 def _dropout_mask(rng, shape, p: float) -> np.ndarray:
     keep = 1.0 - p
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def _apply_layer(Z, P: dict, i: int, cfg: ModelConfig, ln_identity: bool, attn_masks, out_mask):
+def _apply_layer(Z, P: dict, i: int, cfg: ModelConfig, ln_identity: bool, attn_masks, out_mask, ws=None):
     """Layer ``i`` of the table ``P`` (Tensors or arrays) on ``Z``, with alpha,
-    beta, K, lambda, the variant and the attention scale for Z from ``cfg``."""
+    beta, K, lambda, the variant and the attention scale for Z from ``cfg``.
+    With a workspace ``ws`` the result is its ``ista.out`` buffer; each
+    operator reads only buffers that the one it overwrites does not hold."""
     w = f"layers.{i}."
-    Zn = Z if ln_identity else ly.layer_norm(Z, P[w + "ln1_gain"], P[w + "ln1_bias"])
+    Zn = Z if ln_identity else ly.layer_norm(Z, P[w + "ln1_gain"], P[w + "ln1_bias"], ws)
     gamma = cfg.attention_gamma(Z.shape[-1])
     Za = ly.attention_update(
-        Zn, P[w + "U"], cfg.K, cfg.variant, gamma, cfg.alpha, P.get(w + "W"), attn_masks, out_mask
+        Zn, P[w + "U"], cfg.K, cfg.variant, gamma, cfg.alpha, P.get(w + "W"), attn_masks, out_mask, ws
     )
-    Ya = Za if ln_identity else ly.layer_norm(Za, P[w + "ln2_gain"], P[w + "ln2_bias"])
-    return ly.ista_step(Ya, P[w + "D"], cfg.beta, cfg.lambda_sparsity)
+    Ya = Za if ln_identity else ly.layer_norm(Za, P[w + "ln2_gain"], P[w + "ln2_bias"], ws)
+    return ly.ista_step(Ya, P[w + "D"], cfg.beta, cfg.lambda_sparsity, ws)
 
 
 def _layer_rates(Z, U, num_heads: int, gamma: float, full_scale: float):

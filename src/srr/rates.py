@@ -61,10 +61,10 @@ class RateConfig:
             raise ConfigError("d, N, K must all be positive")
         if self.d % self.K != 0:
             raise ConfigError(f"d = {self.d} is not divisible by K = {self.K} heads")
-        if self.eps_sq <= 0:
-            raise ConfigError("eps_sq must be positive")
-        if self.lambda_sparsity < 0:
-            raise ConfigError("lambda_sparsity must be nonnegative")
+        if not 0 < self.eps_sq < np.inf:
+            raise ConfigError(f"eps_sq must be a positive finite number, got {self.eps_sq!r}")
+        if not 0 <= self.lambda_sparsity < np.inf:
+            raise ConfigError(f"lambda_sparsity must be a nonnegative finite number, got {self.lambda_sparsity!r}")
 
     @property
     def p(self) -> int:

@@ -18,7 +18,9 @@ directly in the normalized variables, and R_c is evaluated from per-head
 singular values in the log domain.  When even the *shape* of the spectrum
 stops being representable (dynamic range beyond ~1e95, so the cubed
 spectrum would underflow), the trace is truncated and flagged rather than
-reporting silently wrong rates — growth is the expected phenomenon.
+reporting silently wrong rates — growth is the expected phenomenon.  Rules
+a/c/e/n carry the state at its true scale; a layer whose update leaves
+float64 range ends the trace the same way, with the rows before it kept.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .layers import mssa
 from .linalg import orthonormal_basis, rng_for, stable_seed
 from .rates import grad_projected_coding_rate, grad_taylor_terms, split_heads
@@ -123,8 +125,10 @@ def run_dynamics(
         raise ConfigError(f"depth L must be at least 1, got {L}")
     if d % K != 0:
         raise ConfigError(f"d = {d} must be divisible by K = {K}")
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ConfigError(f"gamma must be a positive finite number, got {gamma}")
+    if not np.isfinite(alpha):
+        raise ConfigError(f"alpha must be finite, got {alpha}")
 
     Z0 = rng_for(seed, "tokens").standard_normal((d, N))
     Zh, c = _normalize(Z0)
@@ -158,15 +162,22 @@ def run_dynamics(
                 break
             rc_before = _rc_scaled(Zh, c, blocks, gamma)
             Z = np.exp(c) * Zh
-            if tag == "a":
-                Z = Z - alpha * grad_projected_coding_rate(Z, U, K, gamma)
-            elif tag == "c":
-                g1, _ = grad_taylor_terms(Z, U, K, gamma)
-                Z = Z - alpha * g1
-            elif tag == "e":
-                Z = Z + alpha * gamma**2 * mssa(Z, U, K)
-            else:  # n
-                Z = Z - alpha * gamma**2 * mssa(Z, U, K)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    if tag == "a":
+                        Z = Z - alpha * grad_projected_coding_rate(Z, U, K, gamma)
+                    elif tag == "c":
+                        g1, _ = grad_taylor_terms(Z, U, K, gamma)
+                        Z = Z - alpha * g1
+                    elif tag == "e":
+                        Z = Z + alpha * gamma**2 * mssa(Z, U, K)
+                    else:  # n
+                        Z = Z - alpha * gamma**2 * mssa(Z, U, K)
+                except (NumericError, np.linalg.LinAlgError):
+                    Z = None  # an intermediate (a Gram matrix, a solve) left float64 range
+            if Z is None or not np.isfinite(Z).all():
+                trace.truncated = True
+                break
             Zh, c = _normalize(Z)
             rc_after = _rc_scaled(Zh, c, blocks, gamma)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import srr.autodiff as ad
+from srr import layers
 from srr.errors import ShapeError
 from srr.linalg import logdet_psd, rng_for, softmax_columns
 from srr.model import Model, ModelConfig, init_model
@@ -52,13 +53,12 @@ class TestBasicOps:
         # every op on constants drops its VJP closure, and with it the
         # intermediate arrays the closure would keep alive
         a = ad.Tensor(rng_for(3).standard_normal((2, 4, 4)))
-        col = ad.concat([a[:, :1, :].mT, 1.0 - a[:, :, 1:2]], axis=-1)
         outs = [
             ad.logdet_gram(ad.softmax_cols(a @ a), 1.0),
             ad.layer_norm_cols(a, np.ones(4), np.zeros(4)),
             ad.softmax_cross_entropy(a[:, 0, :], np.array([0, 1])),
-            (a * 2.0 - 1.0).relu() + np.zeros((3, 2, 4, 4)),
-            col.mean(),
+            layers.ista_step(a * 2.0 - 1.0, np.eye(4), 0.5, 0.1) + np.zeros((3, 2, 4, 4)),
+            layers.attention_update(a.mT, np.eye(4), 2, layers.CRATE_C, 1.0).mean(),
         ]
         for out in outs:
             assert out._vjp is None and out._parents == () and not out.requires_grad
@@ -138,22 +138,30 @@ class TestBasicOps:
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_relu(self):
-        x0 = np.array([-1.0, 0.0, 2.0])
+        # the ReLU lives in the ISTA node: with D = 0 and no threshold the step is one
+        x0 = np.array([[-1.0, 0.0, 2.0]])
         t = ad.Tensor(x0, requires_grad=True)
-        y = t.relu()
-        np.testing.assert_allclose(y.data, [0.0, 0.0, 2.0])
+        y = layers.ista_step(t, np.zeros((1, 1)), 0.5, 0.0)
+        np.testing.assert_allclose(y.data, [[0.0, 0.0, 2.0]])
         y.sum().backward()
-        np.testing.assert_allclose(t.grad, [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(t.grad, [[0.0, 0.0, 1.0]])
 
     def test_concat_gradient_split(self):
-        a0 = rng_for(10).standard_normal((2, 3))
-        b0 = rng_for(11).standard_normal((4, 3))
-        a = ad.Tensor(a0, requires_grad=True)
-        b = ad.Tensor(b0, requires_grad=True)
-        w = np.arange(18.0).reshape(6, 3)
-        (ad.concat([a, b], axis=0) * w).sum().backward()
-        np.testing.assert_allclose(a.grad, w[:2])
-        np.testing.assert_allclose(b.grad, w[2:])
+        # the attention node splits the head stack's cotangent by rows: with
+        # the identity output, a cotangent on head 1's rows alone reaches
+        # only head 1's block of the basis
+        z0 = rng_for(10).standard_normal((4, 3))
+        u = ad.Tensor(rng_for(11).standard_normal((4, 4)), requires_grad=True)
+        w = np.zeros((4, 3))
+        w[2:] = np.arange(6.0).reshape(2, 3)
+        out = layers.attention_update(ad.Tensor(z0), u, 2, layers.CRATE_IDENTITY, 1.0)
+        (out * w).sum().backward()
+        assert not u.grad[:, :2].any() and u.grad[:, 2:].all()
+
+        def loss(a):
+            return float(np.sum(layers.attention_update(z0, a, 2, layers.CRATE_IDENTITY, 1.0) * w))
+
+        np.testing.assert_allclose(u.grad, numeric_grad(loss, u.data.copy()), atol=1e-6)
 
     def test_node_calls_only_the_maps_of_parents_with_grad(self):
         a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
@@ -299,6 +307,16 @@ class TestFusedOps:
 
 
 class TestTape:
+    def test_plain_backward_releases_interior_grads(self):
+        x = ad.Tensor(rng_for(15).standard_normal((3, 4)), requires_grad=True)
+        w = ad.Tensor(rng_for(16).standard_normal((4, 4)), requires_grad=True)
+        h = ad.softmax_cols(x @ w)
+        y = ad.layer_norm_cols(h, np.ones(3), np.zeros(3))
+        loss = (y * y).sum()
+        loss.backward()
+        assert all(t.grad is None for t in (h, y, loss))
+        assert x.grad.shape == (3, 4) and w.grad.shape == (4, 4)
+
     def test_segmented_walks_release_interior_grads(self):
         # with no cut, a segmented sum is first + second: h feeds both tapes,
         # so the second walk must find it without the first walk's cotangent

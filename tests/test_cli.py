@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -473,4 +474,34 @@ def test_degenerate_arguments_write_no_nan_rows(tmp_path, capsys, command, args)
     capsys.readouterr()
     assert main([command, *args, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("beta", math.nan), ("alpha", math.inf), ("eps_sq", math.nan)])
+def test_train_rejects_a_non_finite_model_scale(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, dict(SYNTH, model=dict(SYNTH["model"], **{key: value})))
+    ckpt = tmp_path / "m.npz"
+    assert main(["train", "--config", cfg, "--out", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [("--eps-sq", "nan", "eps_sq"), ("--lambda", "inf", "lambda_sparsity")])
+def test_probe_rejects_a_non_finite_rate_scale(tmp_path, capsys, flag, value, named):
+    cfg, ckpt, _ = train_small(tmp_path)
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert main(["probe", "--checkpoint", ckpt, "--config", cfg, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--gamma", "inf")])
+def test_toy_rejects_a_non_finite_scale(tmp_path, capsys, flag, value):
+    out = tmp_path / "toy.csv"
+    assert main(["toy", "--rule", "c", "--layers", "2", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:] in err
     assert not out.exists()

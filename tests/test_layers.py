@@ -56,10 +56,12 @@ class TestMssa:
         np.testing.assert_allclose(mssa(Z, U, num_heads=2), want, atol=1e-14)
 
     def test_tensor_path_matches_numpy(self):
+        # on Tensors the per-head loop runs inside the attention node, whose
+        # crate_c update at gamma = 1 is Z + mssa(Z)
         Z = rng_for(7).standard_normal((8, 5))
         U = orthonormal_basis(8, seed=8)
-        t = mssa(ad.Tensor(Z, requires_grad=True), ad.Tensor(U), num_heads=2)
-        np.testing.assert_allclose(t.data, mssa(Z, U, num_heads=2), atol=1e-14)
+        t = attention_update(ad.Tensor(Z, requires_grad=True), ad.Tensor(U), 2, CRATE_C, gamma=1.0)
+        np.testing.assert_allclose(t.data - Z, mssa(Z, U, num_heads=2), atol=1e-14)
 
 
 class TestAttentionUpdate:
@@ -340,6 +342,126 @@ class TestKernelOracles:
         raw = rng_for(83).standard_normal((B, 16, 8))
         assert_bitwise_and_untouched(model.embed_inputs, lambda r: embed_oracle(model, r), raw)
         assert np.array_equal(model.embed_inputs(raw[0]), embed_oracle(model, raw[:1])[0])
+
+
+# Oracles of the fused autodiff nodes: the composed Tensor graphs that the
+# attention update and the ISTA step were built from, with the ReLU and the
+# row concatenation as the autodiff ops they were.  The nodes must give their
+# values and every gradient bit for bit.
+
+
+def relu_oracle(t):
+    return ad._node(np.maximum(t.data, 0.0), (t,), (lambda g: g * (t.data > 0.0),))
+
+
+def concat_rows_oracle(parts):
+    offsets = np.cumsum([0] + [t.shape[-2] for t in parts])
+    lead = (slice(None),) * (parts[0].ndim - 2)
+    maps = tuple(lambda g, rows=slice(lo, hi): g[lead + (rows,)] for lo, hi in zip(offsets[:-1], offsets[1:]))
+    return ad._node(np.concatenate([t.data for t in parts], axis=-2), tuple(parts), maps)
+
+
+def composed_attention(Z, U, num_heads, variant, gamma, alpha=1.0, W=None, attn_masks=None, out_mask=None):
+    parts = []
+    for k, Uk in enumerate(split_heads(U, num_heads)):
+        A = Uk.mT @ Z
+        S = ad.softmax_cols(A.mT @ A)
+        if attn_masks is not None:
+            S = S * attn_masks[k]
+        parts.append(A @ S)
+    stack = concat_rows_oracle(parts)
+    if variant in (CRATE, CRATE_FIX):
+        out = W @ stack
+    elif variant == CRATE_T:
+        out = U.mT @ stack
+    elif variant == CRATE_IDENTITY:
+        out = stack
+    else:
+        out = U @ stack
+    scale = (-1.0 if variant == CRATE_N else 1.0) * alpha * gamma * gamma
+    return Z + scale * (out if out_mask is None else out * out_mask)
+
+
+def composed_ista(Y, D, beta, lam):
+    resid = Y - D @ Y
+    return relu_oracle(Y + beta * (D.mT @ resid) - beta * lam)
+
+
+def _walk_both(build, leaves, first_w, second_w, segmented):
+    """Value of ``build`` on fresh leaves, and each leaf's gradient after a
+    plain walk of <out, first_w>, or a segmented one that adds <out, second_w>
+    with the op's input behind a cut."""
+    tensors = [ad.Tensor(a, requires_grad=grad) for a, grad in leaves]
+    x = tensors[0] * 1.5  # an interior input, so the op's first parent gathers terms
+    inp = ad.cut(x) if segmented else x
+    out = build(inp, *tensors[1:])
+    loss = (out * first_w).sum()
+    if segmented:
+        loss = ad.segmented_sum(loss, (out * second_w).sum(), [inp])
+    loss.backward()
+    return out.data, [t.grad for t in tensors]
+
+
+class TestFusedNodes:
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_attention_node_is_the_composed_graph(self, batch, variant, dropout, segmented):
+        d, K, N = 12, 3, 5
+        Z = rng_for(90).standard_normal(batch + (d, N))
+        U = orthonormal_basis(d, seed=91) * 1.7
+        W = rng_for(92).standard_normal((d, d)) / np.sqrt(d) if variant in (CRATE, CRATE_FIX) else None
+        masks = out_mask = None
+        if dropout:
+            masks = [(rng_for(93, k).random(batch + (N, N)) < 0.8) / 0.8 for k in range(K)]
+            out_mask = (rng_for(94).random(batch + (d, N)) < 0.8) / 0.8
+        leaves = [(Z, True), (U, True)] + ([] if W is None else [(W, variant == CRATE)])
+        w1, w2 = rng_for(95).standard_normal(Z.shape), rng_for(96).standard_normal(Z.shape)
+
+        def run(op):
+            def build(z, u, w=None):
+                return op(z, u, K, variant, 0.8, 0.9, w, masks, out_mask)
+
+            return _walk_both(build, leaves, w1, w2, segmented)
+
+        (got, got_grads), (want, want_grads) = run(attention_update), run(composed_attention)
+        assert np.array_equal(got, want)
+        for g, h in zip(got_grads, want_grads):
+            assert (g is None and h is None) or np.array_equal(g, h)
+        assert got_grads[0] is not None and got_grads[1] is not None
+
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_ista_node_is_the_composed_graph(self, batch, segmented):
+        Y = rng_for(97).standard_normal(batch + (10, 6))
+        D = rng_for(98).standard_normal((10, 10)) / np.sqrt(10)
+        w1, w2 = rng_for(99).standard_normal(Y.shape), rng_for(100).standard_normal(Y.shape)
+
+        def run(op):
+            return _walk_both(lambda y, dm: op(y, dm, 0.4, 0.3), [(Y, True), (D, True)], w1, w2, segmented)
+
+        (got, got_grads), (want, want_grads) = run(ista_step), run(composed_ista)
+        assert np.array_equal(got, want)
+        assert (got == 0).any() and (got > 0).any()
+        for g, h in zip(got_grads, want_grads):
+            assert np.array_equal(g, h)
+
+    def test_each_walk_reads_its_own_cotangent(self):
+        # two walks over the same nodes, the second with twice the cotangent:
+        # doubling is exact, so any state kept from the first walk shows
+        Z = ad.Tensor(rng_for(101).standard_normal((2, 12, 5)), requires_grad=True)
+        U = ad.Tensor(orthonormal_basis(12, seed=102), requires_grad=True)
+        D = ad.Tensor(rng_for(103).standard_normal((12, 12)) / np.sqrt(12), requires_grad=True)
+        out = ista_step(attention_update(Z * 1.0, U, 3, CRATE_C, 0.8), D, 0.5, 0.1)
+        w = rng_for(104).standard_normal(out.shape)
+        (out * w).sum().backward()
+        first = [t.grad for t in (Z, U, D)]
+        for t in (Z, U, D):
+            t.grad = None
+        (out * (2.0 * w)).sum().backward()
+        for t, g in zip((Z, U, D), first):
+            assert np.array_equal(t.grad, 2.0 * g)
 
 
 def embed_image(image, patch, embed, pos, cls):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ class TestModelConfig:
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
             tiny_cfg(dropout=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", np.nan), ("alpha", np.inf), ("beta", np.nan), ("beta", -0.1), ("eps_sq", np.nan),
+         ("eps_sq", np.inf), ("lambda_sparsity", np.inf), ("lambda_sparsity", -1.0)],
+    )
+    def test_scales_must_be_finite_and_in_range(self, field, value):
+        # rejected up front, not at the first forward (or never)
+        with pytest.raises(ConfigError, match=field):
+            tiny_cfg(**{field: value})
 
     def test_feat_dim_needs_num_tokens(self):
         with pytest.raises(ConfigError):
@@ -305,6 +316,68 @@ class TestLayerRates:
         Z[2, 1] = np.nan
         with pytest.raises(NumericError):
             _layer_rates(Z, np.eye(8), 2, 1.0, 2.0)
+
+
+def _traced(fn):
+    """(result, bytes still held after fn, peak rise during fn), by tracemalloc.
+    numpy's ufunc buffers are held to 8 KB, so the peak rise counts arrays."""
+    old = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(old)
+    return out, held - before, peak - before
+
+
+class TestMemory:
+    def test_train_mode_forward_keeps_only_what_the_backward_reads(self):
+        # bytes held per layer: one more layer's forward, minus the shorter one's
+        B, d, K, N = 4, 48, 4, 25
+
+        def held(L):
+            model = init_model(ModelConfig(L=L, d=d, K=K, feat_dim=6, num_tokens=N - 1, num_classes=3))
+            raw = rng_for(1).standard_normal((B, 6, N - 1))
+            out, kept, _ = _traced(lambda: model.run(model.embed_inputs(raw, train_mode=True), train_mode=True))
+            return kept
+
+        per_layer = held(3) - held(2)
+        tokens, gram, column = B * d * N * 8, B * N * N * 8, B * N * 8
+        # each layer norm: its output, the normalized input and 1/std per column;
+        # attention: its output, the head stack, every A_k (d rows in all) and
+        # every softmax S_k; ISTA: its output and the residual Y - D Y
+        arrays = 2 * (2 * tokens + column) + 3 * tokens + K * gram + 2 * tokens
+        # the rest is node and closure objects, far below one extra (B, N, N) array
+        assert arrays <= per_layer < arrays + 16 * 1024, (per_layer, arrays)
+
+    def test_second_logits_call_allocates_no_large_array(self):
+        # desk geometry: (256, 32, 9) tokens; every (B, ., N) temporary comes
+        # from the workspace the first call filled, so only (B, 1, N)-sized
+        # arrays are made
+        cfg = ModelConfig(L=2, d=32, K=4, feat_dim=16, num_tokens=8, num_classes=4)
+        model = init_model(cfg)
+        raw = rng_for(2).standard_normal((256, 16, 8))
+        first = model.logits(raw)
+        second, _, peak = _traced(lambda: model.logits(raw))
+        assert np.array_equal(first, second)
+        assert peak < 64 * 1024
+
+    def test_no_reused_buffer_reaches_a_caller(self):
+        model = init_model(tiny_cfg())
+        raw, other = tiny_batch(model.cfg, B=5, seed=3), tiny_batch(model.cfg, B=5, seed=4)
+        logits = model.logits(raw)
+        tokens = model.embed_inputs(raw)
+        _, cache = model.run(tokens, keep_cache=True)
+        kept = [logits.copy(), tokens.copy()] + [entry["output"].copy() for entry in cache]
+        model.logits(other)
+        model.run(model.embed_inputs(other), keep_cache=True)
+        model.run(model.embed_inputs(other))
+        for got, want in zip([logits, tokens] + [entry["output"] for entry in cache], kept):
+            assert np.array_equal(got, want)
 
 
 def _rewrite_checkpoint(path, edit):

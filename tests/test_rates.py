@@ -52,6 +52,13 @@ class TestRateConfig:
         with pytest.raises(ConfigError):
             RateConfig(d=8, N=4, K=2, eps_sq=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("eps_sq", np.nan), ("eps_sq", np.inf), ("lambda_sparsity", np.nan), ("lambda_sparsity", np.inf)]
+    )
+    def test_non_finite_scales_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RateConfig(d=8, N=4, K=2, **{field: value})
+
 
 class TestCodingRate:
     def test_zero_tokens(self):

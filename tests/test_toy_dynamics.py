@@ -164,6 +164,20 @@ class TestTruncation:
         assert len(tr.rows) == 1
         assert np.isfinite([tr.rows[0].rc_before, tr.rows[0].rc_after]).all()
 
+    @pytest.mark.parametrize("rule", ["c", "e", "n"])
+    def test_overflowing_update_truncates(self, rule):
+        # an update that leaves float64 range ends the trace, flagged, with
+        # the rows before it kept; a numpy warning would fail the test (rule
+        # a's gradient is bounded, and its trace ends on the scale check)
+        tr = run_dynamics(rule, N=6, d=8, K=2, L=4, alpha=1e308, seed=0)
+        assert tr.truncated and len(tr.rows) < 4
+        assert np.isfinite([[r.rc_before, r.rc_after] for r in tr.rows]).all()
+
+    @pytest.mark.parametrize("kw", [dict(alpha=np.nan), dict(alpha=-np.inf), dict(gamma=np.inf)])
+    def test_non_finite_scales_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            run_dynamics("c", N=4, d=4, K=1, L=2, **kw)
+
     def test_spread_guard(self):
         assert _spread_ok(np.zeros((3, 3)))
         assert _spread_ok(np.diag([1.0, 1e-90]))
