@@ -87,10 +87,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A view of the same values cut off from the tape (stop-gradient)."""
-        return Tensor(self.data)
-
     def _accumulate(self, g: np.ndarray):
         self.grad = g if self.grad is None else self.grad + g
 
@@ -207,7 +203,7 @@ def cut(x: Tensor) -> Tensor:
 
     Open, it passes its cotangent on to ``x``.  ``segmented_sum`` closes it
     for its second walk: it then reads as a constant, and a walk stops there
-    as it would at ``x.detach()``.
+    as it would at the constant ``Tensor(x.data)``.
     """
     return _node(x.data, (x,), (None,))
 
@@ -218,7 +214,7 @@ def segmented_sum(first: Tensor, second: Tensor, cuts) -> Tensor:
 
     Every leaf gradient is first's contributions followed by second's, the
     order one walk of ``first + second`` gives when second's tape begins at
-    detached copies of the cut nodes' inputs.
+    constant copies of the cut nodes' inputs.
     """
     cuts = tuple(cuts)
 
@@ -263,6 +259,7 @@ def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     mu = x.data.mean(axis=-2, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-2, keepdims=True)
+    var[np.isinf(var)] = np.nan  # an overflowed variance would scale its column to zeros
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     cols = (0, -1) if x.data.ndim == 3 else -1  # the batch and token axes

@@ -18,7 +18,7 @@ import sys
 
 from . import toy_dynamics
 from .data import DatasetSpec, build_dataset
-from .errors import ConfigError, config_fields
+from .errors import COUNT, ConfigError, check_value, config_fields, one_of
 from .measures import measure_csv_row, measure_vector, measures_csv_header
 from .model import ModelConfig, _check_entries, _read_npz, init_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -120,8 +120,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    check_value("--samples", args.samples, COUNT)
     data_spec = _dataset_spec(args, _load_config(args.config))
     model = load_checkpoint(args.checkpoint)
     dataset = build_dataset(data_spec)
@@ -140,8 +139,7 @@ def _cmd_zoo(args) -> int:
     cfg = _load_config(args.grid)
     gsection = cfg.get("grid", {})
     scale = gsection.pop("scale", "desk") if isinstance(gsection, dict) else "desk"
-    if scale not in ("desk", "paper"):
-        raise ConfigError(f"grid.scale must be 'desk' or 'paper', got {scale!r}")
+    check_value("grid.scale", scale, one_of("desk", "paper"))
     base = GridSpec.desk() if scale == "desk" else GridSpec.paper()
     gspec = dataclasses.replace(base, **config_fields(GridSpec, gsection, "grid"))
     dsection = cfg.get("data")
@@ -273,8 +271,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import COUNT, FINITE, FLAG, INT, NONNEGATIVE, TEXT, check_fields, one_of, optional, rule
+from .errors import ConfigError, FormatError, NumericError
 from .layers import patchify
 from .linalg import orthonormal_basis, rng_for
 
@@ -34,28 +35,28 @@ __all__ = [
 class DatasetSpec:
     """Recipe for a dataset: either a CIFAR path or synthetic parameters."""
 
-    source: str = "synthetic"  # synthetic | cifar10 | cifar100
-    path: str | None = None
-    classes: int = 2
-    tokens: int = 8
-    feat_dim: int = 16
-    subspace_dim: int = 4
-    separation: float = 3.0
-    noise: float = 0.1
-    n_train: int = 256
-    n_val: int = 128
-    seed: int = 0
-    patch: int = 4
-    augment_flip: bool = False
-    augment_crop: bool = False
+    source: str = rule("synthetic", one_of("synthetic", "cifar10", "cifar100"))
+    path: str | None = rule(None, optional(TEXT))
+    classes: int = rule(2, COUNT)
+    tokens: int = rule(8, COUNT)
+    feat_dim: int = rule(16, COUNT)
+    subspace_dim: int = rule(4, COUNT)
+    separation: float = rule(3.0, FINITE)
+    noise: float = rule(0.1, NONNEGATIVE)
+    n_train: int = rule(256, COUNT)
+    n_val: int = rule(128, COUNT)
+    seed: int = rule(0, INT)
+    patch: int = rule(4, COUNT)
+    augment_flip: bool = rule(False, FLAG)
+    augment_crop: bool = rule(False, FLAG)
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "cifar10", "cifar100"):
-            raise ConfigError(f"unknown dataset source {self.source!r}")
-        if self.source == "synthetic" and self.classes < 2:
-            raise ConfigError("synthetic datasets need at least 2 classes")
-        if self.n_train < 1 or self.n_val < 1:
-            raise ConfigError("n_train and n_val must be at least 1")
+        check_fields(self)
+        n = self.n_train + self.n_val
+        if self.source == "synthetic" and not 2 <= self.classes <= n:
+            raise ConfigError(f"synthetic classes must lie in [2, n_train + n_val = {n}], got {self.classes}")
+        if self.source == "synthetic" and self.subspace_dim > self.feat_dim:
+            raise ConfigError(f"subspace_dim {self.subspace_dim} cannot exceed feat_dim {self.feat_dim}")
 
 
 @dataclass
@@ -196,19 +197,20 @@ def synth_dataset(spec: DatasetSpec) -> Dataset:
     by construction."""
     rng = rng_for(spec.seed, "synth")
     F, r, C = spec.feat_dim, spec.subspace_dim, spec.classes
-    if r > F:
-        raise ConfigError("subspace_dim cannot exceed feat_dim")
     basis = orthonormal_basis(F, int(rng.integers(2**31)), cols=r)
     directions = orthonormal_basis(F, int(rng.integers(2**31)), cols=min(C, F))
-    means = np.stack([spec.separation * directions[:, c % F] for c in range(C)], axis=0)
+    means = spec.separation * directions[:, np.arange(C) % F].T
 
     n = spec.n_train + spec.n_val
     labels = np.arange(n) % C
     rng.shuffle(labels)
     coeffs = rng.standard_normal((n, r, spec.tokens))
     noise = rng.standard_normal((n, F, spec.tokens))
-    x = np.einsum("fr,nrt->nft", basis, coeffs) + spec.noise * noise
-    x += means[labels][:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.einsum("fr,nrt->nft", basis, coeffs) + spec.noise * noise
+        x += means[labels][:, :, None]
+    if not np.isfinite(x).all():
+        raise NumericError(f"synthetic features overflow at noise {spec.noise!r}, separation {spec.separation!r}")
     return Dataset(
         train_x=x[: spec.n_train],
         train_y=labels[: spec.n_train],

@@ -290,6 +290,7 @@ def layer_norm(Z, gain, bias, ws: Workspace | None = None):
     xc = np.subtract(Z, linalg._reduce(np.add, Z, -2) / d, out=_take(ws, "ln.out", Z.shape))
     var = linalg._reduce(np.add, np.multiply(xc, xc, out=_take(ws, "ln.sq", Z.shape)), -2)
     var /= d
+    var[np.isinf(var)] = np.nan  # an overflowed variance would scale its column to zeros
     var += ad.LN_EPS
     xc /= np.sqrt(var, out=var)
     xc *= np.asarray(gain).reshape((d, 1))

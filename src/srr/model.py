@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import layers as ly
 from . import rates
 from .autodiff import Tensor, _node, as_tensor, cut, logdet_gram
+from .errors import COUNT, FINITE, FRACTION, INT, NONNEGATIVE, POSITIVE, check_fields, one_of, optional, rule
 from .errors import ConfigError, FormatError, NumericError, ShapeError, config_fields
 from .linalg import rng_for
 
@@ -34,43 +36,34 @@ __all__ = [
 
 CHECKPOINT_VERSION = 1
 
+# physical memory: no parameter table outgrows it (no bound where the system does not say)
+_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else sys.maxsize
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    L: int = 12
-    d: int = 384
-    K: int = 6
-    alpha: float = 1.0
-    beta: float = 0.5
-    eps_sq: float | None = None  # None: eps^2 = p/N so the attention scale gamma is exactly 1
-    lambda_sparsity: float = 0.1
-    variant: str = ly.CRATE_C
-    dropout: float = 0.0
-    num_classes: int = 10
-    seed: int = 0
+    L: int = rule(12, COUNT)
+    d: int = rule(384, COUNT)
+    K: int = rule(6, COUNT)
+    alpha: float = rule(1.0, FINITE)
+    beta: float = rule(0.5, NONNEGATIVE)
+    eps_sq: float | None = rule(None, optional(POSITIVE))  # None: eps^2 = p/N so the attention scale gamma is exactly 1
+    lambda_sparsity: float = rule(0.1, NONNEGATIVE)
+    variant: str = rule(ly.CRATE_C, one_of(*ly.VARIANTS))
+    dropout: float = rule(0.0, FRACTION)
+    num_classes: int = rule(10, COUNT)
+    seed: int = rule(0, INT)
     # input geometry: images (patchified) or pre-tokenized feature sequences
-    patch: int = 4
-    image_size: int = 32
-    channels: int = 3
-    feat_dim: int | None = None
-    num_tokens: int | None = None
+    patch: int = rule(4, COUNT)
+    image_size: int = rule(32, COUNT)
+    channels: int = rule(3, COUNT)
+    feat_dim: int | None = rule(None, optional(COUNT))
+    num_tokens: int | None = rule(None, optional(COUNT))
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ConfigError("depth L must be at least 1")
-        if self.d <= 0 or self.K <= 0 or self.d % self.K != 0:
-            raise ConfigError(f"width d = {self.d} must be a positive multiple of K = {self.K}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
-        if self.variant not in ly.VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if not np.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
-        for name in ("beta", "lambda_sparsity"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be a nonnegative finite number, got {getattr(self, name)!r}")
-        if self.eps_sq is not None and not 0 < self.eps_sq < np.inf:
-            raise ConfigError(f"eps_sq must be a positive finite number when given, got {self.eps_sq!r}")
+        check_fields(self)
+        if self.d % self.K != 0:
+            raise ConfigError(f"width d = {self.d} must be a multiple of K = {self.K}")
         if (self.feat_dim is None) != (self.num_tokens is None):
             raise ConfigError("feat_dim and num_tokens must be given together")
         if self.feat_dim is None and self.image_size % self.patch != 0:
@@ -343,11 +336,15 @@ def param_count(cfg: ModelConfig) -> int:
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter, in allocation order."""
-    d = cfg.d
+    """Name -> shape of every parameter, in allocation order.  MemoryError,
+    before any per-layer work, when the table outgrows physical memory."""
+    d, mats = cfg.d, ("U", "D", "W") if cfg.variant in (ly.CRATE, ly.CRATE_FIX) else ("U", "D")
+    nbytes = 8 * (d * (cfg.in_dim + cfg.tokens + 1) + cfg.L * (len(mats) * d * d + 4 * d) + cfg.num_classes * (d + 1))
+    if nbytes > _MEMORY_BYTES:
+        raise MemoryError(f"L = {cfg.L} layers at d = {d} need {nbytes} bytes, over the {_MEMORY_BYTES} of memory")
     shapes = {"embed": (d, cfg.in_dim), "pos": (d, cfg.tokens), "cls": (d,)}
     for i in range(cfg.L):
-        for name in ("U", "D", "W") if cfg.variant in (ly.CRATE, ly.CRATE_FIX) else ("U", "D"):
+        for name in mats:
             shapes[f"layers.{i}.{name}"] = (d, d)
         for name in ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
             shapes[f"layers.{i}.{name}"] = (d,)

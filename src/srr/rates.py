@@ -17,11 +17,11 @@ so they double as independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import COUNT, NONNEGATIVE, POSITIVE, ConfigError, NumericError, ShapeError, check_fields, rule
 from .linalg import logdet_psd
 
 __all__ = [
@@ -50,21 +50,16 @@ class RateConfig:
     never go stale when a field changes.
     """
 
-    d: int
-    N: int
-    K: int
-    eps_sq: float = 0.5
-    lambda_sparsity: float = 0.1
+    d: int = rule(MISSING, COUNT)
+    N: int = rule(MISSING, COUNT)
+    K: int = rule(MISSING, COUNT)
+    eps_sq: float = rule(0.5, POSITIVE)
+    lambda_sparsity: float = rule(0.1, NONNEGATIVE)
 
     def __post_init__(self):
-        if self.d <= 0 or self.N <= 0 or self.K <= 0:
-            raise ConfigError("d, N, K must all be positive")
+        check_fields(self)
         if self.d % self.K != 0:
             raise ConfigError(f"d = {self.d} is not divisible by K = {self.K} heads")
-        if not 0 < self.eps_sq < np.inf:
-            raise ConfigError(f"eps_sq must be a positive finite number, got {self.eps_sq!r}")
-        if not 0 <= self.lambda_sparsity < np.inf:
-            raise ConfigError(f"lambda_sparsity must be a nonnegative finite number, got {self.lambda_sparsity!r}")
 
     @property
     def p(self) -> int:

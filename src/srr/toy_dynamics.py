@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import COUNT, FINITE, INT, POSITIVE, ConfigError, NumericError, check_value, one_of
 from .layers import mssa
 from .linalg import orthonormal_basis, rng_for, stable_seed
 from .rates import grad_projected_coding_rate, grad_taylor_terms, split_heads
@@ -114,21 +114,13 @@ def run_dynamics(
 ) -> DynamicsTrace:
     """Iterate one update rule for L layers and record R_c before/after
     each layer against that layer's own fresh orthonormal basis."""
-    tag = rule.lower()
-    if tag not in RULES:
-        canon = {v.lower(): k for k, v in RULES.items()}
-        if tag in canon:
-            tag = canon[tag]
-        else:
-            raise ConfigError(f"unknown dynamics rule {rule!r}")
-    if L < 1:
-        raise ConfigError(f"depth L must be at least 1, got {L}")
+    tags = {**{k: k for k in RULES}, **{v.lower(): k for k, v in RULES.items()}}
+    tag = tags[check_value("rule", rule.lower(), one_of(*tags))]
+    for name, value, r in (("N", N, COUNT), ("L", L, COUNT), ("d", d, COUNT), ("K", K, COUNT),
+                           ("alpha", alpha, FINITE), ("gamma", gamma, POSITIVE), ("seed", seed, INT)):
+        check_value(name, value, r)
     if d % K != 0:
         raise ConfigError(f"d = {d} must be divisible by K = {K}")
-    if not 0 < gamma < np.inf:
-        raise ConfigError(f"gamma must be a positive finite number, got {gamma}")
-    if not np.isfinite(alpha):
-        raise ConfigError(f"alpha must be finite, got {alpha}")
 
     Z0 = rng_for(seed, "tokens").standard_normal((d, N))
     Zh, c = _normalize(Z0)

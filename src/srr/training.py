@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError
+from .errors import COUNT, INT, NONNEGATIVE, POSITIVE, ConfigError, NumericError, check_fields, one_of, optional, rule
 from .linalg import cross_entropy_np, rng_for
 from .model import Model, _layer_rates
 
@@ -42,31 +42,22 @@ REG_MODES = ("none", "all_layers", "fixed_layer", "random_layer")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 128
-    lr_init: float = 1e-4
-    epochs: int = 200
-    schedule: str = "cosine"
-    eta_reg: float = 0.0
-    reg_mode: str = "none"
-    reg_layer: int | None = None  # 1-based, fixed_layer mode only
-    stop_criterion: float = 0.01
-    seed: int = 0
+    batch_size: int = rule(128, COUNT)
+    lr_init: float = rule(1e-4, POSITIVE)
+    epochs: int = rule(200, COUNT)
+    schedule: str = rule("cosine", one_of("cosine", "constant"))
+    eta_reg: float = rule(0.0, NONNEGATIVE)
+    reg_mode: str = rule("none", one_of(*REG_MODES))
+    reg_layer: int | None = rule(None, optional(COUNT))  # 1-based, fixed_layer mode only
+    stop_criterion: float = rule(0.01, NONNEGATIVE)
+    seed: int = rule(0, INT)
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be positive")
-        if not 0 < self.lr_init < math.inf:
-            raise ConfigError(f"lr_init must be a positive finite number, got {self.lr_init!r}")
-        if self.schedule not in ("cosine", "constant"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.reg_mode not in REG_MODES:
-            raise ConfigError(f"unknown reg_mode {self.reg_mode!r}")
-        if self.eta_reg < 0:
-            raise ConfigError("eta_reg must be nonnegative")
+        check_fields(self)
         # eta_reg == 0 exactly when regularization is off
         if (self.eta_reg == 0) != (self.reg_mode == "none"):
             raise ConfigError("eta_reg must be 0 exactly when reg_mode is 'none'")
-        if self.reg_mode == "fixed_layer" and (self.reg_layer is None or self.reg_layer < 1):
+        if self.reg_mode == "fixed_layer" and self.reg_layer is None:
             raise ConfigError("fixed_layer mode needs reg_layer >= 1")
 
 
@@ -266,11 +257,18 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
             acc_sum += parts["acc"] * bsz
             reg_sum += parts["reg_value"] * bsz
             seen += bsz
+        if bad is None:  # the epoch's last step can still take the weights out of float64 range
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    val_ce, val_acc = evaluate(model, dataset.val_x, dataset.val_y)
+                except NumericError:  # non-finite attention scores
+                    val_ce = math.nan
+            if not math.isfinite(val_ce):
+                bad = f"training diverged (non-finite validation loss) after epoch {epoch}"
         if bad is not None:
             trace.diverged = True
             trace.note = bad
             break
-        val_ce, val_acc = evaluate(model, dataset.val_x, dataset.val_y)
         stats = EpochStats(
             epoch=epoch,
             train_ce=ce_sum / seen,

@@ -14,7 +14,6 @@ import dataclasses
 import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 from . import layers as ly
 from .analysis import HyperPoint, ZooRecord, CorrelationReport, correlation_report
 from .data import DatasetSpec, build_dataset
+from .errors import COUNT, FRACTION, INT, POSITIVE, axis, check_fields, check_value, one_of, rule
 from .errors import ConfigError, FormatError, config_fields
 from .linalg import stable_seed
 from .measures import FIELD_ORDER, measure_csv_row, measure_vector, measures_csv_header
@@ -45,41 +45,18 @@ MANIFEST_NAME = "manifest.json"
 MEASURES_NAME = "measures.csv"
 
 
-def _is_number(v, integral: bool = False) -> bool:
-    return isinstance(v, numbers.Integral if integral else numbers.Real) and not isinstance(v, bool)
-
-
-# grid axis -> (what each element must be, its check, the Python type it is stored as)
-_AXIS_CHECKS = {
-    "batch_sizes": ("an int >= 1", lambda v: _is_number(v, integral=True) and v >= 1, int),
-    "lrs": ("a positive finite number", lambda v: _is_number(v) and 0 < v < math.inf, float),
-    "widths": ("an int >= 1", lambda v: _is_number(v, integral=True) and v >= 1, int),
-    "dropouts": ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1, float),
-    "variants": ("a known variant", lambda v: isinstance(v, str) and v in ly.VARIANTS, str),
-}
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    batch_sizes: tuple = (64, 128)
-    lrs: tuple = (2e-5, 1e-4)
-    widths: tuple = (384, 768)
-    dropouts: tuple = (0.0, 0.1)
-    variants: tuple = (ly.CRATE_C, ly.CRATE_N, ly.CRATE_T, ly.CRATE)
-    seed: int = 0
+    # numpy elements are stored as Python ones, so keys and the manifest JSON see plain values
+    batch_sizes: tuple = rule((64, 128), axis(COUNT, int))
+    lrs: tuple = rule((2e-5, 1e-4), axis(POSITIVE, float))
+    widths: tuple = rule((384, 768), axis(COUNT, int))
+    dropouts: tuple = rule((0.0, 0.1), axis(FRACTION, float))
+    variants: tuple = rule((ly.CRATE_C, ly.CRATE_N, ly.CRATE_T, ly.CRATE), axis(one_of(*ly.VARIANTS), str))
+    seed: int = rule(0, INT)
 
     def __post_init__(self):
-        for name, (what, ok, kind) in _AXIS_CHECKS.items():
-            if not getattr(self, name):
-                raise ConfigError(f"empty grid axis: {name}")
-            for v in getattr(self, name):
-                if not ok(v):
-                    raise ConfigError(f"grid axis {name}: element {v!r} is not {what}")
-            # numpy scalars become Python ones, so keys and the manifest JSON see plain values
-            object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
-        if not _is_number(self.seed, integral=True):
-            raise ConfigError(f"grid seed {self.seed!r} is not an int")
-        object.__setattr__(self, "seed", int(self.seed))
+        check_fields(self)
 
     @classmethod
     def paper(cls, seed: int = 0) -> "GridSpec":
@@ -204,8 +181,7 @@ def run_zoo(
     already trained would no longer match the manifest.  Returns the final
     manifest dict.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    check_value("workers", workers, COUNT)
     os.makedirs(out_dir, exist_ok=True)
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
     manifest = _read_manifest(out_dir)
@@ -232,7 +208,8 @@ def run_zoo(
                 continue
         pending.append((key, pt, grid.cell_seed(pt), model_template, train_template, data, out_dir))
 
-    # one worker trains in this process, in order; the manifest is written after each cell
+    # a pool starts all its workers at once: none idle; one trains here, in order, writing the manifest per cell
+    workers = min(workers, len(pending))
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         cells = _pooled_cells(pool, pending) if pool else ((args[0], *_run_cell(args)) for args in pending)
         for i, (key, entry, seconds) in enumerate(cells, 1):

@@ -2,6 +2,7 @@
 tracer wraps resolves, and importing the package loads numpy as its only
 third-party dependency."""
 
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -49,3 +50,13 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_config_field_declares_a_rule():
+    undeclared = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (srr.ModelConfig, srr.TrainConfig, srr.DatasetSpec, srr.RateConfig, srr.GridSpec)
+        for f in dataclasses.fields(cls)
+        if "rule" not in f.metadata
+    ]
+    assert undeclared == []

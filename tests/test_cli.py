@@ -135,6 +135,21 @@ class TestTrainCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_impossible_size_is_a_clean_error(self, tmp_path, capsys):
+        # numpy refuses 8e14 bytes of labels outright: a MemoryError, caught as bad input
+        cfg = dict(SYNTH, data=dict(SYNTH["data"], n_train=10**14))
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "m.npz")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+
+    def test_overflowing_separation_is_a_flagged_divergence(self, tmp_path, capsys):
+        # the tokens' variance overflows in the first layer norm, which once scaled them to zeros
+        cfg = dict(SYNTH, data=dict(SYNTH["data"], separation=1e308))
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "m.npz")]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("diverged after 0 epochs")
+        assert "note: training diverged (non-finite loss at layer 1) at epoch 0, step 0" in out
+
     def test_checkpoint_at_exactly_the_out_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         ckpt = str(tmp_path / "model.ckpt")
@@ -286,7 +301,7 @@ class TestZooCommand:
         zoo_dir = tmp_path / "zoo"
         assert main(["zoo", "--grid", self.grid_config(tmp_path), "--out", str(zoo_dir), "--workers", workers]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"workers must be at least 1, got {workers}" in err
+        assert err.startswith("error:") and f"workers must be an int >= 1, got {workers}" in err
         assert not zoo_dir.exists()
 
     def test_correlate_without_measures_file(self, tmp_path, capsys):
@@ -410,7 +425,7 @@ class TestMeasureCommand:
         ("train", {"data": {"bogus": 1}}, "'bogus'"),
         ("probe", {"data": {"bogus": 1}}, "'bogus'"),
         ("measure", {"data": {"bogus": 1}}, "'bogus'"),
-        ("train", {"model": {"L": "2"}}, "'L'"),
+        ("train", {"model": {"L": "2"}}, "model.L must be an int >= 1, got '2'"),
         ("train", {"train": {"bogus": 3}}, "'bogus'"),
         ("zoo", {"grid": {"bogus": [1]}}, "'bogus'"),
         ("zoo", {"grid": ["x"]}, "'grid'"),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from srr.data import (
     random_resize_crop,
     synth_dataset,
 )
-from srr.errors import ConfigError, FormatError
+from srr.errors import ConfigError, FormatError, NumericError
 from srr.layers import patchify
 from srr.linalg import rng_for
 
@@ -44,6 +45,25 @@ class TestSpec:
     def test_empty_split_rejected(self, split):
         with pytest.raises(ConfigError):
             DatasetSpec(**{split: 0})
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("separation", np.nan), ("separation", np.inf), ("noise", -1.0), ("noise", np.nan), ("tokens", 0),
+         ("subspace_dim", 0), ("feat_dim", 0), ("patch", 0), ("n_train", 2.5), ("seed", None), ("path", 3),
+         ("augment_flip", 1)],
+    )
+    def test_every_field_is_held_to_its_rule(self, field, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be ") + ".*" + re.escape(f", got {value!r}")):
+            DatasetSpec(**{field: value})
+
+    def test_synthetic_only_checks(self):
+        with pytest.raises(ConfigError, match=re.escape("classes must lie in [2, n_train + n_val = 6], got 7")):
+            DatasetSpec(n_train=4, n_val=2, classes=7)
+        with pytest.raises(ConfigError, match="subspace_dim 8 cannot exceed feat_dim 4"):
+            DatasetSpec(feat_dim=4, subspace_dim=8)
+        # an image source reads none of the synthetic fields
+        DatasetSpec(source="cifar10", path="x", classes=7, n_train=4, n_val=2, feat_dim=4, subspace_dim=8)
 
 
 class TestSynthetic:
@@ -108,6 +128,10 @@ class TestSynthetic:
     def test_subspace_wider_than_features(self):
         with pytest.raises(ConfigError):
             synth_dataset(DatasetSpec(feat_dim=4, subspace_dim=8))
+
+    def test_features_beyond_float64_are_an_error(self):
+        with pytest.raises(NumericError, match="overflow at noise 1e\\+308"):
+            synth_dataset(dataclasses.replace(self.SPEC, noise=1e308))
 
     def test_train_batch_is_plain_indexing(self):
         ds = synth_dataset(self.SPEC)

@@ -1,0 +1,167 @@
+"""Hostile input, table-driven: every field of the five config classes and
+every numeric flag of ``toy``, ``train``, ``probe`` and ``measure`` is fed
+0, -1, NaN, +-inf, 1e308, a wrong type and an impossible size, through
+``cli.main`` in process at a tiny geometry and one epoch.
+
+Each case must end in exit 2 with an ``error:`` line, or in exit 0 with no
+warning (warnings are errors here), and with a note when a training run
+diverged.  Counts that only bound a loop stay out at the impossible size:
+the run would be valid, only long.
+"""
+
+import contextlib
+import copy
+import dataclasses
+import itertools
+import json
+import math
+import signal
+import warnings
+
+import pytest
+
+from srr.cli import main
+from srr.data import DatasetSpec
+from srr.errors import ConfigError
+from srr.model import ModelConfig
+from srr.rates import RateConfig
+from srr.training import TrainConfig
+from srr.zoo import GridSpec
+
+IMPOSSIBLE = 10**14  # as float64, 8e14 bytes: more than the 1.4e14 of user address space x86-64 Linux maps
+VALUES = [0, -1, math.nan, math.inf, -math.inf, 1e308, "x", IMPOSSIBLE]
+LOOP_COUNTS = {"epochs", "--epochs", "--layers"}
+CASE_SECONDS = 10  # a case that loops on fails here instead of hanging the suite
+CASE_NUMBERS = itertools.count()  # each case reads a config file of its own
+
+BASE = {
+    "data": {"classes": 2, "tokens": 3, "feat_dim": 4, "subspace_dim": 2, "n_train": 8, "n_val": 4},
+    "model": {"L": 1, "d": 4, "K": 2},
+    "train": {"batch_size": 8, "epochs": 1, "lr_init": 1e-2},
+}
+GRID = {"batch_sizes": [8], "lrs": [1e-2], "widths": [4], "dropouts": [0.0], "variants": ["crate_c"]}
+
+
+class Overran(Exception):
+    """A case ran past its deadline (no OSError, so ``cli.main`` lets it through)."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def values_for(name):
+    return [v for v in VALUES if not (name in LOOP_COUNTS and v == IMPOSSIBLE)]
+
+
+def fault(argv, capsys):
+    """None when ``main(argv)`` ends as hostile input may, else what went wrong."""
+    capsys.readouterr()
+    try:
+        with deadline(CASE_SECONDS), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    except SystemExit as exc:  # argparse refuses the flag value
+        code = exc.code
+    except Exception as exc:  # a traceback, a warning or the deadline
+        return f"{type(exc).__name__}: {exc}"
+    out, err = capsys.readouterr()
+    if code == 2:
+        return None if any("error: " in line for line in err.splitlines()) else f"exit 2 without an error line: {err!r}"
+    if code != 0:
+        return f"exit {code}"
+    if "diverged" in out and "note: " not in out:
+        return f"divergence without a note: {out!r}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@pytest.fixture(scope="module")
+def base_config(workdir):
+    path = workdir / "base.json"
+    path.write_text(json.dumps(BASE))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(workdir, base_config):
+    path = str(workdir / "base.ckpt.npz")
+    assert main(["train", "--config", base_config, "--out", path]) == 0
+    return path
+
+
+def write(workdir, cfg):
+    path = workdir / f"case-{next(CASE_NUMBERS)}.json"
+    path.write_text(json.dumps(cfg))  # NaN and +-Infinity as Python's json reads them back
+    return str(path)
+
+
+def section_cases(workdir):
+    """``srr train`` with one hostile value in one field of its model, train or data section."""
+    ckpt = str(workdir / "section.ckpt.npz")
+    for cls, section in ((ModelConfig, "model"), (TrainConfig, "train"), (DatasetSpec, "data")):
+        for f in dataclasses.fields(cls):
+            for value in values_for(f.name):
+                cfg = copy.deepcopy(BASE)
+                cfg[section][f.name] = value
+                yield f"{section}.{f.name} = {value!r}", ["train", "--config", write(workdir, cfg), "--out", ckpt]
+
+
+def grid_cases(workdir):
+    """A one-cell ``srr zoo`` whose grid holds one hostile value."""
+    for f in dataclasses.fields(GridSpec):
+        # each axis takes one hostile element, and once a bare number in place of a list
+        hostile = VALUES if f.name == "seed" else [[v] for v in VALUES] + [1]
+        for i, value in enumerate(hostile):
+            cfg = copy.deepcopy(BASE)
+            cfg["grid"] = dict(GRID, **{f.name: value})
+            argv = ["zoo", "--grid", write(workdir, cfg), "--out", str(workdir / f"zoo-{f.name}-{i}")]
+            yield f"grid.{f.name} = {value!r}", argv
+
+
+def flag_cases(workdir, base_config, checkpoint):
+    """Each numeric flag of toy, train, probe and measure at one hostile value."""
+    commands = {
+        "toy": (["toy", "--rule", "a", "--layers", "1", "--out", str(workdir / "toy.csv")],
+                ["--alpha", "--gamma", "--seed", "--layers"]),
+        "train": (["train", "--config", base_config, "--reg", "all", "--out", str(workdir / "flag.ckpt.npz")],
+                  ["--eta", "--epochs", "--seed"]),
+        "probe": (["probe", "--config", base_config, "--checkpoint", checkpoint, "--out", str(workdir / "p.csv")],
+                  ["--lambda", "--eps-sq", "--samples"]),
+        "measure": (["measure", "--config", base_config, "--checkpoint", checkpoint, "--out", str(workdir / "m.csv")],
+                    ["--seed"]),
+    }
+    for name, (argv, flags) in commands.items():
+        for flag in flags:
+            for value in values_for(flag):
+                yield f"{name} {flag}={value!r}", [*argv, f"{flag}={value}"]
+
+
+def test_every_config_field_and_numeric_flag(workdir, base_config, checkpoint, capsys):
+    cases = [*section_cases(workdir), *grid_cases(workdir), *flag_cases(workdir, base_config, checkpoint)]
+    failures = [f"{label}: {why}" for label, argv in cases if (why := fault(argv, capsys))]
+    assert not failures, "\n".join(failures)
+
+
+def test_rate_config_fields():
+    # no command builds a RateConfig from a section: its fields are swept directly
+    for f in dataclasses.fields(RateConfig):
+        for value in VALUES:
+            try:
+                RateConfig(**dict(dict(d=8, N=4, K=2), **{f.name: value}))
+            except ConfigError as exc:
+                assert f.name in str(exc) and repr(value) in str(exc)

@@ -201,6 +201,21 @@ class TestLayerNorm:
         out = layer_norm(Z, np.ones(8), np.zeros(8))
         np.testing.assert_allclose(out[0], layer_norm(Z[0], np.ones(8), np.zeros(8)), atol=1e-15)
 
+    def test_overflowed_variance_reads_nan_not_zeros(self):
+        # column 0's squares overflow; column 1 keeps the bits it has alone
+        Z = np.zeros((4, 2))
+        Z[:2, 0] = (1e200, -1e200)
+        Z[:, 1] = rng_for(49).standard_normal(4)
+        gain, bias = rng_for(50).standard_normal(4), rng_for(51).standard_normal(4)
+        with np.errstate(over="ignore"):
+            outs = [layer_norm(Z, gain, bias),
+                    layer_norm(ad.Tensor(Z, requires_grad=True), ad.Tensor(gain), ad.Tensor(bias)).data]
+        alone = [layer_norm(Z[:, 1:], gain, bias),
+                 layer_norm(ad.Tensor(Z[:, 1:], requires_grad=True), ad.Tensor(gain), ad.Tensor(bias)).data]
+        for out, ref in zip(outs, alone):
+            assert np.isnan(out[:, 0]).all()
+            assert np.array_equal(out[:, 1:], ref)
+
     def test_tensor_path_matches(self):
         Z = rng_for(46).standard_normal((8, 3))
         gain = rng_for(47).standard_normal(8)

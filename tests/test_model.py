@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from srr import model as model_module
 from srr import rates
 from srr.autodiff import Tensor
 from srr.errors import ConfigError, FormatError, NumericError, ShapeError
@@ -50,6 +52,28 @@ class TestModelConfig:
         # rejected up front, not at the first forward (or never)
         with pytest.raises(ConfigError, match=field):
             tiny_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_classes", 0), ("channels", 0), ("image_size", 0), ("patch", 0), ("feat_dim", 0), ("num_tokens", -1),
+         ("L", "3"), ("d", 8.0), ("K", True), ("variant", 3), ("seed", 1.5), ("dropout", np.nan)],
+    )
+    def test_every_field_is_held_to_its_rule(self, field, value):
+        # each passed unchecked before, or ended in a TypeError or ZeroDivisionError
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be ") + ".*" + re.escape(f", got {value!r}")):
+            ModelConfig(**{field: value})
+
+    def test_numpy_ints_are_stored_as_python_ints(self):
+        cfg = tiny_cfg(L=np.int64(2), seed=np.int32(3))
+        assert type(cfg.L) is int and type(cfg.seed) is int
+        assert json.loads(json.dumps(dataclasses.asdict(cfg)))["L"] == 2
+
+    def test_table_beyond_memory_is_refused_before_any_layer(self, monkeypatch):
+        cfg = tiny_cfg(L=300)
+        assert param_count(cfg) == sum(t.data.size for t in init_model(cfg).trainable_params().values())
+        monkeypatch.setattr(model_module, "_MEMORY_BYTES", 8 * param_count(cfg) - 1)
+        with pytest.raises(MemoryError, match="L = 300 layers at d = 8"):
+            init_model(cfg)
 
     def test_feat_dim_needs_num_tokens(self):
         with pytest.raises(ConfigError):
@@ -483,7 +507,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "change, named", [({"depth": 3}, "'depth'"), ({"L": "2"}, "str")], ids=["unknown_key", "wrong_type"]
+        "change, named",
+        [({"depth": 3}, "'depth'"), ({"L": "2"}, "L must be an int >= 1, got '2'")],
+        ids=["unknown_key", "wrong_type"],
     )
     def test_bad_config_rejected(self, tmp_path, change, named):
         path = str(tmp_path / "m.npz")

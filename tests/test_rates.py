@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ class TestRateConfig:
     def test_non_finite_scales_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RateConfig(d=8, N=4, K=2, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("d", 8.0), ("N", "4"), ("K", None), ("eps_sq", True)])
+    def test_wrong_types_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be ") + ".*" + re.escape(f", got {value!r}")):
+            RateConfig(**dict(dict(d=8, N=4, K=2), **{field: value}))
 
 
 class TestCodingRate:

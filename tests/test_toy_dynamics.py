@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,12 @@ class TestTruncation:
     def test_non_finite_scales_rejected(self, kw):
         with pytest.raises(ConfigError, match=next(iter(kw))):
             run_dynamics("c", N=4, d=4, K=1, L=2, **kw)
+
+    @pytest.mark.parametrize("kw", [dict(K=0), dict(L=2.5), dict(N=0), dict(d="4")])
+    def test_sizes_held_to_the_count_rule(self, kw):
+        (name, value), = kw.items()
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be an int >= 1, got {value!r}")):
+            run_dynamics("c", **dict(dict(N=4, d=4, K=1, L=2), **kw))
 
     def test_spread_guard(self):
         assert _spread_ok(np.zeros((3, 3)))

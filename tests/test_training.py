@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ class TestTrainConfig:
     def test_lr_init_must_be_positive_and_finite(self, lr):
         with pytest.raises(ConfigError, match="lr_init"):
             TrainConfig(lr_init=lr)
+
+    @pytest.mark.parametrize(
+        "kw, field",
+        [(dict(eta_reg=np.nan, reg_mode="all_layers"), "eta_reg"), (dict(stop_criterion=np.nan), "stop_criterion"),
+         (dict(stop_criterion=-1.0), "stop_criterion"), (dict(batch_size=2.0), "batch_size"),
+         (dict(epochs="3"), "epochs"), (dict(eta_reg=0.1, reg_mode="fixed_layer", reg_layer=0), "reg_layer")],
+    )
+    def test_every_field_is_held_to_its_rule(self, kw, field):
+        message = re.escape(f"{field} must be ") + ".*" + re.escape(f", got {kw[field]!r}")
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**kw)
 
     def test_unknown_mode_and_schedule(self):
         with pytest.raises(ConfigError):
@@ -273,7 +286,7 @@ class TestRegularizedLoss:
         _, parts = srr_regularized_loss(model, (x, y), cfg, rng=rng_for(77))
         for i, entry in enumerate(parts["cache"]):
             replay = model.apply_layer(
-                i, entry["input"].detach(), entry["attn_masks"], entry["out_mask"]
+                i, Tensor(entry["input"].data), entry["attn_masks"], entry["out_mask"]
             )
             np.testing.assert_array_equal(replay.data, entry["output"].data)
             term = _layer_srr_term(model, i, entry["output"])
@@ -299,7 +312,7 @@ def replay_loss(model, batch, train_cfg, rng):
     total = None
     for layer_no in selected:
         entry = cache[layer_no - 1]
-        zout = model.apply_layer(layer_no - 1, entry["input"].detach(), entry["attn_masks"], entry["out_mask"])
+        zout = model.apply_layer(layer_no - 1, Tensor(entry["input"].data), entry["attn_masks"], entry["out_mask"])
         term = _layer_srr_term(model, layer_no - 1, zout)
         total = term if total is None else total + term
     return ce + train_cfg.eta_reg * (total * (1.0 / len(selected)))
@@ -431,6 +444,14 @@ class TestTrain:
         assert trace.diverged
         assert not trace.converged
         assert trace.note == "training diverged (non-finite loss at layer 1) at epoch 0, step 0"
+
+    def test_weights_overflowed_by_the_last_step_flag_a_divergence(self):
+        # one finite step per epoch at lr 1e308 leaves only the evaluation to see it
+        ds = sep_dataset()
+        model = tiny_model(L=2, d=8, K=2, seed=5)
+        trace = train(model, ds, TrainConfig(batch_size=10**6, lr_init=1e308, epochs=3))
+        assert trace.diverged and not trace.converged and trace.epochs == []
+        assert trace.note == "training diverged (non-finite validation loss) after epoch 0"
 
     def test_regularized_training_records_reg_value(self):
         ds = sep_dataset()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -129,8 +130,10 @@ class TestGridSpec:
     )
     def test_bad_axis_element_rejected(self, axis, value):
         good = getattr(GridSpec.desk(), axis)
-        with pytest.raises(ConfigError, match=f"grid axis {axis}: element {value!r}"):
-            dataclasses.replace(GridSpec.desk(), **{axis: good + (value,)})
+        bad = good + (value,)
+        with pytest.raises(ConfigError, match=re.escape(f"{axis} must be a nonempty list whose elements are each ")
+                           + ".*" + re.escape(f", got {bad!r}") + "$"):
+            dataclasses.replace(GridSpec.desk(), **{axis: bad})
 
     def test_numpy_elements_accepted(self, tmp_path):
         typed = GridSpec(batch_sizes=(np.int64(8),), lrs=(np.float64(5e-3),), widths=(np.int32(8),),
@@ -156,7 +159,7 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "1", None], ids=repr)
     def test_bad_seed_rejected(self, seed):
-        with pytest.raises(ConfigError, match=f"grid seed {seed!r} is not an int"):
+        with pytest.raises(ConfigError, match=re.escape(f"seed must be an int, got {seed!r}")):
             GridSpec.desk(seed=seed)
 
     def test_int_valued_float_axes_key_as_floats(self):
@@ -266,6 +269,40 @@ class TestRunZoo:
         monkeypatch.undo()
         manifest = run_zoo(grid, DATA, TRAIN, str(tmp_path), model_template=MODEL, workers=2, retry_failed=True)
         assert [manifest["cells"][key]["status"] for key in keys] == ["done"] * 3
+
+    def test_pool_starts_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and runs each cell in this process: it starts nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(zoo, "ProcessPoolExecutor", RecordingPool)
+        manifest = run_zoo(MINI, DATA, TRAIN, str(tmp_path / "many"), model_template=MODEL, workers=100_000)
+        assert sizes == [len(MINI.cells())] == [4]
+        assert all(entry["status"] == "done" for entry in manifest["cells"].values())
+        # one pending cell trains in this process: no pool at all
+        one = dataclasses.replace(MINI, dropouts=(0.0,), variants=("crate_c",))
+        run_zoo(one, DATA, TRAIN, str(tmp_path / "one"), model_template=MODEL, workers=8)
+        assert sizes == [4]
+
+    @pytest.mark.parametrize("workers", [2.5, "2", True])
+    def test_workers_held_to_the_count_rule(self, tmp_path, workers):
+        with pytest.raises(ConfigError, match=re.escape(f"workers must be an int >= 1, got {workers!r}")):
+            run_zoo(MINI, DATA, TRAIN, str(tmp_path), model_template=MODEL, workers=workers)
 
     def test_cell_seeds_recorded(self, tmp_path):
         manifest = run_mini(tmp_path)
