@@ -19,8 +19,9 @@ singular values in the log domain.  When even the *shape* of the spectrum
 stops being representable (dynamic range beyond ~1e95, so the cubed
 spectrum would underflow), the trace is truncated and flagged rather than
 reporting silently wrong rates — growth is the expected phenomenon.  Rules
-a/c/e/n carry the state at its true scale; a layer whose update leaves
-float64 range ends the trace the same way, with the rows before it kept.
+a/c/e/n carry the state at its true scale.  Under every rule, a layer whose
+update leaves float64 range (gamma**2 included) ends the trace the same
+way, with the rows before it kept.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ def run_dynamics(
     if d % K != 0:
         raise ConfigError(f"d = {d} must be divisible by K = {K}")
 
+    try:
+        step2 = alpha * gamma**2  # the step size of rules b, d, e and n
+    except OverflowError:  # gamma**2 left float64 range: the first such update ends the trace
+        step2 = alpha * np.inf
+
     Z0 = rng_for(seed, "tokens").standard_normal((d, N))
     Zh, c = _normalize(Z0)
     trace = DynamicsTrace(rule=tag)
@@ -138,13 +144,14 @@ def run_dynamics(
             # unit-scale Taylor gradients: g1 the head projection sum, -g2 the cubic sum
             g1, g2 = grad_taylor_terms(Zh, U, K, 1.0)
             damp = np.exp(-2.0 * c) if -2.0 * c < _RECON_LOG_LIMIT else np.inf
-            if not np.isfinite(damp):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if tag == "b":
+                    bracket = -step2 * g2 + damp * (Zh - alpha * gamma * g1)
+                else:
+                    bracket = -step2 * g2 + damp * Zh
+            if not np.isfinite(bracket).all():  # the damping or the step left float64 range
                 trace.truncated = True
                 break
-            if tag == "b":
-                bracket = -(alpha * gamma**2) * g2 + damp * (Zh - alpha * gamma * g1)
-            else:
-                bracket = -(alpha * gamma**2) * g2 + damp * Zh
             bh, blog = _normalize(bracket)
             Zh, c = bh, 3.0 * c + blog
             rc_after = _rc_scaled(Zh, c, blocks, gamma)
@@ -159,12 +166,15 @@ def run_dynamics(
                     if tag == "a":
                         Z = Z - alpha * grad_projected_coding_rate(Z, U, K, gamma)
                     elif tag == "c":
-                        g1, _ = grad_taylor_terms(Z, U, K, gamma)
+                        # summed as grad_taylor_terms sums its first term: its bits, without the cubic term
+                        g1 = np.zeros_like(Z)
+                        for Uk in blocks:
+                            g1 += gamma * (Uk @ (Uk.T @ Z))
                         Z = Z - alpha * g1
                     elif tag == "e":
-                        Z = Z + alpha * gamma**2 * mssa(Z, U, K)
+                        Z = Z + step2 * mssa(Z, U, K)
                     else:  # n
-                        Z = Z - alpha * gamma**2 * mssa(Z, U, K)
+                        Z = Z - step2 * mssa(Z, U, K)
                 except (NumericError, np.linalg.LinAlgError):
                     Z = None  # an intermediate (a Gram matrix, a solve) left float64 range
             if Z is None or not np.isfinite(Z).all():

@@ -520,3 +520,17 @@ def test_toy_rejects_a_non_finite_scale(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag[2:] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rule, flag, value, layers",
+    [("e", "--gamma", "1e308", "1"), ("b", "--gamma", "1e200", "2"),
+     ("b", "--alpha", "1e308", "3"), ("d", "--alpha", "1e308", "3")],
+)
+def test_toy_overflowing_update_ends_truncated(tmp_path, capsys, rule, flag, value, layers):
+    # warnings are errors in this suite, so an overflow warning fails the test too
+    out = tmp_path / "toy.csv"
+    assert main(["toy", "--rule", rule, "--layers", layers, flag, value, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.rstrip().endswith("(truncated)") and captured.err == ""
+    assert out.read_text().splitlines()[0] == "rule,layer,rc_before,rc_after"

@@ -1,7 +1,8 @@
 """Hostile input, table-driven: every field of the five config classes and
-every numeric flag of ``toy``, ``train``, ``probe`` and ``measure`` is fed
-0, -1, NaN, +-inf, 1e308, a wrong type and an impossible size, through
-``cli.main`` in process at a tiny geometry and one epoch.
+every numeric flag of ``toy`` (under each of its six rules), ``train``,
+``probe``, ``measure``, ``zoo`` and ``correlate`` is fed 0, -1, NaN, +-inf,
+1e308, a wrong type and an impossible size, through ``cli.main`` in process
+at a tiny geometry and one epoch.
 
 Each case must end in exit 2 with an ``error:`` line, or in exit 0 with no
 warning (warnings are errors here), and with a note when a training run
@@ -25,6 +26,7 @@ from srr.data import DatasetSpec
 from srr.errors import ConfigError
 from srr.model import ModelConfig
 from srr.rates import RateConfig
+from srr.toy_dynamics import RULES
 from srr.training import TrainConfig
 from srr.zoo import GridSpec
 
@@ -104,6 +106,16 @@ def checkpoint(workdir, base_config):
     return path
 
 
+@pytest.fixture(scope="module")
+def zoo_dir(workdir):
+    """A measured one-cell zoo whose cell converges, so a width filter has a record to keep."""
+    cfg = dict(copy.deepcopy(BASE), grid=GRID)
+    cfg["train"]["stop_criterion"] = 1.0
+    out = str(workdir / "measured-zoo")
+    assert main(["zoo", "--grid", write(workdir, cfg), "--out", out, "--measure"]) == 0
+    return out
+
+
 def write(workdir, cfg):
     path = workdir / f"case-{next(CASE_NUMBERS)}.json"
     path.write_text(json.dumps(cfg))  # NaN and +-Infinity as Python's json reads them back
@@ -133,26 +145,35 @@ def grid_cases(workdir):
             yield f"grid.{f.name} = {value!r}", argv
 
 
-def flag_cases(workdir, base_config, checkpoint):
-    """Each numeric flag of toy, train, probe and measure at one hostile value."""
+def flag_cases(workdir, base_config, checkpoint, zoo_dir):
+    """Each numeric flag of toy, train, probe, measure, zoo and correlate at one hostile value."""
+    grid_config = write(workdir, dict(BASE, grid=GRID))
     commands = {
-        "toy": (["toy", "--rule", "a", "--layers", "1", "--out", str(workdir / "toy.csv")],
-                ["--alpha", "--gamma", "--seed", "--layers"]),
+        **{
+            f"toy --rule {rule}": (["toy", "--rule", rule, "--layers", "1", "--out", str(workdir / "toy.csv")],
+                                   ["--alpha", "--gamma", "--seed", "--layers"])
+            for rule in sorted(RULES)
+        },
         "train": (["train", "--config", base_config, "--reg", "all", "--out", str(workdir / "flag.ckpt.npz")],
                   ["--eta", "--epochs", "--seed"]),
         "probe": (["probe", "--config", base_config, "--checkpoint", checkpoint, "--out", str(workdir / "p.csv")],
                   ["--lambda", "--eps-sq", "--samples"]),
         "measure": (["measure", "--config", base_config, "--checkpoint", checkpoint, "--out", str(workdir / "m.csv")],
                     ["--seed"]),
+        "correlate": (["correlate", "--zoo", zoo_dir, "--out", str(workdir / "report.csv")], ["--width-filter"]),
     }
     for name, (argv, flags) in commands.items():
         for flag in flags:
             for value in values_for(flag):
                 yield f"{name} {flag}={value!r}", [*argv, f"{flag}={value}"]
+    # the grid has one cell, so no worker count starts a process pool: each case trains in process
+    for i, value in enumerate(values_for("--workers")):
+        argv = ["zoo", "--grid", grid_config, "--out", str(workdir / f"workers-{i}"), f"--workers={value}"]
+        yield f"zoo --workers={value!r}", argv
 
 
-def test_every_config_field_and_numeric_flag(workdir, base_config, checkpoint, capsys):
-    cases = [*section_cases(workdir), *grid_cases(workdir), *flag_cases(workdir, base_config, checkpoint)]
+def test_every_config_field_and_numeric_flag(workdir, base_config, checkpoint, zoo_dir, capsys):
+    cases = [*section_cases(workdir), *grid_cases(workdir), *flag_cases(workdir, base_config, checkpoint, zoo_dir)]
     failures = [f"{label}: {why}" for label, argv in cases if (why := fault(argv, capsys))]
     assert not failures, "\n".join(failures)
 

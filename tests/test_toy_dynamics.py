@@ -3,14 +3,17 @@ import re
 import numpy as np
 import pytest
 
+from srr import toy_dynamics
 from srr.errors import ConfigError
 from srr.layers import mssa
 from srr.linalg import orthonormal_basis, rng_for, stable_seed
-from srr.rates import projected_coding_rate, split_heads
+from srr.rates import grad_taylor_terms, projected_coding_rate, split_heads
 from srr.toy_dynamics import (
     RULES,
     DynamicsTrace,
     LayerRates,
+    _normalize,
+    _rc_scaled,
     _spread_ok,
     run_dynamics,
     traces_to_csv,
@@ -157,6 +160,36 @@ class TestQualitativeBehavior:
             )
 
 
+class TestFirstOrderRule:
+    """Rule c forms its step alone, with the bits of the Taylor gradient's first term."""
+
+    @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (0.5, 1.3)])
+    def test_rows_match_the_taylor_gradient_replay(self, alpha, gamma):
+        # at the default toy size; under (1, 1) the rates fall ~30 decades a layer, to 0.0 at layer 11
+        seed, N, L, d, K = 0, 32, 12, 64, 4
+        Zh, c = _normalize(start_state(seed, d, N))
+        want = []
+        for layer in range(1, L + 1):
+            U = layer_basis(seed, d, layer)
+            blocks = split_heads(U, K)
+            before = _rc_scaled(Zh, c, blocks, gamma)
+            Z = np.exp(c) * Zh
+            Zh, c = _normalize(Z - alpha * grad_taylor_terms(Z, U, K, gamma)[0])
+            want.append((layer, before, _rc_scaled(Zh, c, blocks, gamma)))
+        tr = run_dynamics("c", alpha=alpha, gamma=gamma, seed=seed)
+        assert not tr.truncated
+        assert [(r.layer, r.rc_before, r.rc_after) for r in tr.rows] == want
+
+    def test_never_forms_the_cubic_term(self, monkeypatch):
+        calls = []
+        real = toy_dynamics.grad_taylor_terms
+        monkeypatch.setattr(toy_dynamics, "grad_taylor_terms", lambda *a: calls.append(a) or real(*a))
+        run_dynamics("c", L=3)
+        assert calls == []
+        run_dynamics("b", L=3)  # the spy does see the rules that call it
+        assert len(calls) == 3
+
+
 class TestTruncation:
     def test_scale_jump_truncates(self):
         # one enormous step pushes the log-scale past what exp() can
@@ -166,14 +199,24 @@ class TestTruncation:
         assert len(tr.rows) == 1
         assert np.isfinite([tr.rows[0].rc_before, tr.rows[0].rc_after]).all()
 
-    @pytest.mark.parametrize("rule", ["c", "e", "n"])
-    def test_overflowing_update_truncates(self, rule):
-        # an update that leaves float64 range ends the trace, flagged, with
-        # the rows before it kept; a numpy warning would fail the test (rule
-        # a's gradient is bounded, and its trace ends on the scale check)
-        tr = run_dynamics(rule, N=6, d=8, K=2, L=4, alpha=1e308, seed=0)
+    @pytest.mark.parametrize("alpha, gamma", [(1e308, 1.0), (1.0, 1e155), (1.0, 1e200), (1.0, 1e308)])
+    @pytest.mark.parametrize("rule", ["b", "c", "d", "e", "n"])
+    def test_overflowing_update_truncates(self, rule, alpha, gamma):
+        # an update that leaves float64 range, through alpha or through
+        # gamma**2 (1e310 and up, where a Python float's ** raises), ends the
+        # trace, flagged, with the rows before it kept; a numpy warning would
+        # fail the test (rule a's gradient is bounded, and its trace ends on
+        # the scale check)
+        tr = run_dynamics(rule, N=6, d=8, K=2, L=4, alpha=alpha, gamma=gamma, seed=0)
         assert tr.truncated and len(tr.rows) < 4
         assert np.isfinite([[r.rc_before, r.rc_after] for r in tr.rows]).all()
+
+    def test_vanishing_scale_truncates(self, monkeypatch):
+        # alpha * gamma = 1 cancels rule b's first-order term, so the log-scale c falls
+        # every layer until the damping exp(-2c) leaves float64 range (spread guard off)
+        monkeypatch.setattr(toy_dynamics, "_spread_ok", lambda Zh: True)
+        tr = run_dynamics("b", N=8, d=8, K=2, L=40, alpha=1e60, gamma=1e-60, seed=0)
+        assert tr.truncated and len(tr.rows) == 10
 
     @pytest.mark.parametrize("kw", [dict(alpha=np.nan), dict(alpha=-np.inf), dict(gamma=np.inf)])
     def test_non_finite_scales_rejected(self, kw):
