@@ -150,10 +150,12 @@ def correlation_report(records, measure_names, width_filter: int | None = None) 
     """Table of per-axis granulated taus, the overall tau, and psi for each
     measure, over the converged records (optionally restricted to one width)."""
     pool = list(records)
+    widths = sorted({r.theta.width for r in pool})
     if width_filter is not None:
         pool = [r for r in pool if r.theta.width == width_filter]
     if not any(r.converged for r in pool):
-        raise ConfigError("no converged records to correlate")
+        where = "" if width_filter is None else f" at width filter {width_filter}; the zoo holds widths {widths}"
+        raise ConfigError(f"no converged records to correlate{where}")
     report = CorrelationReport(width_filter=width_filter)
     report.n_converged = sum(1 for r in pool if r.converged)
     report.n_excluded = len(pool) - report.n_converged

@@ -107,9 +107,6 @@ class Tensor:
         other = as_tensor(other)
         return _node(self.data - other.data, (self, other), (None, np.negative))
 
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
     def __mul__(self, other):
         other = as_tensor(other)
         return _node(self.data * other.data, (self, other), (lambda g: g * other.data, lambda g: g * self.data))

@@ -87,8 +87,8 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None, ws: Workspace
     is a length-K list of multiplicative masks applied to the softmax
     output (training-time dropout).  ``Z`` and ``U`` are ndarrays.  Without
     a workspace, ``_saved`` (a list) receives each head's A_k and unmasked
-    softmax, for the VJP of the attention node; the scores then go through
-    the softmax unchecked, as on the rest of the training path.
+    softmax, for the VJP of the attention node.  Scores go through the
+    softmax unchecked, for the reader of the result to flag a non-finite one.
     """
     heads = split_heads(U, num_heads)
     p = heads[0].shape[1]
@@ -98,10 +98,8 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None, ws: Workspace
     for k, Uk in enumerate(heads):
         A = np.matmul(Uk.mT, Z, out=_take(ws, "heads.A", lead + (p, n)))
         S = np.matmul(A.mT, A, out=_take(ws, "heads.S", lead + (n, n)))
-        if _saved is None:
-            linalg.softmax_columns(S, out=S)
-        else:  # unchecked, so that a diverging training step is recorded, not raised
-            linalg._softmax(S, -2, out=S)
+        linalg._softmax(S, -2, out=S)
+        if _saved is not None:
             _saved.append((A, S))
         if attn_masks is not None:
             S = S * attn_masks[k]

@@ -47,27 +47,25 @@ def logdet_psd(mat: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
-def softmax_columns(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax_columns(scores: np.ndarray) -> np.ndarray:
     """Column-wise softmax (normalizes over axis -2).
 
     The column maximum is subtracted before exponentiation so large scores
     do not overflow.  Works on stacks of matrices: the last two axes are
-    treated as the matrix.  ``out``, when given, receives the result; it may
-    be ``scores`` itself.
+    treated as the matrix.  Non-finite scores raise NumericError.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim < 2:
         raise ShapeError("softmax_columns expects at least a 2-d array")
     if not np.isfinite(scores).all():
         raise NumericError("scores contain non-finite entries")
-    return _softmax(scores, -2, out)
+    return _softmax(scores, -2)
 
 
 def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along ``axis`` with the maximum subtracted first, into ``out``
-    (a new array when None; may be ``x``).  No input checks: the training
-    path lets non-finite values through so that a diverging step is
-    recorded rather than raised."""
+    (a new array when None; may be ``x``).  No input checks: non-finite
+    values pass through, for the reader of the result to flag."""
     expd = np.subtract(x, _reduce(np.maximum, x, axis), out=out)
     np.exp(expd, out=expd)
     expd /= _reduce(np.add, expd, axis)

@@ -210,6 +210,8 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
         mv.spec_orig_main = mv.prod_of_spec * mv.fro_over_spec / margin_sq
     mv.param_norm = float(sum(fro_sq))
     mv.path_norm = path_norm(model)
+    if not np.isfinite(mv.path_norm):
+        errors["path_norm"] = "the all-ones forward of the squared parameters is not finite"
 
     sigma, flag = pac_bayes_sigma(model, dataset, seed=seed)
     mv.pac_bayes_flatness_inv_sigma = 1.0 / sigma

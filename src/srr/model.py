@@ -186,11 +186,12 @@ class Model:
         return _apply_layer(Z, P, i, self.cfg, False, attn_masks, out_mask)
 
     # ------------------------------------------------------------------
-    def run(self, tokens, train_mode: bool = False, rng=None, ln_identity: bool = False, keep_cache: bool = False,
-            _cut_inputs: bool = False):
+    @np.errstate(over="ignore", invalid="ignore")  # each reader of the result flags a non-finite value
+    def run(self, tokens, rng=None, ln_identity: bool = False, keep_cache: bool = False, _cut_inputs: bool = False):
         """Forward pass.
 
-        ``tokens``: (d, N), (B, d, N) ndarray, or a traced Tensor.
+        ``tokens``: a (d, N) or (B, d, N) ndarray (inference), or a traced
+        Tensor (training, with dropout from ``rng`` when ``cfg.dropout > 0``).
         Returns (logits, cache); ``cache`` is None unless ``keep_cache``.
         ``_cut_inputs`` (traced, LayerNorm on) feeds each layer a ``cut`` of
         its input through ``apply_layer``; the cache then holds the cuts.
@@ -202,8 +203,8 @@ class Model:
         if tokens.shape[-2] != cfg.d:
             raise ShapeError(f"token dimension {tokens.shape[-2]} does not match width {cfg.d}")
         n_tok = tokens.shape[-1]
-        use_dropout = train_mode and cfg.dropout > 0.0 and traced
-        if train_mode and cfg.dropout > 0.0 and rng is None:
+        use_dropout = traced and cfg.dropout > 0.0
+        if use_dropout and rng is None:
             raise ConfigError("training-mode dropout needs an rng")
 
         P = self._table(traced)

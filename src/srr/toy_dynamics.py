@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import COUNT, FINITE, INT, POSITIVE, ConfigError, NumericError, check_value, one_of
+from .errors import COUNT, FINITE, INT, POSITIVE, ConfigError, check_value, one_of
 from .layers import mssa
 from .linalg import orthonormal_basis, rng_for, stable_seed
 from .rates import grad_projected_coding_rate, grad_taylor_terms, split_heads
@@ -175,8 +175,8 @@ def run_dynamics(
                         Z = Z + step2 * mssa(Z, U, K)
                     else:  # n
                         Z = Z - step2 * mssa(Z, U, K)
-                except (NumericError, np.linalg.LinAlgError):
-                    Z = None  # an intermediate (a Gram matrix, a solve) left float64 range
+                except np.linalg.LinAlgError:
+                    Z = None  # rule a's solve met a Gram matrix out of float64 range
             if Z is None or not np.isfinite(Z).all():
                 trace.truncated = True
                 break

@@ -113,7 +113,7 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
     y = np.asarray(y)
     tokens = model.embed_inputs(x, train_mode=True, rng=rng)
     reg_on = train_cfg.reg_mode != "none"
-    logits, cache = model.run(tokens, train_mode=True, rng=rng, keep_cache=True, _cut_inputs=reg_on)
+    logits, cache = model.run(tokens, rng=rng, keep_cache=True, _cut_inputs=reg_on)
     ce = ad.softmax_cross_entropy(logits, y)
     acc = float(np.mean(np.argmax(logits.data, axis=-1) == y))
 
@@ -259,10 +259,7 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
             seen += bsz
         if bad is None:  # the epoch's last step can still take the weights out of float64 range
             with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    val_ce, val_acc = evaluate(model, dataset.val_x, dataset.val_y)
-                except NumericError:  # non-finite attention scores
-                    val_ce = math.nan
+                val_ce, val_acc = evaluate(model, dataset.val_x, dataset.val_y)
             if not math.isfinite(val_ce):
                 bad = f"training diverged (non-finite validation loss) after epoch {epoch}"
         if bad is not None:

@@ -97,7 +97,10 @@ def _read_manifest(out_dir: str) -> dict:
     if not os.path.exists(path):
         return {"cells": {}}
     with open(path) as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("cells"), dict):
+        raise FormatError(f"{path}: not a JSON object holding a 'cells' object")
+    return manifest
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -185,7 +188,6 @@ def run_zoo(
     os.makedirs(out_dir, exist_ok=True)
     data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
     manifest = _read_manifest(out_dir)
-    manifest.setdefault("cells", {})
     # compared in the form the manifest stores them, after a JSON round trip
     settings = {"data": dataclasses.asdict(data), "train_template": dataclasses.asdict(train_template)}
     settings = json.loads(json.dumps(settings))
@@ -271,6 +273,8 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
         raise FormatError(f"measures file missing: {mpath} (run measure_zoo first)")
     with open(mpath) as fh:
         rows = [ln.strip() for ln in fh if ln.strip()]
+    if not rows:
+        raise FormatError(f"{mpath}: empty measures file")
     header = rows[0].split(",")
     if header[0] != "cell" or tuple(header[1:]) != FIELD_ORDER:
         raise FormatError("unexpected measures.csv header")

@@ -202,7 +202,7 @@ def test_criterion_06_detached_regularizer_locality(capfd):
         if name.startswith("layers.2.")
     )
     tokens = model.embed_inputs(x, train_mode=True)
-    logits, _ = model.run(tokens, train_mode=True)
+    logits, _ = model.run(tokens)
     eta_zero_exact = (plain.item() == cross_entropy_np(logits.data, y)
                       and parts0["reg_value"] == 0.0
                       and parts0["selected_layers"] == [])

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from srr.cli import _parse_reg, main
-from srr.errors import ConfigError
+from srr.errors import ConfigError, FormatError
 from srr.measures import FIELD_ORDER
-from srr.model import load_checkpoint
+from srr.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from srr.zoo import measure_zoo
 
 SYNTH = {
     "data": {"classes": 2, "tokens": 4, "feat_dim": 6, "subspace_dim": 2,
@@ -304,6 +305,21 @@ class TestZooCommand:
         assert err.startswith("error:") and f"workers must be an int >= 1, got {workers}" in err
         assert not zoo_dir.exists()
 
+    @pytest.mark.parametrize("manifest, measures, named", [
+        ({"cells": {}}, "", "measures.csv: empty measures file"),
+        ({}, "cell," + ",".join(FIELD_ORDER) + "\n", "manifest.json: not a JSON object holding a 'cells' object"),
+    ], ids=["empty-measures", "manifest-without-cells"])
+    def test_malformed_zoo_files_are_a_clean_error(self, tmp_path, capsys, manifest, measures, named):
+        zoo_dir = tmp_path / "zoo"
+        zoo_dir.mkdir()
+        (zoo_dir / "manifest.json").write_text(json.dumps(manifest))
+        (zoo_dir / "measures.csv").write_text(measures)
+        assert main(["correlate", "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        with pytest.raises(FormatError):
+            measure_zoo(str(zoo_dir))
+
     def test_correlate_without_measures_file(self, tmp_path, capsys):
         grid = self.grid_config(tmp_path)
         zoo_dir = str(tmp_path / "zoo")
@@ -405,6 +421,21 @@ class TestMeasureCommand:
         assert cells[0] == "model.ckpt.npz"
         assert len(cells) == 1 + len(FIELD_ORDER)
         assert np.isfinite(float(cells[1]))
+
+    def test_overflowing_pac_bayes_draw_is_a_note(self, tmp_path, capsys):
+        # L=24: the clean forward is finite, a perturbed draw overflows its attention scores
+        ckpt, out = str(tmp_path / "deep.ckpt.npz"), str(tmp_path / "row.csv")
+        save_checkpoint(init_model(ModelConfig(L=24, d=64, K=4, feat_dim=16, num_tokens=8, num_classes=2)), ckpt)
+        cfg = write_config(tmp_path, {"data": {"n_train": 16, "n_val": 8}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["measure", "--checkpoint", ckpt, "--config", cfg, "--out", out]) == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert "note: pac_bayes_flatness_inv_sigma: a perturbed forward gave a non-finite CE increase" in err
+        row = Path(out).read_text().strip().split("\n")[1].split(",")
+        assert row[0] == "deep.ckpt.npz" and len(row) == 1 + len(FIELD_ORDER)
 
     def test_disabling_snapshot_prints_notes(self, tmp_path, capsys):
         cfg, ckpt, _ = train_small(tmp_path)

@@ -6,7 +6,9 @@ at a tiny geometry and one epoch.
 
 Each case must end in exit 2 with an ``error:`` line, or in exit 0 with no
 warning (warnings are errors here), and with a note when a training run
-diverged.  Counts that only bound a loop stay out at the impossible size:
+diverged.  A width filter that matches no cell names itself and the
+zoo's widths.  ``measure`` also runs on a model whose PAC-Bayes draws
+overflow.  Counts that only bound a loop stay out at the impossible size:
 the run would be valid, only long.
 """
 
@@ -24,7 +26,7 @@ import pytest
 from srr.cli import main
 from srr.data import DatasetSpec
 from srr.errors import ConfigError
-from srr.model import ModelConfig
+from srr.model import ModelConfig, init_model, save_checkpoint
 from srr.rates import RateConfig
 from srr.toy_dynamics import RULES
 from srr.training import TrainConfig
@@ -66,8 +68,9 @@ def values_for(name):
     return [v for v in VALUES if not (name in LOOP_COUNTS and v == IMPOSSIBLE)]
 
 
-def fault(argv, capsys):
-    """None when ``main(argv)`` ends as hostile input may, else what went wrong."""
+def fault(argv, capsys, named=None):
+    """None when ``main(argv)`` ends as hostile input may, else what went
+    wrong.  An exit 2 must carry ``named``, when given, in its error line."""
     capsys.readouterr()
     try:
         with deadline(CASE_SECONDS), warnings.catch_warnings():
@@ -79,7 +82,9 @@ def fault(argv, capsys):
         return f"{type(exc).__name__}: {exc}"
     out, err = capsys.readouterr()
     if code == 2:
-        return None if any("error: " in line for line in err.splitlines()) else f"exit 2 without an error line: {err!r}"
+        if not any("error: " in line and (named or "") in line for line in err.splitlines()):
+            return f"exit 2 without an error line naming {named!r}: {err!r}"
+        return None
     if code != 0:
         return f"exit {code}"
     if "diverged" in out and "note: " not in out:
@@ -116,6 +121,14 @@ def zoo_dir(workdir):
     return out
 
 
+@pytest.fixture(scope="module")
+def overflowing_checkpoint(workdir):
+    """An untrained L=24 model whose clean forward is finite while a PAC-Bayes draw overflows."""
+    path = str(workdir / "overflowing.ckpt.npz")
+    save_checkpoint(init_model(ModelConfig(L=24, d=64, K=4, feat_dim=16, num_tokens=8, num_classes=2)), path)
+    return path
+
+
 def write(workdir, cfg):
     path = workdir / f"case-{next(CASE_NUMBERS)}.json"
     path.write_text(json.dumps(cfg))  # NaN and +-Infinity as Python's json reads them back
@@ -145,9 +158,10 @@ def grid_cases(workdir):
             yield f"grid.{f.name} = {value!r}", argv
 
 
-def flag_cases(workdir, base_config, checkpoint, zoo_dir):
+def flag_cases(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint):
     """Each numeric flag of toy, train, probe, measure, zoo and correlate at one hostile value."""
     grid_config = write(workdir, dict(BASE, grid=GRID))
+    overflowing_config = write(workdir, {"data": {"n_train": 16, "n_val": 8}})
     commands = {
         **{
             f"toy --rule {rule}": (["toy", "--rule", rule, "--layers", "1", "--out", str(workdir / "toy.csv")],
@@ -160,21 +174,27 @@ def flag_cases(workdir, base_config, checkpoint, zoo_dir):
                   ["--lambda", "--eps-sq", "--samples"]),
         "measure": (["measure", "--config", base_config, "--checkpoint", checkpoint, "--out", str(workdir / "m.csv")],
                     ["--seed"]),
+        "measure (overflowing draw)": (["measure", "--config", overflowing_config, "--checkpoint",
+                                        overflowing_checkpoint, "--out", str(workdir / "m.csv")], ["--seed"]),
         "correlate": (["correlate", "--zoo", zoo_dir, "--out", str(workdir / "report.csv")], ["--width-filter"]),
     }
     for name, (argv, flags) in commands.items():
         for flag in flags:
             for value in values_for(flag):
-                yield f"{name} {flag}={value!r}", [*argv, f"{flag}={value}"]
+                named = None
+                if name == "correlate" and isinstance(value, int):  # a width no cell has: named with the zoo's
+                    named = f"width filter {value}; the zoo holds widths [4]"
+                yield f"{name} {flag}={value!r}", [*argv, f"{flag}={value}"], named
     # the grid has one cell, so no worker count starts a process pool: each case trains in process
     for i, value in enumerate(values_for("--workers")):
         argv = ["zoo", "--grid", grid_config, "--out", str(workdir / f"workers-{i}"), f"--workers={value}"]
         yield f"zoo --workers={value!r}", argv
 
 
-def test_every_config_field_and_numeric_flag(workdir, base_config, checkpoint, zoo_dir, capsys):
-    cases = [*section_cases(workdir), *grid_cases(workdir), *flag_cases(workdir, base_config, checkpoint, zoo_dir)]
-    failures = [f"{label}: {why}" for label, argv in cases if (why := fault(argv, capsys))]
+def test_every_config_field_and_numeric_flag(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint, capsys):
+    flags = flag_cases(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint)
+    cases = [*section_cases(workdir), *grid_cases(workdir), *flags]
+    failures = [f"{label}: {why}" for label, argv, *named in cases if (why := fault(argv, capsys, *named))]
     assert not failures, "\n".join(failures)
 
 

@@ -55,6 +55,14 @@ class TestMssa:
         want = sum(Uk @ (Uk.T @ Z) @ softmax_columns((Uk.T @ Z).T @ (Uk.T @ Z)) for Uk in blocks)
         np.testing.assert_allclose(mssa(Z, U, num_heads=2), want, atol=1e-14)
 
+    def test_inf_score_passes_through_as_nan(self):
+        # every forward runs the one unchecked softmax: the reader of the result flags it
+        Z = np.ones((4, 3))
+        Z[0, 0] = 1e200  # its Gram score overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = stacked_attention_heads(Z, orthonormal_basis(4, seed=9), num_heads=2)
+        assert np.isnan(out).any()
+
     def test_tensor_path_matches_numpy(self):
         # on Tensors the per-head loop runs inside the attention node, whose
         # crate_c update at gamma = 1 is Z + mssa(Z)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,6 +356,15 @@ class TestPacBayesEarlyExit:
         monkeypatch.setattr(srr.measures, "cross_entropy_np", nan_on_first_draw)
         assert pac_bayes_sigma(model, ds, mc_samples=8) == (sigma, "non_finite")
 
+    def test_overflowing_draw_is_flagged(self):
+        # L=24: the clean forward is finite (|logit| <= 6e5), a perturbed draw overflows its attention scores
+        model = init_model(ModelConfig(L=24, d=64, K=4, feat_dim=16, num_tokens=8, num_classes=2))
+        ds = synth_dataset(DatasetSpec(n_train=16, n_val=8))
+        assert np.isfinite(model.logits(ds.train_x, ln_identity=True)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pac_bayes_sigma(model, ds) == (1e-5, "non_finite")
+
 
 class TestMeasureVectorOfModel:
     def test_untrained_model_has_zero_distances(self):
@@ -452,6 +462,17 @@ class TestMeasureVectorOfModel:
             assert errors[f] == "zero spectral norm of head.weight"
         assert mv.prod_of_spec == 0.0
         assert math.isfinite(mv.path_norm) and math.isfinite(mv.srr)
+
+    def test_non_finite_path_norm_has_a_note(self):
+        # squared, a 1e80-scaled positional table overflows the path forward's
+        # attention scores; the clean forward and every other measure stay finite
+        model, ds = tiny_setup()
+        model.params["pos"].data *= 1e80
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mv, errors = measure_vector(model, ds)
+        assert math.isnan(mv.path_norm)
+        assert errors == {"path_norm": "the all-ones forward of the squared parameters is not finite"}
 
     @pytest.mark.parametrize("flag, words", [
         ("upper_bracket", "upper bracket"),

@@ -221,9 +221,9 @@ class TestForward:
     def test_dropout_needs_rng(self):
         cfg = tiny_cfg(dropout=0.2)
         model = init_model(cfg)
-        tok = model.embed_inputs(tiny_batch(cfg))
+        tok = Tensor(model.embed_inputs(tiny_batch(cfg)))  # a Tensor input is the training forward
         with pytest.raises(ConfigError):
-            model.run(tok, train_mode=True)
+            model.run(tok)
 
     def test_ln_identity_composition(self):
         from srr.layers import attention_update, ista_step
@@ -366,7 +366,7 @@ class TestMemory:
         def held(L):
             model = init_model(ModelConfig(L=L, d=d, K=K, feat_dim=6, num_tokens=N - 1, num_classes=3))
             raw = rng_for(1).standard_normal((B, 6, N - 1))
-            out, kept, _ = _traced(lambda: model.run(model.embed_inputs(raw, train_mode=True), train_mode=True))
+            out, kept, _ = _traced(lambda: model.run(model.embed_inputs(raw, train_mode=True)))
             return kept
 
         per_layer = held(3) - held(2)

@@ -300,7 +300,7 @@ def replay_loss(model, batch, train_cfg, rng):
     dropout masks: the bitwise oracle of the segmented backward."""
     x, y = batch
     tokens = model.embed_inputs(x, train_mode=True, rng=rng)
-    logits, cache = model.run(tokens, train_mode=True, rng=rng, keep_cache=True)
+    logits, cache = model.run(tokens, rng=rng, keep_cache=True)
     ce = ad.softmax_cross_entropy(logits, np.asarray(y))
     L = model.cfg.L
     if train_cfg.reg_mode == "all_layers":
