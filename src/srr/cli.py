@@ -140,7 +140,7 @@ def _cmd_zoo(args) -> int:
     gsection = cfg.get("grid", {})
     scale = gsection.pop("scale", "desk") if isinstance(gsection, dict) else "desk"
     check_value("grid.scale", scale, one_of("desk", "paper"))
-    base = GridSpec.desk() if scale == "desk" else GridSpec.paper()
+    base = GridSpec.desk() if scale == "desk" else GridSpec()
     gspec = dataclasses.replace(base, **config_fields(GridSpec, gsection, "grid"))
     dsection = cfg.get("data")
     if dsection:

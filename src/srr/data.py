@@ -30,6 +30,8 @@ __all__ = [
     "build_dataset",
 ]
 
+CROP_MIN_AREA = 0.6  # smallest share of the image a random crop covers
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -256,14 +258,14 @@ def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bot * wy
 
 
-def random_resize_crop(images: np.ndarray, rng, min_area: float = 0.6) -> np.ndarray:
-    """Crop a random square patch covering [min_area, 1] of the image and
-    resize it back to the original size."""
+def random_resize_crop(images: np.ndarray, rng) -> np.ndarray:
+    """Crop a random square patch covering [CROP_MIN_AREA, 1] of the image
+    and resize it back to the original size."""
     images = np.asarray(images)
     out = np.empty_like(images)
     h, w = images.shape[1:3]
     for i, img in enumerate(images):
-        area = rng.uniform(min_area, 1.0)
+        area = rng.uniform(CROP_MIN_AREA, 1.0)
         side = max(1, int(round(np.sqrt(area) * h)))
         top = int(rng.integers(0, h - side + 1))
         left = int(rng.integers(0, w - side + 1))

@@ -50,27 +50,28 @@ CRATE_IDENTITY = "crate_identity"  # +, head stack used directly
 
 VARIANTS = (CRATE_C, CRATE_N, CRATE_T, CRATE, CRATE_FIX, CRATE_IDENTITY)
 
+_WORKSPACE_BYTES = 8 << 20  # buffers one Workspace keeps at most
+
 
 class Workspace:
     """Named float64 buffers that the ndarray kernels reuse from call to call.
 
     ``take(name, shape)`` returns the buffer kept under ``name``, allocating
     it when it is missing or has another shape.  A new buffer is kept only
-    while the workspace then holds at most ``limit`` bytes; past that,
+    while the workspace then holds at most ``_WORKSPACE_BYTES``; past that,
     ``take`` hands out a fresh array.  A kernel's result under a name is
     overwritten by the next call that takes that name, so a caller copies
     what it keeps.  Not thread-safe.
     """
 
-    def __init__(self, limit: int):
-        self.limit = limit
+    def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         buf = self.buffers.pop(name, None)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape)
-        if sum(b.nbytes for b in self.buffers.values()) + buf.nbytes <= self.limit:
+        if sum(b.nbytes for b in self.buffers.values()) + buf.nbytes <= _WORKSPACE_BYTES:
             self.buffers[name] = buf
         return buf
 

@@ -96,12 +96,16 @@ def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - picked))
 
 
-def spectral_norm(mat: np.ndarray) -> float:
+def spectral_norm(mat: np.ndarray) -> np.float64:
     """Largest singular value by power iteration on the smaller Gram matrix
     (500 steps at most, stopping once a step moves it by <= 1e-12 relative).
 
-    The start vector is a fixed seeded Gaussian, so repeated calls on the
-    same matrix give the same value.  A zero matrix returns 0.0.
+    A matrix whose largest entry lies outside [2^-10, 2^200] is iterated on
+    scaled by an exact power of two that brings that entry into [0.5, 1), so
+    its Gram neither overflows nor underflows the stop test.  The start
+    vector is a fixed seeded Gaussian, so repeated calls on the same matrix
+    give the same value.  A zero matrix returns 0.0.  The result is a numpy
+    float64, so squaring a norm past 1e154 gives inf rather than OverflowError.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim == 1:
@@ -110,8 +114,13 @@ def spectral_norm(mat: np.ndarray) -> float:
         raise ShapeError(f"expected a matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise NumericError("matrix contains non-finite entries")
-    if not mat.any():
-        return 0.0
+    peak = np.abs(mat).max(initial=0.0)
+    if peak == 0.0:
+        return np.float64(0.0)
+    exp = 0
+    if not 2.0**-10 <= peak <= 2.0**200:
+        exp = int(np.frexp(peak)[1])
+        mat = np.ldexp(mat, -exp)
     # iterate on the smaller of M^T M / M M^T
     gram = mat.T @ mat if mat.shape[1] <= mat.shape[0] else mat @ mat.T
     n = gram.shape[0]
@@ -122,12 +131,12 @@ def spectral_norm(mat: np.ndarray) -> float:
         vec = gram @ vec
         norm = np.linalg.norm(vec)
         if norm == 0.0:
-            return 0.0
+            return np.float64(0.0)
         vec /= norm
         if abs(norm - prev) <= 1e-12 * max(1.0, norm):
             break
         prev = norm
-    return float(np.sqrt(float(vec @ (gram @ vec))))
+    return np.ldexp(np.sqrt(float(vec @ (gram @ vec))), exp)
 
 
 def orthonormal_basis(d: int, seed: int, cols: int | None = None) -> np.ndarray:

@@ -65,19 +65,22 @@ class MeasureVector:
 FIELD_ORDER = tuple(f.name for f in fields(MeasureVector))
 
 PROBE_SAMPLES = 8  # training samples the layer-averaged SRR probe runs on
+MARGIN_PERCENTILE = 10.0  # percentile of the training margins the margin measures divide by
 PAC_BAYES_SAMPLES = 512  # training samples the PAC-Bayes CE is estimated on
+# the PAC-Bayes sharpness definition of Jiang et al. (2020): CE increase, draws, bracket, bisection steps
+PAC_BAYES_TARGET, PAC_BAYES_DRAWS = 0.1, 8
+SIGMA_LO, SIGMA_HI, SIGMA_STEPS = 1e-5, 10.0, 20
 _SIGMA_NOTES = {  # measure note of each sigma_search flag but "ok"
     "upper_bracket": "loss too flat: sigma pinned at the upper bracket",
     "lower_bracket_exceeded": "loss too sharp: sigma pinned at the lower bracket",
     "non_finite": "a perturbed forward gave a non-finite CE increase",
 }
+_NOT_FINITE = "not finite: a weight or a forward of the model left float64 range"
 
 
-def margin_quantile(model: Model, dataset, q: float) -> float:
-    """q-th percentile of correct-class margins f(x)_y - max_{j!=y} f(x)_j
+def margin_quantile(model: Model, dataset) -> float:
+    """MARGIN_PERCENTILE-th percentile of margins f(x)_y - max_{j!=y} f(x)_j
     over the training set (LayerNorm bypassed, as for all measures)."""
-    if not 0 < q < 100:
-        raise ConfigError("percentile must be in (0, 100)")
     y = np.asarray(dataset.train_y)
     if len(y) == 0:
         raise ConfigError("empty dataset")
@@ -86,7 +89,7 @@ def margin_quantile(model: Model, dataset, q: float) -> float:
     masked = logits.copy()
     masked[np.arange(len(y)), y] = -np.inf
     margins = picked - masked.max(axis=1)
-    return float(np.percentile(margins, q))
+    return float(np.percentile(margins, MARGIN_PERCENTILE))
 
 
 def path_norm(model: Model) -> float:
@@ -97,37 +100,34 @@ def path_norm(model: Model) -> float:
     return float(np.sum(squared.logits(ones[None], ln_identity=True)))
 
 
-def sigma_search(increase_fn, target: float, lo: float = 1e-5, hi: float = 10.0, iters: int = 20) -> tuple[float, str]:
-    """Largest sigma in [lo, hi] with increase_fn(sigma) <= target, by
-    bisection.  Returns (sigma, flag); flag is "ok", "upper_bracket" when
-    even hi passes, "lower_bracket_exceeded" when even lo fails, or
+def sigma_search(increase_fn) -> tuple[float, str]:
+    """Largest sigma in [SIGMA_LO, SIGMA_HI] with increase_fn(sigma) <= PAC_BAYES_TARGET,
+    by SIGMA_STEPS bisection steps.  Returns (sigma, flag); flag is "ok", "upper_bracket"
+    when even SIGMA_HI passes, "lower_bracket_exceeded" when even SIGMA_LO fails, or
     "non_finite" when any increase was NaN or inf (a NaN counts as too sharp)."""
-    if target <= 0:
-        raise ConfigError("target increase must be positive")
+    lo, hi = SIGMA_LO, SIGMA_HI
     increases = []
 
     def passes(sigma: float) -> bool:
         increases.append(increase_fn(sigma))
-        return increases[-1] <= target
+        return increases[-1] <= PAC_BAYES_TARGET
 
     if passes(hi):
         sigma, flag = hi, "upper_bracket"
     elif not passes(lo):
         sigma, flag = lo, "lower_bracket_exceeded"
     else:
-        for _ in range(iters):
+        for _ in range(SIGMA_STEPS):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if passes(mid) else (lo, mid)
         sigma, flag = lo, "ok"
     return sigma, flag if np.isfinite(increases).all() else "non_finite"
 
 
-def pac_bayes_sigma(
-    model: Model, dataset, target_increase: float = 0.1, mc_samples: int = 8, seed: int = 0
-) -> tuple[float, str]:
+def pac_bayes_sigma(model: Model, dataset, seed: int = 0) -> tuple[float, str]:
     """Perturbation scale at which Gaussian parameter noise N(0, sigma^2 I)
-    raises training CE by the target amount (Monte-Carlo estimate, unit
-    noise drawn once and reused across the whole bisection).  Each draw is
+    raises training CE by PAC_BAYES_TARGET (mean of PAC_BAYES_DRAWS draws of unit
+    noise, drawn once and reused across the whole bisection).  Each draw is
     a model of its own; the frozen ``crate_fix`` W is left unperturbed.
 
     A bisection step stops drawing once it is sure to fail: CE is never
@@ -140,7 +140,7 @@ def pac_bayes_sigma(
     x = dataset.train_x[:PAC_BAYES_SAMPLES]
     y = np.asarray(dataset.train_y[:PAC_BAYES_SAMPLES])
     noises = []
-    for m in range(mc_samples):
+    for m in range(PAC_BAYES_DRAWS):
         rng = rng_for(seed, "pac_bayes", m)
         noises.append({name: rng.standard_normal(t.data.shape) for name, t in params.items()})
     base_ce = cross_entropy_np(model.logits(x, ln_identity=True), y)
@@ -152,13 +152,13 @@ def pac_bayes_sigma(
             draw = Model(model.cfg, {**model.params, **noisy}, None)
             total += cross_entropy_np(draw.logits(x, ln_identity=True), y) - base_ce
             floor = total  # the same += in the same order: rounding keeps it below the full sum
-            for _ in range(mc_samples - m):
+            for _ in range(PAC_BAYES_DRAWS - m):
                 floor += -base_ce
-            if floor / mc_samples > target_increase:  # false on NaN
-                return floor / mc_samples
-        return total / mc_samples
+            if floor / PAC_BAYES_DRAWS > PAC_BAYES_TARGET:  # false on NaN
+                return floor / PAC_BAYES_DRAWS
+        return total / PAC_BAYES_DRAWS
 
-    return sigma_search(increase, target_increase)
+    return sigma_search(increase)
 
 
 def _geo_mean(vals: list[float]) -> float:
@@ -167,12 +167,15 @@ def _geo_mean(vals: list[float]) -> float:
     return float(np.exp(np.mean(np.log(vals))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every field left non-finite gets a note instead
 def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector, dict[str, str]]:
     """Every Table-style measure for one trained model.
 
     Init-relative fields need ``model.init_snapshot``; when it is missing
     they come back NaN with an explanation in the errors dict while
-    everything else is still computed.
+    everything else is still computed.  Every other NaN or inf field gets a
+    note too: a zero margin or spectral norm, a pinned PAC-Bayes search, or
+    a weight or forward past float64 range.
     """
     model.check_labels(dataset)
     init_snapshot = model.init_snapshot
@@ -185,7 +188,7 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
     mv.num_params = float(sum(t.data.size for t in params.values()))
     mv.l2_norm = float(sum(np.sum(t.data**2) for t in params.values()))
 
-    margin = margin_quantile(model, dataset, 10.0)
+    margin = margin_quantile(model, dataset)
     margin_sq = margin * margin
     if margin_sq == 0.0:
         errors["inv_margin"] = "zero margin"
@@ -210,8 +213,6 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
         mv.spec_orig_main = mv.prod_of_spec * mv.fro_over_spec / margin_sq
     mv.param_norm = float(sum(fro_sq))
     mv.path_norm = path_norm(model)
-    if not np.isfinite(mv.path_norm):
-        errors["path_norm"] = "the all-ones forward of the squared parameters is not finite"
 
     sigma, flag = pac_bayes_sigma(model, dataset, seed=seed)
     mv.pac_bayes_flatness_inv_sigma = 1.0 / sigma
@@ -242,6 +243,10 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
                 mv.prod_of_spec * sum(df / s for df, s in zip(diff_fro, spec_sq)) / margin_sq
             )
         mv.pac_bayes_init = mv.l2_norm_init / (4.0 * sigma * sigma)
+    for name in FIELD_ORDER:
+        if name not in errors and not np.isfinite(mv.get(name)):
+            margin_ratio = name.endswith("_over_margin") or name in ("spec_init_main", "spec_orig_main")
+            errors[name] = "zero margin" if margin_ratio and margin_sq == 0.0 else _NOT_FINITE
     return mv, errors
 
 

@@ -38,6 +38,7 @@ CHECKPOINT_VERSION = 1
 
 # physical memory: no parameter table outgrows it (no bound where the system does not say)
 _MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else sys.maxsize
+INFERENCE_BATCH = 256  # samples per chunk of an inference forward
 
 
 @dataclass(frozen=True)
@@ -233,12 +234,12 @@ class Model:
                 )
         return (P["head.weight"] @ Z[..., :, 0:1])[..., 0] + P["head.bias"], cache
 
-    def logits(self, raw: np.ndarray, ln_identity: bool = False, batch: int = 256) -> np.ndarray:
-        """Inference logits of a (B, F, T) feature batch, ``batch`` samples
-        at a time, each chunk through the reused buffers of its shape."""
+    def logits(self, raw: np.ndarray, ln_identity: bool = False) -> np.ndarray:
+        """Inference logits of a (B, F, T) feature batch, INFERENCE_BATCH
+        samples at a time, each chunk through the reused buffers of its shape."""
         chunks = [
-            self.run(self.embed_inputs(raw[start : start + batch], _pooled=True), ln_identity=ln_identity)[0]
-            for start in range(0, len(raw), batch)
+            self.run(self.embed_inputs(raw[start : start + INFERENCE_BATCH], _pooled=True), ln_identity=ln_identity)[0]
+            for start in range(0, len(raw), INFERENCE_BATCH)
         ]
         return np.concatenate(chunks, axis=0)
 
@@ -265,18 +266,17 @@ class Model:
 
 # Inference workspaces, one per token shape (B, d, N), the most recently used
 # last: at most _WORKSPACE_SHAPES of them, each holding at most
-# _WORKSPACE_BYTES of buffers (a larger pass allocates as it goes).  They
+# layers._WORKSPACE_BYTES of buffers (a larger pass allocates as it goes).  They
 # outlive any one Model, because every PAC-Bayes draw and every checkpoint
 # of a sweep is a Model of its own, and reusing the buffers keeps the heap
 # from growing and shrinking, and faulting in fresh pages, on each pass.
 # No result depends on them: every pass overwrites what it reads.
 _WORKSPACES: dict[tuple[int, ...], ly.Workspace] = {}
 _WORKSPACE_SHAPES = 4
-_WORKSPACE_BYTES = 8 << 20
 
 
 def _workspace(shape: tuple[int, ...]) -> ly.Workspace:
-    ws = _WORKSPACES.pop(shape, None) or ly.Workspace(_WORKSPACE_BYTES)
+    ws = _WORKSPACES.pop(shape, None) or ly.Workspace()
     _WORKSPACES[shape] = ws
     if len(_WORKSPACES) > _WORKSPACE_SHAPES:
         del _WORKSPACES[next(iter(_WORKSPACES))]

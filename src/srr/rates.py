@@ -184,15 +184,15 @@ def grad_taylor_terms(
     return g1, g2
 
 
-def sparsity_l0(Z: np.ndarray, tol: float = L0_TOL) -> int:
-    """Entries whose magnitude strictly exceeds ``tol``."""
+def sparsity_l0(Z: np.ndarray) -> int:
+    """Entries whose magnitude strictly exceeds ``L0_TOL``."""
     Z = np.asarray(Z, dtype=np.float64)
     if not np.isfinite(Z).all():
         raise NumericError("token matrix contains non-finite entries")
-    return int(np.count_nonzero(np.abs(Z) > tol))
+    return int(np.count_nonzero(np.abs(Z) > L0_TOL))
 
 
-def srr_layer_measure(Z: np.ndarray, U: np.ndarray, cfg: RateConfig, tol: float = L0_TOL) -> float:
+def srr_layer_measure(Z: np.ndarray, U: np.ndarray, cfg: RateConfig) -> float:
     """Sparse-rate-reduction measure of one representation against its basis.
 
     lambda * ||Z||_0 + R_c(Z; U) - R(Z), with the subspace rate at scale
@@ -205,4 +205,4 @@ def srr_layer_measure(Z: np.ndarray, U: np.ndarray, cfg: RateConfig, tol: float 
         raise ShapeError(f"token dimension {Z.shape[0]} does not match config d = {cfg.d}")
     rc = projected_coding_rate(Z, U, cfg.K, cfg.gamma)
     r = coding_rate(Z, cfg.full_scale)
-    return cfg.lambda_sparsity * sparsity_l0(Z, tol) + rc - r
+    return cfg.lambda_sparsity * sparsity_l0(Z) + rc - r

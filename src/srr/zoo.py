@@ -43,10 +43,20 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 MEASURES_NAME = "measures.csv"
+# the keys the readers of a done cell's manifest entry index, each with a test of its JSON value
+_DONE_CELL_KEYS = {
+    "coords": lambda v: isinstance(v, dict) and sorted(v) == sorted(f.name for f in dataclasses.fields(HyperPoint)),
+    "checkpoint": lambda v: isinstance(v, str),
+    "converged": lambda v: isinstance(v, bool),
+    "diverged": lambda v: isinstance(v, bool),
+    "gap": lambda v: v is None or isinstance(v, (int, float)),
+}
 
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Axes of a hyperparameter grid; ``GridSpec()`` is the paper's 64-cell grid."""
+
     # numpy elements are stored as Python ones, so keys and the manifest JSON see plain values
     batch_sizes: tuple = rule((64, 128), axis(COUNT, int))
     lrs: tuple = rule((2e-5, 1e-4), axis(POSITIVE, float))
@@ -57,10 +67,6 @@ class GridSpec:
 
     def __post_init__(self):
         check_fields(self)
-
-    @classmethod
-    def paper(cls, seed: int = 0) -> "GridSpec":
-        return cls(seed=seed)
 
     @classmethod
     def desk(cls, seed: int = 0) -> "GridSpec":
@@ -100,6 +106,15 @@ def _read_manifest(out_dir: str) -> dict:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("cells"), dict):
         raise FormatError(f"{path}: not a JSON object holding a 'cells' object")
+    for key, entry in manifest["cells"].items():
+        if not isinstance(entry, dict) or entry.get("status") not in ("done", "failed"):
+            raise FormatError(f"{path}: cell {key!r}: no 'status' of 'done' or 'failed'")
+        for name, valid in _DONE_CELL_KEYS.items() if entry["status"] == "done" else ():
+            if name not in entry or not valid(entry[name]):
+                raise FormatError(f"{path}: cell {key!r}: {'malformed' if name in entry else 'missing'} key {name!r}")
+    for section in ("data", "grid"):  # run_zoo writes both with the first cell
+        if manifest["cells"] and not isinstance(manifest.get(section), dict):
+            raise FormatError(f"{path}: trained cells but no {section!r} object")
     return manifest
 
 
@@ -285,15 +300,15 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
         if len(parts) != len(header):
             raise FormatError(f"measures.csv row {key!r} has {len(parts)} fields, its header {len(header)}")
         entry = manifest["cells"].get(key)
-        if entry is None:
-            raise FormatError(f"measures.csv row {key!r} not in manifest")
+        if entry is None or entry["status"] != "done":
+            raise FormatError(f"measures.csv row {key!r} is not a trained cell of the manifest")
         measures = {name: float(v) for name, v in zip(FIELD_ORDER, parts[1:])}
         records.append(
             ZooRecord(
                 theta=HyperPoint(**entry["coords"]),
                 measures=measures,
                 gap=math.nan if entry["gap"] is None else float(entry["gap"]),
-                converged=bool(entry["converged"]) and not entry.get("diverged", False),
+                converged=entry["converged"] and not entry["diverged"],
             )
         )
     return records

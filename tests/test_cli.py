@@ -308,7 +308,10 @@ class TestZooCommand:
     @pytest.mark.parametrize("manifest, measures, named", [
         ({"cells": {}}, "", "measures.csv: empty measures file"),
         ({}, "cell," + ",".join(FIELD_ORDER) + "\n", "manifest.json: not a JSON object holding a 'cells' object"),
-    ], ids=["empty-measures", "manifest-without-cells"])
+        ({"cells": {"a": {"status": "done"}}},
+         "cell," + ",".join(FIELD_ORDER) + "\na" + ",1.0" * len(FIELD_ORDER) + "\n",
+         "manifest.json: cell 'a': missing key 'coords'"),
+    ], ids=["empty-measures", "manifest-without-cells", "done-cell-without-coords"])
     def test_malformed_zoo_files_are_a_clean_error(self, tmp_path, capsys, manifest, measures, named):
         zoo_dir = tmp_path / "zoo"
         zoo_dir.mkdir()
@@ -436,6 +439,28 @@ class TestMeasureCommand:
         assert "note: pac_bayes_flatness_inv_sigma: a perturbed forward gave a non-finite CE increase" in err
         row = Path(out).read_text().strip().split("\n")[1].split(",")
         assert row[0] == "deep.ckpt.npz" and len(row) == 1 + len(FIELD_ORDER)
+
+    @pytest.mark.parametrize("name, scale, error", [
+        ("layers.1.U", 1e100, None),
+        ("layers.1.U", 1e60, "error: Gram log-volume: matrix lost positive definiteness"),
+        ("pos", 1e160, "error: token matrix contains non-finite entries"),
+    ])
+    def test_huge_weights_warn_nothing(self, tmp_path, capsys, name, scale, error):
+        model = init_model(ModelConfig(L=2, d=8, K=2, feat_dim=6, num_tokens=4, num_classes=2))
+        model.params[name].data *= scale
+        ckpt, out = str(tmp_path / "huge.ckpt.npz"), tmp_path / "row.csv"
+        save_checkpoint(model, ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["measure", "--checkpoint", ckpt, "--config", write_config(tmp_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if error:
+            assert code == 2 and err.startswith(error)
+            return
+        assert code == 0 and "zero spectral norm" not in err
+        row = dict(zip(FIELD_ORDER, out.read_text().split("\n")[1].split(",")[1:]))
+        non_finite = [f for f, v in row.items() if not math.isfinite(float(v))]
+        assert non_finite and all(f"note: {f}: " in err for f in non_finite)
 
     def test_disabling_snapshot_prints_notes(self, tmp_path, capsys):
         cfg, ckpt, _ = train_small(tmp_path)

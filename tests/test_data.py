@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import srr.data
 from srr.data import (
     Dataset,
     DatasetSpec,
@@ -293,9 +294,10 @@ class TestAugmentations:
         # input untouched
         assert np.array_equal(images, rng_for(7).random((8, 32, 32, 3)))
 
-    def test_full_area_crop_is_identity(self):
+    def test_full_area_crop_is_identity(self, monkeypatch):
+        monkeypatch.setattr(srr.data, "CROP_MIN_AREA", 1.0)
         images = rng_for(9).random((3, 32, 32, 3))
-        out = random_resize_crop(images, rng_for(10), min_area=1.0)
+        out = random_resize_crop(images, rng_for(10))
         assert np.array_equal(out, images)
 
     def test_crop_preserves_shape_and_range(self):

@@ -8,8 +8,9 @@ Each case must end in exit 2 with an ``error:`` line, or in exit 0 with no
 warning (warnings are errors here), and with a note when a training run
 diverged.  A width filter that matches no cell names itself and the
 zoo's widths.  ``measure`` also runs on a model whose PAC-Bayes draws
-overflow.  Counts that only bound a loop stay out at the impossible size:
-the run would be valid, only long.
+overflow and on three whose weights are scaled by up to 1e160.  Counts
+that only bound a loop stay out at the impossible size: the run would be
+valid, only long.
 """
 
 import contextlib
@@ -129,6 +130,18 @@ def overflowing_checkpoint(workdir):
     return path
 
 
+@pytest.fixture(scope="module")
+def huge_checkpoints(workdir):
+    """L=2 checkpoints with one weight scaled past what float64 forwards and norms hold."""
+    paths = {}
+    for name, scale in (("layers.1.U", 1e100), ("layers.1.U", 1e60), ("pos", 1e160)):
+        model = init_model(ModelConfig(L=2, d=8, K=2, feat_dim=4, num_tokens=3, num_classes=2))
+        model.params[name].data *= scale
+        paths[f"{name} x {scale:g}"] = path = str(workdir / f"huge-{name}-{scale:g}.ckpt.npz")
+        save_checkpoint(model, path)
+    return paths
+
+
 def write(workdir, cfg):
     path = workdir / f"case-{next(CASE_NUMBERS)}.json"
     path.write_text(json.dumps(cfg))  # NaN and +-Infinity as Python's json reads them back
@@ -158,7 +171,7 @@ def grid_cases(workdir):
             yield f"grid.{f.name} = {value!r}", argv
 
 
-def flag_cases(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint):
+def flag_cases(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint, huge_checkpoints):
     """Each numeric flag of toy, train, probe, measure, zoo and correlate at one hostile value."""
     grid_config = write(workdir, dict(BASE, grid=GRID))
     overflowing_config = write(workdir, {"data": {"n_train": 16, "n_val": 8}})
@@ -176,6 +189,11 @@ def flag_cases(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint
                     ["--seed"]),
         "measure (overflowing draw)": (["measure", "--config", overflowing_config, "--checkpoint",
                                         overflowing_checkpoint, "--out", str(workdir / "m.csv")], ["--seed"]),
+        **{
+            f"measure ({label})": (["measure", "--config", base_config, "--checkpoint", path,
+                                    "--out", str(workdir / "m.csv")], ["--seed"])
+            for label, path in huge_checkpoints.items()
+        },
         "correlate": (["correlate", "--zoo", zoo_dir, "--out", str(workdir / "report.csv")], ["--width-filter"]),
     }
     for name, (argv, flags) in commands.items():
@@ -191,8 +209,10 @@ def flag_cases(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint
         yield f"zoo --workers={value!r}", argv
 
 
-def test_every_config_field_and_numeric_flag(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint, capsys):
-    flags = flag_cases(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint)
+def test_every_config_field_and_numeric_flag(
+    workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint, huge_checkpoints, capsys
+):
+    flags = flag_cases(workdir, base_config, checkpoint, zoo_dir, overflowing_checkpoint, huge_checkpoints)
     cases = [*section_cases(workdir), *grid_cases(workdir), *flags]
     failures = [f"{label}: {why}" for label, argv, *named in cases if (why := fault(argv, capsys, *named))]
     assert not failures, "\n".join(failures)

@@ -202,6 +202,17 @@ class TestSpectralNorm:
         M = rng_for(22).standard_normal((6, 6))
         assert spectral_norm(-2.5 * M) == pytest.approx(2.5 * spectral_norm(M), abs=1e-8)
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-7, 1e77, 1e100, 1e200])
+    def test_extreme_scales(self, scale):
+        # past 1e77 the Gram overflowed to a 0.0 norm; below 1e-7 the absolute stop test ended the iteration early
+        for shape in ((8, 8), (5, 9)):
+            M = rng_for(24).standard_normal(shape)
+            assert spectral_norm(M * scale) == pytest.approx(spectral_norm(M) * scale, rel=1e-12, abs=0.0)
+
+    def test_huge_norm_squares_to_inf(self):
+        with np.errstate(over="ignore"):
+            assert spectral_norm(1e200 * np.eye(3)) ** 2 == np.inf
+
     def test_vector_input(self):
         v = np.array([3.0, 4.0])
         assert spectral_norm(v) == pytest.approx(5.0, abs=1e-10)

@@ -60,6 +60,17 @@ def untouched_check(model):
     return check
 
 
+def overflowing_model():
+    """An untrained L=24 model: its clean forward is finite (|logit| <= 6e5), a perturbed draw overflows."""
+    return init_model(ModelConfig(L=24, d=64, K=4, feat_dim=16, num_tokens=8, num_classes=2))
+
+
+def huge_weight_setup(name, scale):
+    model, ds = tiny_setup()
+    model.params[name].data *= scale
+    return model, ds
+
+
 def tiny_setup(seed=0):
     cfg = ModelConfig(L=2, d=8, K=2, feat_dim=6, num_tokens=4, num_classes=3, seed=seed)
     model = init_model(cfg)
@@ -80,42 +91,37 @@ class TestMeasureVector:
 
 
 class TestMargin:
-    def test_two_point_fixture(self):
+    def test_two_point_fixture(self, monkeypatch):
         model = TableModel([[3.0, 1.0], [0.0, 2.0]])
         ds = table_dataset(model.table, [0, 1])
         for q in (10.0, 50.0, 90.0):
-            assert margin_quantile(model, ds, q) == 2.0
+            monkeypatch.setattr(srr.measures, "MARGIN_PERCENTILE", q)
+            assert margin_quantile(model, ds) == 2.0
 
     def test_identical_logits_zero_margin(self):
         model = TableModel([[1.0, 1.0], [1.0, 1.0]])
         ds = table_dataset(model.table, [0, 1])
-        assert margin_quantile(model, ds, 10.0) == 0.0
+        assert margin_quantile(model, ds) == 0.0
 
     def test_wrong_class_margin_is_negative(self):
         model = TableModel([[0.0, 4.0]])
         ds = table_dataset(model.table, [0])
-        assert margin_quantile(model, ds, 50.0) == -4.0
+        assert margin_quantile(model, ds) == -4.0
 
-    def test_percentile_against_numpy(self):
+    def test_percentile_against_numpy(self, monkeypatch):
         margins = np.arange(1.0, 11.0)
         table = np.stack([margins, np.zeros(10)], axis=1)
         model = TableModel(table)
         ds = table_dataset(table, np.zeros(10, dtype=int))
         for q in (10.0, 25.0, 50.0, 77.0):
+            monkeypatch.setattr(srr.measures, "MARGIN_PERCENTILE", q)
             want = float(np.percentile(margins, q))
-            assert margin_quantile(model, ds, q) == pytest.approx(want, abs=1e-12)
-
-    def test_quantile_domain(self):
-        model = TableModel([[1.0, 0.0]])
-        ds = table_dataset(model.table, [0])
-        for q in (0.0, 100.0, -3.0):
-            with pytest.raises(ConfigError):
-                margin_quantile(model, ds, q)
+            assert margin_quantile(model, ds) == pytest.approx(want, abs=1e-12)
 
     def test_empty_dataset(self):
         model = TableModel([[1.0, 0.0]])
         with pytest.raises(ConfigError):
-            margin_quantile(model, FakeDataset(np.zeros((0,)), np.zeros((0,), int)), 10.0)
+            margin_quantile(model, FakeDataset(np.zeros((0,)), np.zeros((0,), int)))
 
     def test_real_model_matches_manual_formula(self):
         model, ds = tiny_setup()
@@ -125,7 +131,7 @@ class TestMargin:
         masked = logits.copy()
         masked[np.arange(len(y)), y] = -np.inf
         want = float(np.percentile(picked - masked.max(axis=1), 10.0))
-        assert margin_quantile(model, ds, 10.0) == pytest.approx(want, abs=1e-12)
+        assert margin_quantile(model, ds) == pytest.approx(want, abs=1e-12)
 
 
 class TestPathNorm:
@@ -172,41 +178,43 @@ class TestPathNorm:
 
 class TestSigmaSearch:
     def test_quadratic_oracle(self):
-        target = 0.1
-        sigma, flag = sigma_search(lambda s: s * s, target)
+        sigma, flag = sigma_search(lambda s: s * s)
         assert flag == "ok"
         assert sigma == pytest.approx(math.sqrt(0.1), abs=1e-5)
-        assert sigma * sigma <= target
+        assert sigma * sigma <= 0.1
 
-    def test_more_iterations_tighten(self):
-        sigma, _ = sigma_search(lambda s: s * s, 0.1, iters=40)
+    def test_jiang_constants(self):
+        assert (srr.measures.PAC_BAYES_TARGET, srr.measures.PAC_BAYES_DRAWS) == (0.1, 8)
+        assert (srr.measures.SIGMA_LO, srr.measures.SIGMA_HI, srr.measures.SIGMA_STEPS) == (1e-5, 10.0, 20)
+        assert srr.measures.MARGIN_PERCENTILE == 10.0
+
+    def test_more_iterations_tighten(self, monkeypatch):
+        monkeypatch.setattr(srr.measures, "SIGMA_STEPS", 40)
+        sigma, _ = sigma_search(lambda s: s * s)
         assert sigma == pytest.approx(math.sqrt(0.1), abs=1e-10)
 
     def test_brackets(self):
-        assert sigma_search(lambda s: 0.0, 0.1) == (10.0, "upper_bracket")
-        assert sigma_search(lambda s: 5.0, 0.1) == (1e-5, "lower_bracket_exceeded")
-
-    def test_target_validation(self):
-        with pytest.raises(ConfigError):
-            sigma_search(lambda s: s, 0.0)
+        assert sigma_search(lambda s: 0.0) == (10.0, "upper_bracket")
+        assert sigma_search(lambda s: 5.0) == (1e-5, "lower_bracket_exceeded")
 
     def test_nan_is_flagged(self):
-        assert sigma_search(lambda s: float("nan"), 0.1) == (1e-5, "non_finite")
+        assert sigma_search(lambda s: float("nan")) == (1e-5, "non_finite")
 
     def test_partly_non_finite_search_keeps_its_bisection(self):
         # NaN above sigma = 1 still steers the search downwards, as "too sharp"
-        sigma, flag = sigma_search(lambda s: s * s if s < 1.0 else float("nan"), 0.1)
+        sigma, flag = sigma_search(lambda s: s * s if s < 1.0 else float("nan"))
         assert flag == "non_finite"
-        assert sigma == sigma_search(lambda s: s * s, 0.1)[0]
-        assert sigma_search(lambda s: -math.inf, 0.1) == (10.0, "non_finite")
+        assert sigma == sigma_search(lambda s: s * s)[0]
+        assert sigma_search(lambda s: -math.inf) == (10.0, "non_finite")
 
 
 class TestPacBayes:
-    def test_deterministic_and_restoring(self):
+    def test_deterministic_and_restoring(self, monkeypatch):
+        monkeypatch.setattr(srr.measures, "PAC_BAYES_DRAWS", 2)
         model, ds = tiny_setup()
         before = {n: t.data.copy() for n, t in model.trainable_params().items()}
-        s1, f1 = pac_bayes_sigma(model, ds, mc_samples=2)
-        s2, f2 = pac_bayes_sigma(model, ds, mc_samples=2)
+        s1, f1 = pac_bayes_sigma(model, ds)
+        s2, f2 = pac_bayes_sigma(model, ds)
         assert (s1, f1) == (s2, f2)
         assert 1e-5 <= s1 <= 10.0
         for n, t in model.trainable_params().items():
@@ -224,7 +232,8 @@ class TestPacBayes:
             return original(logits, y)
 
         monkeypatch.setattr(srr.measures, "cross_entropy_np", checked_ce)
-        pac_bayes_sigma(model, ds, mc_samples=2)
+        monkeypatch.setattr(srr.measures, "PAC_BAYES_DRAWS", 2)
+        pac_bayes_sigma(model, ds)
         assert len(calls) > 2
         check()
 
@@ -242,21 +251,25 @@ class TestPacBayes:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(Model, "logits", spy)
-        pac_bayes_sigma(model, ds, mc_samples=1)
+        monkeypatch.setattr(srr.measures, "PAC_BAYES_DRAWS", 1)
+        pac_bayes_sigma(model, ds)
         draws = [m for m in seen if m is not model]
         assert draws
         for draw in draws:
             assert all(draw.params[n] is t for n, t in frozen.items())
             assert not any(draw.params[n] is t for n, t in model.trainable_params().items())
 
-    def test_sharper_target_gives_smaller_sigma(self):
+    def test_sharper_target_gives_smaller_sigma(self, monkeypatch):
         model, ds = tiny_setup()
-        loose, _ = pac_bayes_sigma(model, ds, target_increase=1.0, mc_samples=2)
-        tight, _ = pac_bayes_sigma(model, ds, target_increase=0.01, mc_samples=2)
+        monkeypatch.setattr(srr.measures, "PAC_BAYES_DRAWS", 2)
+        monkeypatch.setattr(srr.measures, "PAC_BAYES_TARGET", 1.0)
+        loose, _ = pac_bayes_sigma(model, ds)
+        monkeypatch.setattr(srr.measures, "PAC_BAYES_TARGET", 0.01)
+        tight, _ = pac_bayes_sigma(model, ds)
         assert tight <= loose
 
 
-def all_draws_search(model, ds, mc_samples, target=0.1, seed=0, nan_first_draw_from=math.inf):
+def all_draws_search(model, ds, mc_samples, seed=0, nan_first_draw_from=math.inf):
     """The bisection with every draw at every step, as it ran before the
     early exit: (sigma, flag, [(sigma, increase) per step]).  At each step
     with sigma >= ``nan_first_draw_from`` the first draw's CE is NaN."""
@@ -280,7 +293,7 @@ def all_draws_search(model, ds, mc_samples, target=0.1, seed=0, nan_first_draw_f
         steps.append((sigma, total / mc_samples))
         return total / mc_samples
 
-    sigma, flag = sigma_search(increase, target)
+    sigma, flag = sigma_search(increase)
     return sigma, flag, steps
 
 
@@ -289,12 +302,12 @@ def recorded_steps(monkeypatch):
     steps = []
     search = srr.measures.sigma_search
 
-    def spy(increase_fn, target):
+    def spy(increase_fn):
         def recorded(sigma):
             steps.append((sigma, increase_fn(sigma)))
             return steps[-1][1]
 
-        return search(recorded, target)
+        return search(recorded)
 
     monkeypatch.setattr(srr.measures, "sigma_search", spy)
     return steps
@@ -307,7 +320,8 @@ class TestPacBayesEarlyExit:
         model, ds = tiny_setup(seed)
         sigma, flag, oracle = all_draws_search(model, ds, mc_samples)
         steps = recorded_steps(monkeypatch)
-        assert pac_bayes_sigma(model, ds, mc_samples=mc_samples) == (sigma, flag)
+        monkeypatch.setattr(srr.measures, "PAC_BAYES_DRAWS", mc_samples)
+        assert pac_bayes_sigma(model, ds) == (sigma, flag)
         assert [s for s, _ in steps] == [s for s, _ in oracle]
         for (_, got), (_, full) in zip(steps, oracle):
             assert (got <= 0.1) == (full <= 0.1)
@@ -328,7 +342,7 @@ class TestPacBayesEarlyExit:
             return original(logits, y)
 
         monkeypatch.setattr(srr.measures, "cross_entropy_np", counted_ce)
-        sigma, flag = pac_bayes_sigma(model, ds, mc_samples=8)
+        sigma, flag = pac_bayes_sigma(model, ds)
         assert flag == "ok"  # 22 steps: both brackets and 20 bisections
         draws = len(calls) - 1  # the first call is the unperturbed CE
         assert draws < 22 * 8
@@ -341,12 +355,12 @@ class TestPacBayesEarlyExit:
         search, original = srr.measures.sigma_search, srr.measures.cross_entropy_np
         starting = []  # the sigma of a step whose first draw has not run yet
 
-        def marking_search(increase_fn, target):
+        def marking_search(increase_fn):
             def marked(s):
                 starting.append(s)
                 return increase_fn(s)
 
-            return search(marked, target)
+            return search(marked)
 
         def nan_on_first_draw(logits, y):
             value = original(logits, y)
@@ -354,11 +368,10 @@ class TestPacBayesEarlyExit:
 
         monkeypatch.setattr(srr.measures, "sigma_search", marking_search)
         monkeypatch.setattr(srr.measures, "cross_entropy_np", nan_on_first_draw)
-        assert pac_bayes_sigma(model, ds, mc_samples=8) == (sigma, "non_finite")
+        assert pac_bayes_sigma(model, ds) == (sigma, "non_finite")
 
     def test_overflowing_draw_is_flagged(self):
-        # L=24: the clean forward is finite (|logit| <= 6e5), a perturbed draw overflows its attention scores
-        model = init_model(ModelConfig(L=24, d=64, K=4, feat_dim=16, num_tokens=8, num_classes=2))
+        model = overflowing_model()
         ds = synth_dataset(DatasetSpec(n_train=16, n_val=8))
         assert np.isfinite(model.logits(ds.train_x, ln_identity=True)).all()
         with warnings.catch_warnings():
@@ -393,7 +406,7 @@ class TestMeasureVectorOfModel:
     def test_margin_and_derived_identities(self):
         model, ds = tiny_setup()
         mv, _ = measure_vector(model, ds)
-        margin = margin_quantile(model, ds, 10.0)
+        margin = margin_quantile(model, ds)
         assert mv.inv_margin == pytest.approx(1.0 / margin**2, rel=1e-12)
         assert mv.sum_of_spec_over_margin == pytest.approx(mv.sum_of_spec * mv.inv_margin, rel=1e-12)
         assert mv.prod_of_spec_over_margin == pytest.approx(mv.prod_of_spec * mv.inv_margin, rel=1e-12)
@@ -472,7 +485,20 @@ class TestMeasureVectorOfModel:
             warnings.simplefilter("error")
             mv, errors = measure_vector(model, ds)
         assert math.isnan(mv.path_norm)
-        assert errors == {"path_norm": "the all-ones forward of the squared parameters is not finite"}
+        assert errors == {"path_norm": "not finite: a weight or a forward of the model left float64 range"}
+
+    @pytest.mark.parametrize("build, non_finite", [
+        (lambda: huge_weight_setup("layers.1.U", 1e100), ["path_norm", "srr"]),
+        (lambda: (overflowing_model(), synth_dataset(DatasetSpec(n_train=16, n_val=8))), []),
+    ], ids=["U-times-1e100", "L24-overflowing-draw"])
+    def test_every_non_finite_field_has_a_note(self, build, non_finite):
+        model, ds = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mv, errors = measure_vector(model, ds)
+        assert [f for f in FIELD_ORDER if not math.isfinite(mv.get(f))] == non_finite
+        assert all(f in errors for f in non_finite)
+        assert not any("zero spectral norm" in why for why in errors.values())
 
     @pytest.mark.parametrize("flag, words", [
         ("upper_bracket", "upper bracket"),

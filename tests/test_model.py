@@ -283,13 +283,15 @@ class TestForward:
 
 
 class TestInferenceEntries:
-    def test_logits_independent_of_chunk_size(self):
+    def test_logits_independent_of_chunk_size(self, monkeypatch):
         cfg = tiny_cfg()
         model = init_model(cfg)
         x = tiny_batch(cfg, B=5)
         for ln_identity in (False, True):
-            one = model.logits(x, ln_identity=ln_identity, batch=1)
-            whole = model.logits(x, ln_identity=ln_identity, batch=len(x))
+            monkeypatch.setattr(model_module, "INFERENCE_BATCH", 1)
+            one = model.logits(x, ln_identity=ln_identity)
+            monkeypatch.setattr(model_module, "INFERENCE_BATCH", len(x))
+            whole = model.logits(x, ln_identity=ln_identity)
             np.testing.assert_allclose(one, whole, rtol=0, atol=1e-12)
             want, _ = model.run(model.embed_inputs(x), ln_identity=ln_identity)
             assert np.array_equal(whole, want)

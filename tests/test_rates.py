@@ -6,6 +6,7 @@ import pytest
 from srr.errors import ConfigError, ShapeError
 from srr.linalg import logdet_psd, orthonormal_basis, rng_for
 from srr.rates import (
+    L0_TOL,
     RateConfig,
     coding_rate,
     grad_projected_coding_rate,
@@ -195,11 +196,11 @@ class TestSparsity:
         assert sparsity_l0(np.zeros((3, 3))) == 0
 
     def test_hand_count(self):
-        assert sparsity_l0(np.array([0.0, 0.5, -0.2, 0.0]), tol=1e-6) == 2
+        assert sparsity_l0(np.array([0.0, 0.5, -0.2, 0.0])) == 2
 
     def test_boundary_is_strict(self):
-        assert sparsity_l0(np.array([1e-6]), tol=1e-6) == 0
-        assert sparsity_l0(np.array([1.0000001e-6]), tol=1e-6) == 1
+        assert sparsity_l0(np.array([L0_TOL, -L0_TOL])) == 0
+        assert sparsity_l0(np.array([np.nextafter(L0_TOL, 1.0)])) == 1
 
 
 class TestLayerMeasure:

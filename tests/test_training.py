@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import srr.autodiff as ad
+import srr.model
 from srr.autodiff import Tensor
 from srr.data import DatasetSpec, synth_dataset
 from srr.errors import ConfigError, NumericError
@@ -379,11 +380,14 @@ class TestAdam:
 
 
 class TestEvaluate:
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         model = tiny_model()
         ds = sep_dataset()
-        chunked = model.logits(ds.val_x, batch=4)
-        whole = model.logits(ds.val_x, batch=1000)
+        monkeypatch.setattr(srr.model, "INFERENCE_BATCH", 4)
+        chunked = model.logits(ds.val_x)
+        monkeypatch.setattr(srr.model, "INFERENCE_BATCH", 1000)
+        whole = model.logits(ds.val_x)
+        monkeypatch.undo()
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
         logits = model.logits(ds.val_x)
         assert evaluate(model, ds.val_x, ds.val_y) == (

@@ -86,7 +86,7 @@ def measure_with_one_damaged_checkpoint(tmp_path, capsys, damage):
 class TestGridSpec:
     def test_cardinalities(self):
         assert len(GridSpec.desk().cells()) == 32
-        assert len(GridSpec.paper().cells()) == 64
+        assert len(GridSpec().cells()) == 64
 
     def test_desk_has_single_width(self):
         grid = GridSpec.desk()
@@ -94,10 +94,10 @@ class TestGridSpec:
         assert set(c.dropout for _, c in grid.cells()) == {0.0, 0.1}
 
     def test_keys_are_unique_and_deterministic(self):
-        grid = GridSpec.paper()
+        grid = GridSpec()
         keys = [k for k, _ in grid.cells()]
         assert len(set(keys)) == 64
-        assert keys == [k for k, _ in GridSpec.paper().cells()]
+        assert keys == [k for k, _ in GridSpec().cells()]
         assert keys[0] == "bs64-lr2e-05-w384-do0.0-crate_c"
 
     def test_cell_seed_depends_on_coords_and_grid_seed(self):
@@ -398,7 +398,11 @@ class TestMeasureZoo:
         model.params["head.bias"].data[:] = 0.0
         save_checkpoint(model, path)
         rows = Path(measure_zoo(str(tmp_path))).read_text().split("\n")
-        assert diagnostics(capsys.readouterr().err) == [f"measure_zoo: note: {flat}: inv_margin: zero margin"]
+        ratios = ["inv_margin", "prod_of_fro_over_margin", "prod_of_spec_over_margin", "spec_init_main",
+                  "spec_orig_main", "sum_of_fro_over_margin", "sum_of_spec_over_margin"]
+        assert diagnostics(capsys.readouterr().err) == [f"measure_zoo: note: {flat}: {f}: zero margin" for f in ratios]
+        row = dict(zip(FIELD_ORDER, rows[1].split(",")[1:]))
+        assert sorted(f for f, v in row.items() if not np.isfinite(float(v))) == ratios
         assert rows[1].startswith(flat + ",") and rows[2] == healthy[2] and rows[2].startswith(good + ",")
 
     def test_missing_zoo_rejected(self, tmp_path):
@@ -490,6 +494,42 @@ class TestRecordsAndReport:
     def test_records_need_measures_file(self, tmp_path):
         run_mini(tmp_path)
         with pytest.raises(FormatError, match="measure_zoo"):
+            load_zoo_records(str(tmp_path))
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda m, key: m["cells"].__setitem__(key, 5), "cell {key}: no 'status' of 'done' or 'failed'"),
+        (lambda m, key: m["cells"][key].__setitem__("status", "x"), "cell {key}: no 'status' of 'done' or 'failed'"),
+        (lambda m, key: m["cells"][key].pop("coords"), "cell {key}: missing key 'coords'"),
+        (lambda m, key: m["cells"][key]["coords"].pop("width"), "cell {key}: malformed key 'coords'"),
+        (lambda m, key: m["cells"][key].__setitem__("checkpoint", 5), "cell {key}: malformed key 'checkpoint'"),
+        (lambda m, key: m["cells"][key].__setitem__("converged", "yes"), "cell {key}: malformed key 'converged'"),
+        (lambda m, key: m["cells"][key].pop("diverged"), "cell {key}: missing key 'diverged'"),
+        (lambda m, key: m["cells"][key].__setitem__("gap", "0.1"), "cell {key}: malformed key 'gap'"),
+        (lambda m, key: m.pop("data"), "trained cells but no 'data' object"),
+        (lambda m, key: m.pop("grid"), "trained cells but no 'grid' object"),
+    ], ids=["entry", "status", "no-coords", "coords", "checkpoint", "converged", "no-diverged", "gap",
+            "no-data", "no-grid"])
+    def test_malformed_manifest_is_a_format_error(self, tmp_path, damage, named):
+        run_mini(tmp_path)
+        measure_zoo(str(tmp_path))
+        mpath = tmp_path / MANIFEST_NAME
+        manifest = json.loads(mpath.read_text())
+        key = MINI.cells()[0][0]
+        damage(manifest, key)
+        mpath.write_text(json.dumps(manifest))
+        for reader in (measure_zoo, load_zoo_records):
+            with pytest.raises(FormatError, match=re.escape(f"{MANIFEST_NAME}: {named.format(key=repr(key))}")):
+                reader(str(tmp_path))
+
+    def test_measure_row_of_a_failed_cell_is_a_format_error(self, tmp_path):
+        run_mini(tmp_path)
+        measure_zoo(str(tmp_path))
+        mpath = tmp_path / MANIFEST_NAME
+        manifest = json.loads(mpath.read_text())
+        key = MINI.cells()[0][0]
+        manifest["cells"][key] = {"status": "failed", "coords": manifest["cells"][key]["coords"]}
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"row {key!r} is not a trained cell"):
             load_zoo_records(str(tmp_path))
 
     def test_header_validated(self, tmp_path):
