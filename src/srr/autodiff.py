@@ -14,6 +14,16 @@ parent that needs no gradient is never called.  A fused op may list a
 parent once per term, and may give a ``prep`` that turns g into the
 intermediates its maps share; they live for that one VJP call only.
 
+Accumulation: within one walk a tensor's first term is borrowed as it is
+(it may be another node's cotangent, or a view of one); its second term
+makes one sum that the tensor owns, and later terms of that walk add into
+it with ``+=``.  Ownership is the identity of that sum, forgotten when the
+walk is done, so no walk writes into an array it did not allocate, nor
+into a gradient left by an earlier walk.  The additions and their order
+are those of a fresh ``grad + g`` per term.  A batched product summed down
+to a shared weight (``_matmul_sum``) is formed at most ``_PRODUCT_BYTES``
+of per-sample products at a time.
+
 A ``cut`` is an identity node where a segment of the tape begins;
 ``segmented_sum``, the one op with a VJP of its own, walks two tapes in
 turn, the second with its cuts closed, so a term of the second tape is
@@ -23,8 +33,17 @@ second walk find the nodes it shares with the first fresh.
 Only the operations the models actually use are implemented, several of
 them fused (softmax over columns, layer norm over columns, the log-det Gram
 volume, softmax cross-entropy; the attention update and the ISTA step are
-fused in ``srr.layers``) so their backward passes are both fast and
-numerically tight, and each keeps only what its VJP reads.
+fused in ``srr.layers``, the subspace rate R_c in ``srr.model``) so their
+backward passes are both fast and numerically tight.  Besides its output
+and its parents, which the tape holds anyway, each keeps only what its VJP
+reads and cannot re-form from them with the forward's own operations:
+
+- layer norm: the (..., 1, N) mean and 1/std columns (x-hat is re-formed);
+- log-det Gram volume: I + scale * Gram;
+- attention: each head's A_k = U_k^T Z and softmax S_k, and the masks
+  (the head stack is re-formed from them where a weight's term reads it);
+- ISTA step: the residual Y - D Y (its ReLU gate is read off its output);
+- R_c: each head's U_k^T Z and I + gamma * Gram.
 """
 
 from __future__ import annotations
@@ -46,6 +65,7 @@ __all__ = [
 ]
 
 LN_EPS = 1e-6  # variance floor of both layer norms
+_PRODUCT_BYTES = 2 << 20  # per-sample products one weight-gradient sum forms at once
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -61,8 +81,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _matmul_sum(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``_unbroadcast(a @ b, shape)``, bit for bit.  Two (B, ., .) stacks
+    whose products sum to one matrix take at most ``_PRODUCT_BYTES`` of
+    products at once: numpy sums axis 0 of a stack in order, so a reduce
+    over the first products and ``+=`` of each later one add the same
+    terms in the same order."""
+    if not (a.ndim == b.ndim == 3 and len(a) == len(b) and shape == (a.shape[1], b.shape[2])):
+        return _unbroadcast(a @ b, shape)
+    n = max(1, _PRODUCT_BYTES // (8 * shape[0] * shape[1]))
+    total = np.add.reduce(a[:n] @ b[:n], axis=0)
+    for i in range(n, len(a)):
+        total += a[i] @ b[i]
+    return total
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_sum")
 
     # keep numpy from hijacking `ndarray op Tensor`
     __array_ufunc__ = None
@@ -74,6 +109,7 @@ class Tensor:
         # constants do not need a tape
         self._parents = _parents if self.requires_grad else ()
         self._vjp = _vjp if self.requires_grad else None
+        self._sum = None  # the sum this walk made and owns, when .grad is it
 
     # ------------------------------------------------------------------
     @property
@@ -88,7 +124,12 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g: np.ndarray):
-        self.grad = g if self.grad is None else self.grad + g
+        if self.grad is None:
+            self.grad = g
+        elif self.grad is self._sum:
+            self.grad += g
+        else:
+            self.grad = self._sum = self.grad + g
 
     def backward(self):
         if self.data.size != 1:
@@ -118,7 +159,10 @@ class Tensor:
         return _node(
             self.data @ other.data,
             (self, other),
-            (lambda g: g @ np.swapaxes(other.data, -1, -2), lambda g: np.swapaxes(self.data, -1, -2) @ g),
+            (
+                lambda g: _matmul_sum(g, np.swapaxes(other.data, -1, -2), self.data.shape),
+                lambda g: _matmul_sum(np.swapaxes(self.data, -1, -2), g, other.data.shape),
+            ),
         )
 
     # ------------------------------------------------------------------ shape ops
@@ -172,7 +216,8 @@ def _walk(root: Tensor, g: np.ndarray) -> None:
     it in reverse topological order.  The walk stops at nodes that need no
     gradient (constants, closed cuts).  Each interior node's ``.grad`` is
     dropped once its VJP has run, so a cotangent lives only until its
-    node's parents have their terms; leaves keep theirs.
+    node's parents have their terms; leaves keep theirs.  Every node
+    forgets the sum it owns once all its terms are in.
     """
     root._accumulate(g)
     order: list[Tensor] = []
@@ -193,6 +238,7 @@ def _walk(root: Tensor, g: np.ndarray) -> None:
         if node._vjp is not None:
             node._vjp(node.grad)
             node.grad = None
+        node._sum = None
 
 
 def cut(x: Tensor) -> Tensor:
@@ -247,48 +293,68 @@ def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     Normalizes each column (axis -2 is the feature axis) to zero mean and
     unit variance, with ``LN_EPS`` added to the variance for stability.
-    ``gain`` and ``bias`` are feature vectors of length d.
+    ``gain`` and ``bias`` are feature vectors of length d.  The node keeps
+    the mean and 1/std columns; its VJP re-forms x-hat from the input.
     """
     gain = as_tensor(gain)
     bias = as_tensor(bias)
     d = x.data.shape[-2]
     gcol = gain.data.reshape((d, 1))
     mu = x.data.mean(axis=-2, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-2, keepdims=True)
+    out = x.data - mu  # x - mu, then x-hat, then the output
+    var = (out * out).mean(axis=-2, keepdims=True)
     var[np.isinf(var)] = np.nan  # an overflowed variance would scale its column to zeros
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
+    out *= inv
+    out *= gcol
+    out += bias.data.reshape((d, 1))
     cols = (0, -1) if x.data.ndim == 3 else -1  # the batch and token axes
 
-    def grad_x(g):
+    def prep(g):
+        xhat = x.data - mu
+        xhat *= inv
+        return g, xhat
+
+    def grad_x(c):
+        g, xhat = c
         gx = g * gcol
         term1 = gx.mean(axis=-2, keepdims=True)
-        term2 = (gx * xhat).mean(axis=-2, keepdims=True)
-        return inv * (gx - term1 - xhat * term2)
+        tmp = gx * xhat
+        term2 = tmp.mean(axis=-2, keepdims=True)
+        gx -= term1
+        gx -= np.multiply(xhat, term2, out=tmp)
+        gx *= inv
+        return gx
 
-    maps = (grad_x, lambda g: (g * xhat).sum(axis=cols), lambda g: g.sum(axis=cols))
-    return _node(gcol * xhat + bias.data.reshape((d, 1)), (x, gain, bias), maps)
+    maps = (grad_x, lambda c: (c[0] * c[1]).sum(axis=cols), lambda c: c[0].sum(axis=cols))
+    return _node(out, (x, gain, bias), maps, prep)
 
 
 def logdet_gram(z: Tensor, scale: float) -> Tensor:
     """1/2 logdet(I + scale * z^T z) per matrix in a stack.
 
     ``z`` has shape (..., d, N); the result has the leading batch shape.
-    Internally the Gram matrix is formed on the smaller side and factored
-    by Cholesky.  The backward pass uses
+    """
+    value, grad = _gram_volume(z.data, scale)
+    return _node(value, (z,), (grad,))
+
+
+def _gram_volume(z: np.ndarray, scale: float):
+    """``logdet_gram`` of the ndarray ``z``: (value, map from its cotangent
+    g to z's).  The Gram matrix is formed on the smaller side and factored
+    by Cholesky.  The map uses
 
       d/dz 1/2 logdet(I + s z^T z) = s * z (I + s z^T z)^{-1}
                                    = s * (I + s z z^T)^{-1} z,
 
     solved on whichever side is smaller.
     """
-    d, N = z.data.shape[-2], z.data.shape[-1]
+    d, N = z.shape[-2], z.shape[-1]
     use_cols = N <= d
     if use_cols:
-        gram = np.swapaxes(z.data, -1, -2) @ z.data
+        gram = np.swapaxes(z, -1, -2) @ z
     else:
-        gram = z.data @ np.swapaxes(z.data, -1, -2)
+        gram = z @ np.swapaxes(z, -1, -2)
     m = gram.shape[-1]
     M = np.eye(m) + scale * gram
     try:
@@ -300,13 +366,13 @@ def logdet_gram(z: Tensor, scale: float) -> Tensor:
     def grad(g):
         if use_cols:
             # z @ M^{-1}: solve M X = z^T then transpose
-            sol = np.linalg.solve(M, np.swapaxes(z.data, -1, -2))
+            sol = np.linalg.solve(M, np.swapaxes(z, -1, -2))
             dz = scale * np.swapaxes(sol, -1, -2)
         else:
-            dz = scale * np.linalg.solve(M, z.data)
+            dz = scale * np.linalg.solve(M, z)
         return np.asarray(g)[..., None, None] * dz
 
-    return _node(np.log(diag).sum(axis=-1), (z,), (grad,))
+    return np.log(diag).sum(axis=-1), grad
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

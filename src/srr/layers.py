@@ -16,6 +16,8 @@ leading batch axis (B, d, N).
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from . import autodiff as ad
@@ -51,6 +53,8 @@ CRATE_IDENTITY = "crate_identity"  # +, head stack used directly
 VARIANTS = (CRATE_C, CRATE_N, CRATE_T, CRATE, CRATE_FIX, CRATE_IDENTITY)
 
 _WORKSPACE_BYTES = 8 << 20  # buffers one Workspace keeps at most
+# node maps that pass on one of their prep's results as it is, shared by every node
+_TERM_0, _TERM_2 = itemgetter(0), itemgetter(2)
 
 
 class Workspace:
@@ -66,13 +70,17 @@ class Workspace:
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
+        self.nbytes = 0  # of the kept buffers
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         buf = self.buffers.pop(name, None)
+        if buf is not None:
+            self.nbytes -= buf.nbytes
         if buf is None or buf.shape != shape:
             buf = np.empty(shape)
-        if sum(b.nbytes for b in self.buffers.values()) + buf.nbytes <= _WORKSPACE_BYTES:
+        if self.nbytes + buf.nbytes <= _WORKSPACE_BYTES:
             self.buffers[name] = buf
+            self.nbytes += buf.nbytes
         return buf
 
 
@@ -102,10 +110,24 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None, ws: Workspace
         linalg._softmax(S, -2, out=S)
         if _saved is not None:
             _saved.append((A, S))
-        if attn_masks is not None:
-            S = S * attn_masks[k]
-        np.matmul(A, S, out=stack[..., k * p : (k + 1) * p, :])
+        _head_output(A, S, None if attn_masks is None else attn_masks[k], stack[..., k * p : (k + 1) * p, :])
     return stack
+
+
+def _head_output(A, S, mask, out):
+    """One head's A_k S_k, its softmax masked, into its row block ``out`` of the stack."""
+    return np.matmul(A, S if mask is None else S * mask, out=out)
+
+
+def _head_blocks(u, head_grads, z):
+    """The (d, Kp) gradient of a basis U whose heads project z as U_k^T z,
+    given each projection's cotangent: block k is (g_k z^T)^T, summed over
+    a batch."""
+    blocks = np.empty_like(u)
+    p = u.shape[-1] // len(head_grads)
+    for k, g in enumerate(head_grads):
+        blocks[:, k * p : (k + 1) * p] = ad._matmul_sum(g, z.mT, (p, z.shape[-2])).mT
+    return blocks
 
 
 def mssa(Z, U, num_heads: int):
@@ -163,36 +185,37 @@ def attention_update(
         W = None if W is None else ad.as_tensor(W)
         return _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask)
     Out = _output_matrix(variant, U, W, Z.shape[-2])
-    return _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws)[0]
+    return _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws)
 
 
 def _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws, saved=None):
-    """The attention kernel on ndarrays: (update, head stack)."""
+    """The attention kernel on ndarrays."""
     stack = stacked_attention_heads(Z, U, num_heads, attn_masks, ws, saved)
     out = stack if Out is None else np.matmul(Out, stack, out=_take(ws, "attn.out", Z.shape))
     if out_mask is not None:
         out *= out_mask
     out *= scale
     out += Z
-    return out, stack
+    return out
 
 
 def _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask):
     """``attention_update`` of the Tensor ``Z`` as one autodiff node.
 
-    It keeps each head's A_k and softmax S_k, the head stack and the masks.
-    Its terms are those of the composed graph (per-head projections, Gram
-    matrices, softmaxes and masks, the stack, the output matrix, the mask,
-    the scale and the residual), in its order: Z gets the residual's term,
-    then one term per head; U the output matrix's term (crate_c/n/t), then
-    one matrix of its head blocks; W (crate/crate_fix) its one term.
+    It keeps each head's A_k and softmax S_k and the masks; the output
+    matrix's term re-forms the head stack from them by the forward's own
+    products.  Its terms are those of the composed graph (per-head
+    projections, Gram matrices, softmaxes and masks, the stack, the output
+    matrix, the mask, the scale and the residual), in its order: Z gets the
+    residual's term, then one term per head; U the output matrix's term
+    (crate_c/n/t), then one matrix of its head blocks; W (crate/crate_fix)
+    its one term.
     """
     z, u = Z.data, U.data
     Out = _output_matrix(variant, u, None if W is None else W.data, z.shape[-2])
     saved: list[tuple[np.ndarray, np.ndarray]] = []
-    value, stack = _attention(z, u, num_heads, Out, scale, attn_masks, out_mask, None, saved)
-    heads = split_heads(u, num_heads)
-    p = heads[0].shape[1]
+    value = _attention(z, u, num_heads, Out, scale, attn_masks, out_mask, None, saved)
+    p = u.shape[-1] // num_heads
     scale_arr = np.asarray(scale, dtype=np.float64)
 
     def prep(g):
@@ -213,25 +236,26 @@ def _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask):
             g_heads.append(g_A + (g_gram @ A.mT).mT)
         return g, g_out, g_heads
 
-    def head_blocks(c):
-        blocks = np.empty_like(u)
-        for k, g_A in enumerate(c[2]):
-            blocks[:, k * p : (k + 1) * p] = ad._unbroadcast(g_A @ z.mT, (p, z.shape[-2])).mT
-        return blocks
+    def stack_term(c):
+        # the output matrix's term, g_out stack^T, with the stack re-formed
+        stack = np.empty(z.shape[:-2] + (u.shape[-1], z.shape[-1]))
+        for k, (A, S) in enumerate(saved):
+            _head_output(A, S, None if attn_masks is None else attn_masks[k], stack[..., k * p : (k + 1) * p, :])
+        return ad._matmul_sum(c[1], stack.mT, (z.shape[-2], u.shape[-1]))
 
     parents = [Z] * (num_heads + 1)
-    maps = [lambda c: c[0]] + [lambda c, k=k: heads[k] @ c[2][k] for k in range(num_heads)]
+    maps = [_TERM_0] + [lambda c, k=k: u[:, k * p : (k + 1) * p] @ c[2][k] for k in range(num_heads)]
     if variant in (CRATE_C, CRATE_N):
         parents.append(U)
-        maps.append(lambda c: c[1] @ stack.mT)
+        maps.append(stack_term)
     elif variant == CRATE_T:
         parents.append(U)
-        maps.append(lambda c: ad._unbroadcast(c[1] @ stack.mT, Out.shape).mT)
+        maps.append(lambda c: stack_term(c).mT)
     parents.append(U)
-    maps.append(head_blocks)
+    maps.append(lambda c: _head_blocks(u, c[2], z))
     if variant in (CRATE, CRATE_FIX):
         parents.append(W)
-        maps.append(lambda c: c[1] @ stack.mT)
+        maps.append(stack_term)
     return ad._node(value, tuple(parents), tuple(maps), prep)
 
 
@@ -260,11 +284,11 @@ def ista_step(Y, D, beta: float, lambda_sparsity: float, ws: Workspace | None = 
         return g_pre, g_m, g_resid, np.negative(g_resid)
 
     maps = (
-        lambda c: c[0],
-        lambda c: c[2],
+        _TERM_0,
+        _TERM_2,
         lambda c: dm.mT @ c[3],
-        lambda c: ad._unbroadcast(c[1] @ resid.mT, dm.mT.shape).mT,
-        lambda c: c[3] @ y.mT,
+        lambda c: ad._matmul_sum(c[1], resid.mT, dm.mT.shape).mT,
+        lambda c: ad._matmul_sum(c[3], y.mT, dm.shape),
     )
     return ad._node(value, (Y, Y, Y, D, D), maps, prep)
 

@@ -174,8 +174,8 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
     Init-relative fields need ``model.init_snapshot``; when it is missing
     they come back NaN with an explanation in the errors dict while
     everything else is still computed.  Every other NaN or inf field gets a
-    note too: a zero margin or spectral norm, a pinned PAC-Bayes search, or
-    a weight or forward past float64 range.
+    note too: a zero margin or squared spectral norm, a pinned PAC-Bayes
+    search, or a weight or forward past float64 range.
     """
     model.check_labels(dataset)
     init_snapshot = model.init_snapshot
@@ -194,15 +194,20 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
         errors["inv_margin"] = "zero margin"
     mv.inv_margin = 1.0 / margin_sq if margin_sq else np.nan
 
-    spec_sq = [spectral_norm(w) ** 2 for _, w in mats]
+    spec = [spectral_norm(w) for _, w in mats]
+    spec_sq = [s**2 for s in spec]
     fro_sq = [float(np.sum(w**2)) for _, w in mats]
     mv.prod_of_spec = float(np.prod(spec_sq)) if all(v > 0 for v in spec_sq) else 0.0
     mv.sum_of_spec = M * _geo_mean(spec_sq)
     mv.prod_of_fro = float(np.prod(fro_sq)) if all(v > 0 for v in fro_sq) else 0.0
     mv.sum_of_fro = M * _geo_mean(fro_sq)
-    zero = [name for (name, _), s in zip(mats, spec_sq) if s == 0.0]
-    if zero:  # a fro/spec ratio is undefined
-        errors["fro_over_spec"] = errors["spec_orig_main"] = f"zero spectral norm of {zero[0]}"
+    # a fro/spec ratio is undefined where a squared spectral norm is 0.0
+    spec_note = next((
+        f"zero spectral norm of {name}" if s == 0.0 else f"spectral norm {s:.3g} of {name} underflows when squared"
+        for (name, _), s, sq in zip(mats, spec, spec_sq) if sq == 0.0
+    ), None)
+    if spec_note:
+        errors["fro_over_spec"] = errors["spec_orig_main"] = spec_note
     else:
         mv.fro_over_spec = float(sum(f / s for f, s in zip(fro_sq, spec_sq)))
     if margin_sq:
@@ -236,8 +241,8 @@ def measure_vector(model: Model, dataset, seed: int = 0) -> tuple[MeasureVector,
         mv.spec_distance = float(
             sum(spectral_norm(w - init_snapshot[name]) ** 2 for name, w in mats)
         )
-        if zero:
-            errors["spec_init_main"] = errors["fro_over_spec"]
+        if spec_note:
+            errors["spec_init_main"] = spec_note
         elif margin_sq:
             mv.spec_init_main = (
                 mv.prod_of_spec * sum(df / s for df, s in zip(diff_fro, spec_sq)) / margin_sq

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import layers as ly
 from . import rates
-from .autodiff import Tensor, _node, as_tensor, cut, logdet_gram
+from .autodiff import Tensor, _gram_volume, _matmul_sum, _node, as_tensor, cut, logdet_gram
 from .errors import COUNT, FINITE, FRACTION, INT, NONNEGATIVE, POSITIVE, check_fields, one_of, optional, rule
 from .errors import ConfigError, FormatError, NumericError, ShapeError, config_fields
 from .linalg import rng_for
@@ -168,7 +168,7 @@ class Model:
         tok[..., 1:] = np.matmul(embed.data, raw, out=ly._take(ws, "embed.proj", (B, self.cfg.d, T)))
         tok += pos.data
         if train_mode:
-            maps = (lambda g: g[..., 1:] @ raw.mT, lambda g: g[..., 0], None)
+            maps = (lambda g: _matmul_sum(g[..., 1:], raw.mT, embed.shape), lambda g: g[..., 0], None)
             tok = _node(tok, (embed, cls, pos), maps)
         if train_mode and self.cfg.dropout > 0.0:
             if rng is None:
@@ -314,13 +314,30 @@ def _layer_rates(Z, U, num_heads: int, gamma: float, full_scale: float):
     z = as_tensor(Z)
     if not np.isfinite(z.data).all():
         raise NumericError("token matrix contains non-finite entries")
-    rc = None
-    for Uk in rates.split_heads(as_tensor(U), num_heads):
-        term = logdet_gram(Uk.mT @ z, gamma)
-        rc = term if rc is None else rc + term
+    rc = _subspace_rate(z, as_tensor(U), num_heads, gamma)
     r = logdet_gram(z, full_scale)
     l0 = np.count_nonzero(np.abs(z.data) > rates.L0_TOL, axis=(-2, -1))
     return r, rc, l0
+
+
+def _subspace_rate(z: Tensor, U: Tensor, num_heads: int, gamma: float) -> Tensor:
+    """R_c(z; U) as one node: the log-volumes of the K head projections
+    U_k^T z, summed in head order.  It keeps each projection and its
+    volume's I + gamma * Gram, and adds the terms of the composed graph of
+    per-head slices, products and ``logdet_gram`` nodes in its order: z one
+    per head, U one (d, Kp) matrix of its head blocks."""
+    heads = rates.split_heads(U.data, num_heads)
+    volumes = [_gram_volume(Uk.mT @ z.data, gamma) for Uk in heads]
+    value = volumes[0][0]
+    for v, _ in volumes[1:]:
+        value = value + v
+
+    def prep(g):  # each projection's cotangent
+        return [grad(g) for _, grad in volumes]
+
+    maps = [lambda c, k=k: heads[k] @ c[k] for k in range(num_heads)]
+    maps.append(lambda c: ly._head_blocks(U.data, c, z.data))
+    return _node(value, (z,) * num_heads + (U,), tuple(maps), prep)
 
 
 def _probe_layer(layer_no: int, Z, U, pc: rates.RateConfig) -> ProbeRecord:

@@ -253,6 +253,40 @@ class TestFusedOps:
         np.testing.assert_allclose(gain.grad, numeric_grad(fg, gain0), atol=1e-6)
         assert bias.grad.shape == (5,)
 
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    def test_layer_norm_is_the_node_that_keeps_x_hat(self, batch):
+        # the node that kept x-hat, test-side: re-forming it in the VJP keeps every bit
+        def kept_xhat(x, gain, bias):
+            d = x.data.shape[-2]
+            gcol = gain.data.reshape((d, 1))
+            mu = x.data.mean(axis=-2, keepdims=True)
+            xc = x.data - mu
+            inv = 1.0 / np.sqrt((xc * xc).mean(axis=-2, keepdims=True) + ad.LN_EPS)
+            xhat = xc * inv
+            cols = (0, -1) if x.data.ndim == 3 else -1
+
+            def grad_x(g):
+                gx = g * gcol
+                term1 = gx.mean(axis=-2, keepdims=True)
+                term2 = (gx * xhat).mean(axis=-2, keepdims=True)
+                return inv * (gx - term1 - xhat * term2)
+
+            maps = (grad_x, lambda g: (g * xhat).sum(axis=cols), lambda g: g.sum(axis=cols))
+            return ad._node(gcol * xhat + bias.data.reshape((d, 1)), (x, gain, bias), maps)
+
+        x0 = rng_for(33).standard_normal(batch + (9, 4)) * 3.0 + 1.0
+        params0 = [rng_for(34).standard_normal(9), rng_for(35).standard_normal(9)]
+        w = rng_for(36).standard_normal(x0.shape)
+
+        def run(op):
+            leaves = [ad.Tensor(a, requires_grad=True) for a in [x0] + params0]
+            out = op(leaves[0] * 1.0, *leaves[1:])
+            (out * w).sum().backward()
+            return [out.data] + [t.grad for t in leaves]
+
+        for got, want in zip(run(ad.layer_norm_cols), run(kept_xhat)):
+            assert np.array_equal(got, want)
+
     def test_logdet_gram_forward_matches_dense(self):
         z = rng_for(33).standard_normal((6, 4))
         got = ad.logdet_gram(ad.Tensor(z), scale=0.8).item()
@@ -368,6 +402,47 @@ class TestTape:
         ((h * h).sum() + (ad.Tensor(h.data) @ w).sum()).backward()
         np.testing.assert_array_equal(seg[0], x.grad)
         np.testing.assert_array_equal(seg[1], w.grad)
+
+
+class TestAccumulation:
+    def test_no_borrowed_array_is_written(self):
+        # s = a + b hands one cotangent array to both leaves by None maps; a
+        # then gets a second and a third term, b keeps the array as its grad
+        a0, b0 = rng_for(40).standard_normal((3, 4)), rng_for(41).standard_normal((3, 4))
+        w, v, u = (rng_for(42, i).standard_normal((3, 4)) for i in range(3))
+        a, b = ad.Tensor(a0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+        s = a + b
+        loss = (s * w).sum() + (a * v).sum() + (a * u).sum()
+        loss.backward()
+        assert np.array_equal(b.grad, w)
+        np.testing.assert_allclose(a.grad, w + v + u, rtol=1e-15)
+        # a later walk leaves the sums of this one as they are
+        kept = [a.grad, a.grad.copy(), b.grad, b.grad.copy()]
+        loss.backward()
+        assert np.array_equal(kept[0], kept[1]) and np.array_equal(kept[2], kept[3])
+        np.testing.assert_allclose(a.grad, 2 * (w + v + u), rtol=1e-15)
+
+    def test_terms_add_in_order_into_one_owned_sum(self):
+        x = ad.Tensor(np.ones(2), requires_grad=True)
+        terms = [np.array([1e16, 1.0]), np.array([1.0, 1e16]), np.array([-1e16, -1e16])]
+        for t in terms:
+            x._accumulate(t)
+        assert np.array_equal(x.grad, (terms[0] + terms[1]) + terms[2])
+        assert x.grad is x._sum and all(x.grad is not t for t in terms)
+        assert np.array_equal(terms[0], [1e16, 1.0])  # the borrowed first term is untouched
+
+    @pytest.mark.parametrize(
+        "B, m, n, k", [(1, 12, 5, 12), (8, 384, 65, 384), (32, 32, 9, 32), (16, 8, 9, 32)],
+        ids=["B1", "paper", "desk", "desk-head"],
+    )
+    @pytest.mark.parametrize("budget", ["below-one-product", "three-products", "whole-stack"])
+    def test_chunked_weight_sum_is_the_stack_sum(self, B, m, n, k, budget, monkeypatch):
+        a, z = rng_for(43).standard_normal((B, m, n + 1)), rng_for(44).standard_normal((B, k, n))
+        a = a[..., 1:]  # strided, as the embedding's g[..., 1:] is
+        product = 8 * m * k
+        bytes_ = {"below-one-product": product - 8, "three-products": 3 * product, "whole-stack": B * product}
+        monkeypatch.setattr(ad, "_PRODUCT_BYTES", bytes_[budget])
+        assert np.array_equal(ad._matmul_sum(a, z.mT, (m, k)), (a @ z.mT).sum(axis=0))
 
 
 class TestEmbedNode:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -475,6 +476,16 @@ class TestMeasureVectorOfModel:
             assert errors[f] == "zero spectral norm of head.weight"
         assert mv.prod_of_spec == 0.0
         assert math.isfinite(mv.path_norm) and math.isfinite(mv.srr)
+
+    def test_tiny_spectral_norm_is_not_called_zero(self):
+        # 2e-200 is a norm; only its square underflows to 0.0
+        model, ds = tiny_setup()
+        model.params["embed"].data *= 1e-200
+        mv, errors = measure_vector(model, ds)
+        for f in ("fro_over_spec", "spec_orig_main", "spec_init_main"):
+            assert math.isnan(mv.get(f))
+            assert re.fullmatch(r"spectral norm \S+e-200 of embed underflows when squared", errors[f]), errors[f]
+        assert not any("zero spectral norm" in why for why in errors.values())
 
     def test_non_finite_path_norm_has_a_note(self):
         # squared, a 1e80-scaled positional table overflows the path forward's

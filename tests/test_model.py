@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from tracemem import traced
+
+from srr import autodiff as ad
 from srr import model as model_module
 from srr import rates
 from srr.autodiff import Tensor
@@ -21,7 +23,7 @@ from srr.model import (
     param_count,
     save_checkpoint,
 )
-from srr.rates import RateConfig
+from srr.rates import RateConfig, split_heads
 
 
 def tiny_cfg(**kw):
@@ -344,20 +346,46 @@ class TestLayerRates:
             _layer_rates(Z, np.eye(8), 2, 1.0, 2.0)
 
 
-def _traced(fn):
-    """(result, bytes still held after fn, peak rise during fn), by tracemalloc.
-    numpy's ufunc buffers are held to 8 KB, so the peak rise counts arrays."""
-    old = np.setbufsize(1024)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(old)
-    return out, held - before, peak - before
+def composed_rates(z, U, num_heads, gamma, full_scale):
+    """R and R_c as the composed graph of per-head slices, products and
+    log-dets that the R_c node replaces."""
+    rc = None
+    for Uk in split_heads(U, num_heads):
+        term = ad.logdet_gram(Uk.mT @ z, gamma)
+        rc = term if rc is None else rc + term
+    return ad.logdet_gram(z, full_scale), rc
+
+
+class TestSubspaceRateNode:
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_node_is_the_composed_graph(self, batch, K):
+        d, N, gamma = 12, 7, 0.9
+        Z = np.maximum(rng_for(110).standard_normal(batch + (d, N)), 0.0)
+        U = rng_for(111).standard_normal((d, d)) / np.sqrt(d)
+        w, wu = rng_for(112).standard_normal(Z.shape), rng_for(113).standard_normal(U.shape)
+
+        def run(rates_of):
+            zl, ul = Tensor(Z, requires_grad=True), Tensor(U, requires_grad=True)
+            z = zl * 1.5  # an interior node, as a layer's output is
+            r, rc = rates_of(z, ul, K, gamma, K * gamma)[:2]
+            diff = rc - r
+            loss = (diff.mean() if diff.ndim else diff) + (z * w).sum() + (ul * wu).sum()
+            loss.backward()
+            return rc.data, zl.grad, ul.grad
+
+        for got, want in zip(run(_layer_rates), run(composed_rates)):
+            assert np.array_equal(got, want)
+
+    def test_gradient_is_the_closed_form_oracle(self):
+        d, N, K, gamma = 12, 7, 3, 0.7
+        Z0 = rng_for(114).standard_normal((d, N))
+        U = rng_for(115).standard_normal((d, d)) / np.sqrt(d)
+        z = Tensor(Z0, requires_grad=True)
+        rc = _layer_rates(z, U, K, gamma, K * gamma)[1]
+        rc.backward()
+        assert rc.item() == pytest.approx(rates.projected_coding_rate(Z0, U, K, gamma), rel=1e-12, abs=0)
+        np.testing.assert_allclose(z.grad, rates.grad_projected_coding_rate(Z0, U, K, gamma), rtol=1e-10, atol=1e-13)
 
 
 class TestMemory:
@@ -368,17 +396,36 @@ class TestMemory:
         def held(L):
             model = init_model(ModelConfig(L=L, d=d, K=K, feat_dim=6, num_tokens=N - 1, num_classes=3))
             raw = rng_for(1).standard_normal((B, 6, N - 1))
-            out, kept, _ = _traced(lambda: model.run(model.embed_inputs(raw, train_mode=True)))
+            out, kept, _ = traced(lambda: model.run(model.embed_inputs(raw, train_mode=True)))
             return kept
 
         per_layer = held(3) - held(2)
         tokens, gram, column = B * d * N * 8, B * N * N * 8, B * N * 8
-        # each layer norm: its output, the normalized input and 1/std per column;
-        # attention: its output, the head stack, every A_k (d rows in all) and
-        # every softmax S_k; ISTA: its output and the residual Y - D Y
-        arrays = 2 * (2 * tokens + column) + 3 * tokens + K * gram + 2 * tokens
+        # each layer norm: its output and the mean and 1/std per column;
+        # attention: its output, every A_k (d rows in all) and every
+        # softmax S_k; ISTA: its output and the residual Y - D Y
+        arrays = 2 * (tokens + 2 * column) + 2 * tokens + K * gram + 2 * tokens
         # the rest is node and closure objects, far below one extra (B, N, N) array
         assert arrays <= per_layer < arrays + 16 * 1024, (per_layer, arrays)
+
+    def test_backward_sums_weight_gradients_without_a_batch_stack(self, monkeypatch):
+        # B = 8 per-sample (d, d) products of each weight gradient; two tokens
+        # keep every other array of the backward far smaller than their stack
+        B, d = 8, 48
+        model = init_model(ModelConfig(L=1, d=d, K=4, feat_dim=2, num_tokens=1, num_classes=2))
+        raw, labels = rng_for(5).standard_normal((B, 2, 1)), np.arange(B) % 2
+        stack = B * d * d * 8
+
+        def peak(budget):
+            monkeypatch.setattr(ad, "_PRODUCT_BYTES", budget)
+            for t in model.params.values():
+                t.grad = None
+            logits, _ = model.run(model.embed_inputs(raw, train_mode=True))
+            loss = ad.softmax_cross_entropy(logits, labels)
+            return traced(loss.backward)[2]
+
+        assert peak(ad._PRODUCT_BYTES) >= stack  # one reduce over the whole stack
+        assert peak(d * d * 8) < stack  # one product at a time
 
     def test_second_logits_call_allocates_no_large_array(self):
         # desk geometry: (256, 32, 9) tokens; every (B, ., N) temporary comes
@@ -388,7 +435,7 @@ class TestMemory:
         model = init_model(cfg)
         raw = rng_for(2).standard_normal((256, 16, 8))
         first = model.logits(raw)
-        second, _, peak = _traced(lambda: model.logits(raw))
+        second, _, peak = traced(lambda: model.logits(raw))
         assert np.array_equal(first, second)
         assert peak < 64 * 1024
 
