@@ -142,8 +142,6 @@ class Tensor:
         other = as_tensor(other)
         return _node(self.data + other.data, (self, other), (None, None))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = as_tensor(other)
         return _node(self.data - other.data, (self, other), (None, np.negative))
@@ -166,11 +164,6 @@ class Tensor:
         )
 
     # ------------------------------------------------------------------ shape ops
-    @property
-    def mT(self) -> "Tensor":
-        """Transpose of the last two axes."""
-        return _node(np.swapaxes(self.data, -1, -2), (self,), (lambda g: np.swapaxes(g, -1, -2),))
-
     def __getitem__(self, idx) -> "Tensor":
         def scatter(g):
             full = np.zeros_like(self.data)

@@ -127,8 +127,10 @@ def sigma_search(increase_fn) -> tuple[float, str]:
 def pac_bayes_sigma(model: Model, dataset, seed: int = 0) -> tuple[float, str]:
     """Perturbation scale at which Gaussian parameter noise N(0, sigma^2 I)
     raises training CE by PAC_BAYES_TARGET (mean of PAC_BAYES_DRAWS draws of unit
-    noise, drawn once and reused across the whole bisection).  Each draw is
-    a model of its own; the frozen ``crate_fix`` W is left unperturbed.
+    noise, drawn once and reused across the whole bisection).  Every draw
+    is written into the trainable weights of one model of the search's own,
+    which runs in ``model``'s inference buffers; ``model``'s weights and
+    the frozen ``crate_fix`` W are left unperturbed.
 
     A bisection step stops drawing once it is sure to fail: CE is never
     negative, so each remaining draw adds at least ``-base_ce``, and when
@@ -144,12 +146,15 @@ def pac_bayes_sigma(model: Model, dataset, seed: int = 0) -> tuple[float, str]:
         rng = rng_for(seed, "pac_bayes", m)
         noises.append({name: rng.standard_normal(t.data.shape) for name, t in params.items()})
     base_ce = cross_entropy_np(model.logits(x, ln_identity=True), y)
+    noisy = {name: Tensor(np.empty_like(t.data)) for name, t in params.items()}
+    draw = Model(model.cfg, {**model.params, **noisy}, None)
+    draw._workspace = model._workspace  # the same token shape, never two passes at once
 
     def increase(sigma: float) -> float:
         total = 0.0
         for m, eps in enumerate(noises, 1):
-            noisy = {name: Tensor(t.data + sigma * eps[name]) for name, t in params.items()}
-            draw = Model(model.cfg, {**model.params, **noisy}, None)
+            for name, t in params.items():
+                np.add(t.data, sigma * eps[name], out=noisy[name].data)
             total += cross_entropy_np(draw.logits(x, ln_identity=True), y) - base_ce
             floor = total  # the same += in the same order: rounding keeps it below the full sum
             for _ in range(PAC_BAYES_DRAWS - m):

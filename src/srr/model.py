@@ -114,13 +114,16 @@ class Model:
     ``params`` holds every weight as a Tensor, in allocation order; the
     fixed W of the ``crate_fix`` variant is the entry without grad.
     ``init_snapshot`` is a plain-array copy of every parameter at
-    initialization time (distance-to-init measures need it).
+    initialization time (distance-to-init measures need it).  The model
+    owns the buffers its inference passes reuse, shaped for the token
+    shape of the last pass: a pass of another shape replaces them.
     """
 
     def __init__(self, cfg: ModelConfig, params: dict[str, Tensor], init_snapshot: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
         self.init_snapshot = init_snapshot
+        self._workspace = ly.Workspace()
 
     # ------------------------------------------------------------------
     def trainable_params(self) -> dict[str, Tensor]:
@@ -148,8 +151,8 @@ class Model:
         mode returns the tokens as one autodiff node behind the embedding,
         CLS and positional parameters (each gets one gradient term per
         walk) and applies embedding dropout.  ``_pooled`` (inference) writes
-        the tokens into the workspace of their shape, for ``run`` to read
-        before the next pooled embedding of that shape overwrites them."""
+        the tokens into the model's workspace, for ``run`` to read before
+        the next pooled embedding overwrites them."""
         raw = np.asarray(raw, dtype=np.float64)
         single = raw.ndim == 2
         if single:
@@ -161,7 +164,7 @@ class Model:
         embed, cls, pos = self.params["embed"], self.params["cls"], self.params["pos"]
         B, _, T = raw.shape
         shape = (B, self.cfg.d, T + 1)
-        ws = _workspace(shape) if _pooled else None
+        ws = self._workspace if _pooled else None
         tok = ly._take(ws, "tokens", shape)
         tok[..., 0] = cls.data
         # a contiguous product, copied in: into the strided block matmul would allocate its own
@@ -209,9 +212,9 @@ class Model:
             raise ConfigError("training-mode dropout needs an rng")
 
         P = self._table(traced)
-        # the temporaries of an inference pass come from its shape's workspace;
+        # the temporaries of an inference pass come from the model's workspace;
         # a traced pass and a cached one keep theirs
-        ws = None if traced or keep_cache else _workspace(tokens.shape)
+        ws = None if traced or keep_cache else self._workspace
         Z = tokens
         cache: list[dict] | None = [] if keep_cache else None
         for i in range(cfg.L):
@@ -236,7 +239,7 @@ class Model:
 
     def logits(self, raw: np.ndarray, ln_identity: bool = False) -> np.ndarray:
         """Inference logits of a (B, F, T) feature batch, INFERENCE_BATCH
-        samples at a time, each chunk through the reused buffers of its shape."""
+        samples at a time, each chunk through the model's reused buffers."""
         chunks = [
             self.run(self.embed_inputs(raw[start : start + INFERENCE_BATCH], _pooled=True), ln_identity=ln_identity)[0]
             for start in range(0, len(raw), INFERENCE_BATCH)
@@ -262,25 +265,6 @@ class Model:
             _probe_layer(i + 1, entry["output"], self.params[f"layers.{i}.U"].data, pc)
             for i, entry in enumerate(cache)
         ]
-
-
-# Inference workspaces, one per token shape (B, d, N), the most recently used
-# last: at most _WORKSPACE_SHAPES of them, each holding at most
-# layers._WORKSPACE_BYTES of buffers (a larger pass allocates as it goes).  They
-# outlive any one Model, because every PAC-Bayes draw and every checkpoint
-# of a sweep is a Model of its own, and reusing the buffers keeps the heap
-# from growing and shrinking, and faulting in fresh pages, on each pass.
-# No result depends on them: every pass overwrites what it reads.
-_WORKSPACES: dict[tuple[int, ...], ly.Workspace] = {}
-_WORKSPACE_SHAPES = 4
-
-
-def _workspace(shape: tuple[int, ...]) -> ly.Workspace:
-    ws = _WORKSPACES.pop(shape, None) or ly.Workspace()
-    _WORKSPACES[shape] = ws
-    if len(_WORKSPACES) > _WORKSPACE_SHAPES:
-        del _WORKSPACES[next(iter(_WORKSPACES))]
-    return ws
 
 
 def _dropout_mask(rng, shape, p: float) -> np.ndarray:

@@ -91,7 +91,9 @@ def gradients(loss: Tensor, params: dict[str, Tensor], layer_outputs=None) -> di
 
 def _layer_srr_term(model: Model, i: int, zout: Tensor) -> Tensor:
     """Regularizer term for layer i (0-based): lambda*l0 + R_c - R on the
-    layer's output node ``zout``."""
+    layer's output node ``zout``.  l0 is a count, so the lambda*l0 addend
+    is a constant that carries no gradient: lambda moves the term's value
+    (``reg_value``) and the ISTA threshold, not the regularizer's gradient."""
     cfg = model.cfg
     gamma = cfg.attention_gamma(zout.shape[-1])
     r, rc, l0 = _layer_rates(zout, model.params[f"layers.{i}.U"], cfg.K, gamma, cfg.K * gamma)

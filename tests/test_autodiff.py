@@ -57,7 +57,7 @@ class TestBasicOps:
             ad.layer_norm_cols(a, np.ones(4), np.zeros(4)),
             ad.softmax_cross_entropy(a[:, 0, :], np.array([0, 1])),
             layers.ista_step(a * 2.0 - 1.0, np.eye(4), 0.5, 0.1) + np.zeros((3, 2, 4, 4)),
-            layers.attention_update(a.mT, np.eye(4), 2, layers.CRATE_C, 1.0).mean(),
+            layers.attention_update(ad.Tensor(a.data.mT), np.eye(4), 2, layers.CRATE_C, 1.0).mean(),
         ]
         for out in outs:
             assert out._vjp is None and out._parents == () and not out.requires_grad
@@ -114,14 +114,6 @@ class TestBasicOps:
         got = grad_of(build, x0)
         want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
         np.testing.assert_allclose(got, want, atol=1e-6)
-
-    def test_transpose_last_axes(self):
-        x0 = rng_for(8).standard_normal((2, 3, 4))
-        t = ad.Tensor(x0, requires_grad=True)
-        y = t.mT
-        assert y.shape == (2, 4, 3)
-        (y * np.ones((2, 4, 3))).sum().backward()
-        np.testing.assert_allclose(t.grad, np.ones((2, 3, 4)))
 
     def test_sum_and_mean(self):
         x0 = rng_for(9).standard_normal((3, 4))

@@ -377,6 +377,10 @@ def relu_oracle(t):
     return ad._node(np.maximum(t.data, 0.0), (t,), (lambda g: g * (t.data > 0.0),))
 
 
+def transpose_oracle(t):
+    return ad._node(np.swapaxes(t.data, -1, -2), (t,), (lambda g: np.swapaxes(g, -1, -2),))
+
+
 def concat_rows_oracle(parts):
     offsets = np.cumsum([0] + [t.shape[-2] for t in parts])
     lead = (slice(None),) * (parts[0].ndim - 2)
@@ -387,8 +391,8 @@ def concat_rows_oracle(parts):
 def composed_attention(Z, U, num_heads, variant, gamma, alpha=1.0, W=None, attn_masks=None, out_mask=None):
     parts = []
     for k, Uk in enumerate(split_heads(U, num_heads)):
-        A = Uk.mT @ Z
-        S = ad.softmax_cols(A.mT @ A)
+        A = transpose_oracle(Uk) @ Z
+        S = ad.softmax_cols(transpose_oracle(A) @ A)
         if attn_masks is not None:
             S = S * attn_masks[k]
         parts.append(A @ S)
@@ -396,7 +400,7 @@ def composed_attention(Z, U, num_heads, variant, gamma, alpha=1.0, W=None, attn_
     if variant in (CRATE, CRATE_FIX):
         out = W @ stack
     elif variant == CRATE_T:
-        out = U.mT @ stack
+        out = transpose_oracle(U) @ stack
     elif variant == CRATE_IDENTITY:
         out = stack
     else:
@@ -407,7 +411,7 @@ def composed_attention(Z, U, num_heads, variant, gamma, alpha=1.0, W=None, attn_
 
 def composed_ista(Y, D, beta, lam):
     resid = Y - D @ Y
-    return relu_oracle(Y + beta * (D.mT @ resid) - beta * lam)
+    return relu_oracle(Y + beta * (transpose_oracle(D) @ resid) - beta * lam)
 
 
 def _walk_both(build, leaves, first_w, second_w, segmented):

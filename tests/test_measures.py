@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -259,6 +260,26 @@ class TestPacBayes:
         for draw in draws:
             assert all(draw.params[n] is t for n, t in frozen.items())
             assert not any(draw.params[n] is t for n, t in model.trainable_params().items())
+
+    @pytest.mark.parametrize("variant", ["crate_c", "crate_fix"])
+    def test_one_draw_model_gives_the_bits_of_a_model_per_draw(self, monkeypatch, variant):
+        model, ds = tiny_setup()
+        model = init_model(dataclasses.replace(model.cfg, variant=variant))
+        check = untouched_check(model)
+        sigma, flag, _ = all_draws_search(model, ds, srr.measures.PAC_BAYES_DRAWS)
+        seen = []
+        original = Model.logits
+
+        def spy(self, *args, **kwargs):
+            seen.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "logits", spy)
+        assert pac_bayes_sigma(model, ds) == (sigma, flag)
+        check()
+        draws = {id(m): m for m in seen if m is not model}
+        assert len(draws) == 1
+        assert next(iter(draws.values()))._workspace is model._workspace
 
     def test_sharper_target_gives_smaller_sigma(self, monkeypatch):
         model, ds = tiny_setup()

@@ -5,6 +5,7 @@ import pytest
 
 import srr.autodiff as ad
 import srr.model
+import srr.training
 from srr.autodiff import Tensor
 from srr.data import DatasetSpec, synth_dataset
 from srr.errors import ConfigError, NumericError
@@ -255,6 +256,32 @@ class TestRegularizedLoss:
             assert l0 == np.mean(l0s)
             want = mcfg.lambda_sparsity * np.mean(l0s) + np.mean(rc.data) - np.mean(r.data)
             assert term.item() == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "train_kw", [dict(reg_mode="all_layers"), dict(reg_mode="fixed_layer", reg_layer=2)], ids=["all", "fixed"]
+    )
+    def test_l0_addend_carries_no_gradient(self, monkeypatch, train_kw):
+        model = tiny_model(L=2, d=8, K=2)
+        x, y = tiny_batch(model, B=4)
+        cfg = TrainConfig(eta_reg=0.3, **train_kw)
+        loss, parts = srr_regularized_loss(model, (x, y), cfg)
+        grads = gradients(loss, model.trainable_params())
+
+        def rate_reduction_term(model, i, zout):  # the term without its lambda * l0 addend
+            mcfg = model.cfg
+            gamma = mcfg.attention_gamma(zout.shape[-1])
+            r, rc, _ = _layer_rates(zout, model.params[f"layers.{i}.U"], mcfg.K, gamma, mcfg.K * gamma)
+            return (rc - r).mean()
+
+        monkeypatch.setattr(srr.training, "_layer_srr_term", rate_reduction_term)
+        bare_loss, bare = srr_regularized_loss(model, (x, y), cfg)
+        bare_grads = gradients(bare_loss, model.trainable_params())
+        for name in grads:
+            assert np.array_equal(grads[name], bare_grads[name]), name
+        l0 = [sparsity_l0(z) for i in parts["selected_layers"] for z in parts["cache"][i - 1]["output"].data]
+        assert np.mean(l0) > 0.0
+        want = model.cfg.lambda_sparsity * np.mean(l0)
+        assert parts["reg_value"] - bare["reg_value"] == pytest.approx(want, rel=1e-12)
 
     def test_random_layer_selection(self):
         model = tiny_model(L=3, d=8, K=2)
