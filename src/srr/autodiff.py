@@ -276,7 +276,9 @@ def softmax_cols(scores: Tensor) -> Tensor:
 
 
 def _softmax_cols_vjp(sm: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The scores' cotangent of a column softmax ``sm``, given its cotangent g."""
+    """The scores' cotangent of a column softmax ``sm``, given its cotangent g.
+    Reads either layout, C-ordered stacks or the attention heads' views of
+    (N, …, N) buffers; with g in sm's layout every temporary keeps it."""
     inner = (g * sm).sum(axis=-2, keepdims=True)
     return sm * (g - inner)
 

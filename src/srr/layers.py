@@ -94,20 +94,24 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None, ws: Workspace
     Head k computes A_k = U_k^T Z and weights its tokens by the column
     softmax of the head Gram matrix A_k^T A_k.  ``attn_masks``, when given,
     is a length-K list of multiplicative masks applied to the softmax
-    output (training-time dropout).  ``Z`` and ``U`` are ndarrays.  Without
-    a workspace, ``_saved`` (a list) receives each head's A_k and unmasked
-    softmax, for the VJP of the attention node.  Scores go through the
-    softmax unchecked, for the reader of the result to flag a non-finite one.
+    output (training-time dropout).  ``Z`` and ``U`` are ndarrays.  Each
+    head's scores live in an (N, …, N) buffer, the softmax's axis first, so
+    its reductions run over contiguous rows; the kernels read its (…, N, N)
+    view.  Without a workspace, ``_saved`` (a list) receives each head's A_k
+    and the view S_k of its unmasked softmax, for the attention node's VJP.
+    Scores go through the softmax unchecked, for the reader to flag.
     """
     heads = split_heads(U, num_heads)
     p = heads[0].shape[1]
     lead, n = Z.shape[:-2], Z.shape[-1]
+    view_axes = (*range(1, len(lead) + 1), 0, len(lead) + 1)  # np.moveaxis(buf, 0, -2) without its checks
     # each head's A @ S lands in its row block of one preallocated stack
     stack = _take(ws, "heads.stack", lead + (num_heads * p, n))
     for k, Uk in enumerate(heads):
         A = np.matmul(Uk.mT, Z, out=_take(ws, "heads.A", lead + (p, n)))
-        S = np.matmul(A.mT, A, out=_take(ws, "heads.S", lead + (n, n)))
-        linalg._softmax(S, -2, out=S)
+        buf = _take(ws, "heads.S", (n,) + lead + (n,))
+        S = np.matmul(A.mT, A, out=buf.transpose(view_axes))
+        linalg._softmax(buf, 0, out=buf)
         if _saved is not None:
             _saved.append((A, S))
         _head_output(A, S, None if attn_masks is None else attn_masks[k], stack[..., k * p : (k + 1) * p, :])
@@ -228,9 +232,9 @@ def _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask):
             mask = None if attn_masks is None else attn_masks[k]
             g_AS = g_stack[..., k * p : (k + 1) * p, :]
             g_A = g_AS @ (S if mask is None else S * mask).mT
-            g_S = A.mT @ g_AS
+            g_S = np.matmul(A.mT, g_AS, out=np.empty_like(S))  # in S's layout
             if mask is not None:
-                g_S = g_S * mask
+                g_S *= mask
             g_gram = ad._softmax_cols_vjp(S, g_S)
             g_A = g_A + A @ g_gram
             g_heads.append(g_A + (g_gram @ A.mT).mT)

@@ -64,11 +64,11 @@ def softmax_columns(scores: np.ndarray) -> np.ndarray:
 
 def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along ``axis`` with the maximum subtracted first, into ``out``
-    (a new array when None; may be ``x``).  No input checks: non-finite
-    values pass through, for the reader of the result to flag."""
-    expd = np.subtract(x, _reduce(np.maximum, x, axis), out=out)
+    (a new array when None; may be ``x``), by numpy's own reductions.  No
+    input checks: non-finite values pass through, for the reader to flag."""
+    expd = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=out)
     np.exp(expd, out=expd)
-    expd /= _reduce(np.add, expd, axis)
+    expd /= np.add.reduce(expd, axis=axis, keepdims=True)
     return expd
 
 
@@ -76,7 +76,9 @@ def _reduce(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
     """``ufunc.reduce`` over ``axis`` with keepdims.  Axis -2 of a large
     C-ordered stack of small matrices goes row by row: faster, and the same
     bits, as numpy reduces such a stack row by row too (a stack of single
-    columns it sums pairwise, so those are left to numpy)."""
+    columns it sums pairwise, so those are left to numpy).  Its one caller
+    is layer norm's ndarray branch; the one-matrix token layout of ROADMAP
+    item 6 removes it."""
     n = x.shape[-2] if axis == -2 else 0
     if not (n and x.shape[-1] > 1 and x.size >= 64 * n * n and x.flags.c_contiguous):
         return ufunc.reduce(x, axis=axis, keepdims=True)

@@ -202,6 +202,14 @@ class TestFusedOps:
         want = numeric_grad(lambda a: build(ad.Tensor(a, requires_grad=True)).item(), x0)
         np.testing.assert_allclose(got, want, atol=1e-7)
 
+    @pytest.mark.parametrize("B, N", [(8, 65), (256, 9)])
+    def test_softmax_cols_vjp_reads_the_heads_layout(self, B, N):
+        # the attention heads hand it (B, N, N) views of (N, B, N) buffers
+        sm_buf, g_buf = (rng_for(25, i, B).random((N, B, N)) for i in (0, 1))
+        sm, g = np.moveaxis(sm_buf, 0, -2), np.moveaxis(g_buf, 0, -2)
+        got = ad._softmax_cols_vjp(sm, g)
+        assert np.array_equal(got, ad._softmax_cols_vjp(np.ascontiguousarray(sm), np.ascontiguousarray(g)))
+
     def test_layer_norm_forward(self):
         x = rng_for(25).standard_normal((6, 4))
         gain = np.full(6, 1.5)

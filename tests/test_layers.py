@@ -11,6 +11,7 @@ from srr.layers import (
     CRATE_N,
     CRATE_T,
     VARIANTS,
+    Workspace,
     attention_update,
     ista_step,
     layer_norm,
@@ -309,8 +310,8 @@ def assert_bitwise_and_untouched(kernel, oracle, *args, **kwargs):
     return got
 
 
-# desk geometry (d=32, K=4, p=8, 9 tokens) at a batch whose head Grams take
-# the row-by-row softmax, plus a single unbatched matrix
+# desk geometry (d=32, K=4, p=8, 9 tokens) at the batch of a PAC-Bayes draw,
+# plus a single unbatched matrix
 BATCHES = [(256,), ()]
 
 
@@ -327,6 +328,22 @@ class TestKernelOracles:
         before = [m.copy() for m in masks]
         assert_bitwise_and_untouched(stacked_attention_heads, heads_oracle, Z, U, 4, masks)
         assert all(np.array_equal(m, b) for m, b in zip(masks, before))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_scores_stored_softmax_axis_first(self, batch):
+        # each head's scores sit in an (N, ..., N) buffer, the softmax's axis outermost
+        Z, U = desk_tokens(batch, 86), orthonormal_basis(32, seed=87)
+        ws = Workspace()
+        stacked_attention_heads(Z, U, 4, ws=ws)
+        assert ws.buffers["heads.S"].shape == (9,) + batch + (9,)
+        assert ws.buffers["heads.S"].flags.c_contiguous
+        saved = []
+        stacked_attention_heads(Z, U, 4, _saved=saved)
+        assert len(saved) == 4
+        for _, S in saved:
+            assert S.shape == batch + (9, 9)
+            assert S.base.shape == (9,) + batch + (9,) and S.base.flags.c_contiguous
+            assert np.shares_memory(S, S.base) and np.array_equal(np.moveaxis(S.base, 0, -2), S)
 
     @pytest.mark.parametrize(
         "shape, K", [((384, 196), 6), ((256, 32, 9), 4)], ids=["toy-paper", "desk-batch"]

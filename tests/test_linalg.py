@@ -116,12 +116,14 @@ def with_nonfinite(x):
 
 class TestSoftmaxKernel:
     """``_softmax`` and ``_reduce`` give the bits of the plain numpy
-    expressions they replaced, on both the row-by-row and the in-place
-    branch, and leave their input alone."""
+    expressions they replaced, on C-ordered stacks, on the attention heads'
+    softmax-axis-first buffers and in place, and leave their input alone."""
 
-    # (256, 4, 9, 9) takes the row loop; the others are too small, too wide
-    # or single-column stacks and take numpy's own reduction
+    # C-ordered stacks, softmax over axis -2: many small matrices, paper-size
+    # heads, single large Grams, a tiny stack and single-column stacks
     SHAPES = [(256, 4, 9, 9), (8, 6, 65, 65), (6, 196, 196), (196, 196), (2, 1, 9, 9), (4096, 9, 1)]
+    # (N, ..., N) score buffers as the attention heads keep them, softmax over axis 0
+    AXIS_FIRST = [(9, 256, 9), (65, 8, 65), (5, 2, 5), (196, 196)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_columns_bitwise(self, shape):
@@ -140,6 +142,22 @@ class TestSoftmaxKernel:
             got, want = _softmax(x, -2), softmax_oracle(x, -2)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(x, before, equal_nan=True)
+
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    @pytest.mark.parametrize("shape", AXIS_FIRST)
+    def test_axis_first_buffer_bitwise(self, shape, nonfinite):
+        buf = rng_for(64, *shape).standard_normal(shape) * 4
+        if nonfinite:
+            buf = with_nonfinite(buf)
+        before = buf.copy()
+        with np.errstate(invalid="ignore"):
+            want = softmax_oracle(np.ascontiguousarray(np.moveaxis(buf, 0, -2)), -2)
+            got = _softmax(buf, 0)
+            work = buf.copy()
+            assert _softmax(work, 0, out=work) is work  # in place, as the heads run it
+        for out in (got, work):
+            assert np.array_equal(np.moveaxis(out, 0, -2), want, equal_nan=True)
+        assert np.array_equal(buf, before, equal_nan=True)
 
     def test_rows_bitwise(self):
         x = rng_for(62).standard_normal((256, 10)) * 4
