@@ -38,7 +38,8 @@ backward passes are both fast and numerically tight.  Besides its output
 and its parents, which the tape holds anyway, each keeps only what its VJP
 reads and cannot re-form from them with the forward's own operations:
 
-- layer norm: the (..., 1, N) mean and 1/std columns (x-hat is re-formed);
+- layer norm: the (..., 1, N) mean and 1/std columns (x-hat is re-formed),
+  from ``_ln_stats``, which also gives ``srr.layers.layer_norm`` its own;
 - log-det Gram volume: I + scale * Gram;
 - attention: each head's A_k = U_k^T Z and softmax S_k, and the masks
   (the head stack is re-formed from them where a weight's term reads it);
@@ -66,6 +67,17 @@ __all__ = [
 
 LN_EPS = 1e-6  # variance floor of both layer norms
 _PRODUCT_BYTES = 2 << 20  # per-sample products one weight-gradient sum forms at once
+
+
+def _ln_stats(x: np.ndarray, out: np.ndarray | None = None, sq: np.ndarray | None = None):
+    """Both layer norms' (x - mu into ``out``, mean column mu, std column sqrt(var + LN_EPS)) over
+    the features (axis -2) of x, with the squares in ``sq``; fresh arrays when None."""
+    mu = x.mean(axis=-2, keepdims=True)
+    xc = np.subtract(x, mu, out=out)
+    var = np.multiply(xc, xc, out=sq).mean(axis=-2, keepdims=True)
+    var[np.isinf(var)] = np.nan  # an overflowed variance would scale its column to zeros
+    var += LN_EPS
+    return xc, mu, np.sqrt(var, out=var)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -295,11 +307,8 @@ def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     bias = as_tensor(bias)
     d = x.data.shape[-2]
     gcol = gain.data.reshape((d, 1))
-    mu = x.data.mean(axis=-2, keepdims=True)
-    out = x.data - mu  # x - mu, then x-hat, then the output
-    var = (out * out).mean(axis=-2, keepdims=True)
-    var[np.isinf(var)] = np.nan  # an overflowed variance would scale its column to zeros
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    out, mu, std = _ln_stats(x.data)  # x - mu, then x-hat, then the output
+    inv = np.divide(1.0, std, out=std)
     out *= inv
     out *= gcol
     out += bias.data.reshape((d, 1))

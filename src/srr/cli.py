@@ -31,9 +31,12 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"{path}: config root must be a JSON object")
     return cfg
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,24 +92,18 @@ class ImageDataset:
         self.patch = patch
         self.augment_flip = augment_flip
         self.augment_crop = augment_crop
-        self._train_x: np.ndarray | None = None
-        self._val_x: np.ndarray | None = None
 
     @property
     def n_train(self) -> int:
         return len(self.train_y)
 
-    @property
+    @cached_property
     def train_x(self) -> np.ndarray:
-        if self._train_x is None:
-            self._train_x = patchify(self.train_images, self.patch)
-        return self._train_x
+        return patchify(self.train_images, self.patch)
 
-    @property
+    @cached_property
     def val_x(self) -> np.ndarray:
-        if self._val_x is None:
-            self._val_x = patchify(self.val_images, self.patch)
-        return self._val_x
+        return patchify(self.val_images, self.patch)
 
     def train_batch(self, idx, rng=None):
         imgs = self.train_images[idx]

@@ -310,16 +310,13 @@ def _ista(Y, D, beta, lambda_sparsity, ws):
 
 def layer_norm(Z, gain, bias, ws: Workspace | None = None):
     """Column-wise layer norm: zero mean, unit variance over the d features,
-    then per-feature gain and bias.  Variance gets the ``autodiff.LN_EPS`` floor."""
+    then per-feature gain and bias, from ``autodiff._ln_stats``'s statistics:
+    x - mu divided by the std column, where the ``Tensor`` node multiplies by 1/std."""
     if isinstance(Z, ad.Tensor):
         return ad.layer_norm_cols(Z, gain, bias)
     d = Z.shape[-2]
-    xc = np.subtract(Z, linalg._reduce(np.add, Z, -2) / d, out=_take(ws, "ln.out", Z.shape))
-    var = linalg._reduce(np.add, np.multiply(xc, xc, out=_take(ws, "ln.sq", Z.shape)), -2)
-    var /= d
-    var[np.isinf(var)] = np.nan  # an overflowed variance would scale its column to zeros
-    var += ad.LN_EPS
-    xc /= np.sqrt(var, out=var)
+    xc, _, std = ad._ln_stats(Z, _take(ws, "ln.out", Z.shape), _take(ws, "ln.sq", Z.shape))
+    xc /= std
     xc *= np.asarray(gain).reshape((d, 1))
     xc += np.asarray(bias).reshape((d, 1))
     return xc

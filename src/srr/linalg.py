@@ -72,22 +72,6 @@ def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndar
     return expd
 
 
-def _reduce(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
-    """``ufunc.reduce`` over ``axis`` with keepdims.  Axis -2 of a large
-    C-ordered stack of small matrices goes row by row: faster, and the same
-    bits, as numpy reduces such a stack row by row too (a stack of single
-    columns it sums pairwise, so those are left to numpy).  Its one caller
-    is layer norm's ndarray branch; the one-matrix token layout of ROADMAP
-    item 6 removes it."""
-    n = x.shape[-2] if axis == -2 else 0
-    if not (n and x.shape[-1] > 1 and x.size >= 64 * n * n and x.flags.c_contiguous):
-        return ufunc.reduce(x, axis=axis, keepdims=True)
-    acc = x[..., :1, :].copy()
-    for i in range(1, n):
-        ufunc(acc, x[..., i : i + 1, :], out=acc)
-    return acc
-
-
 def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of integer labels under row-wise softmax of a
     (B, C) logit matrix.  Never negative, which the PAC-Bayes early exit

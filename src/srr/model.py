@@ -240,6 +240,8 @@ class Model:
     def logits(self, raw: np.ndarray, ln_identity: bool = False) -> np.ndarray:
         """Inference logits of a (B, F, T) feature batch, INFERENCE_BATCH
         samples at a time, each chunk through the model's reused buffers."""
+        if len(raw) == 0:
+            raise ConfigError("logits needs at least one sample")
         chunks = [
             self.run(self.embed_inputs(raw[start : start + INFERENCE_BATCH], _pooled=True), ln_identity=ln_identity)[0]
             for start in range(0, len(raw), INFERENCE_BATCH)
@@ -450,7 +452,10 @@ def load_checkpoint(path: str) -> Model:
     entries = _read_npz(path, "checkpoint")
     if "meta.version" not in entries or int(entries["meta.version"]) != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version in {path}")
-    raw = json.loads(str(entries["meta.config"])) if "meta.config" in entries else None
+    try:
+        raw = json.loads(str(entries["meta.config"])) if "meta.config" in entries else None
+    except ValueError as exc:
+        raise FormatError(f"{path}: model config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: missing or malformed model config")
     try:

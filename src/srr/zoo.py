@@ -103,7 +103,10 @@ def _read_manifest(out_dir: str) -> dict:
     if not os.path.exists(path):
         return {"cells": {}}
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("cells"), dict):
         raise FormatError(f"{path}: not a JSON object holding a 'cells' object")
     for key, entry in manifest["cells"].items():
@@ -302,7 +305,10 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
         entry = manifest["cells"].get(key)
         if entry is None or entry["status"] != "done":
             raise FormatError(f"measures.csv row {key!r} is not a trained cell of the manifest")
-        measures = {name: float(v) for name, v in zip(FIELD_ORDER, parts[1:])}
+        try:
+            measures = {name: float(v) for name, v in zip(FIELD_ORDER, parts[1:])}
+        except ValueError as exc:
+            raise FormatError(f"{mpath}: row {key!r}: {exc}") from exc
         records.append(
             ZooRecord(
                 theta=HyperPoint(**entry["coords"]),

@@ -1,11 +1,15 @@
 """The package surface: every exported name and every name the benchmark
 tracer wraps resolves, and importing the package loads numpy as its only
-third-party dependency."""
+third-party dependency, and no private helper of the package lacks a caller
+in it."""
 
+import ast
+import collections
 import dataclasses
 import importlib
 import importlib.util
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -60,3 +64,26 @@ def test_every_config_field_declares_a_rule():
         if "rule" not in f.metadata
     ]
     assert undeclared == []
+
+
+def test_every_private_helper_has_a_caller():
+    # a def or class named _x counts as used once a Name or attribute _x appears
+    # in src/srr outside its own body; a helper kept only for its tests fails
+    trees = [ast.parse(path.read_text()) for path in sorted(pathlib.Path(srr.__path__[0]).glob("*.py"))]
+
+    def refs(node):
+        return collections.Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    total = sum((refs(t) for t in trees), collections.Counter())
+    unused = [
+        node.name
+        for t in trees
+        for node in ast.walk(t)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and total[node.name] == refs(node)[node.name]
+    ]
+    assert unused == []

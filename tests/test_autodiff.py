@@ -338,6 +338,10 @@ class TestFusedOps:
         sm[np.arange(4), labels] -= 1
         np.testing.assert_allclose(got, sm / 4, atol=1e-12)
 
+    def test_cross_entropy_of_a_logit_vector_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.softmax_cross_entropy(ad.Tensor(np.zeros(3)), np.array([0]))
+
 
 class TestTape:
     def test_plain_backward_releases_interior_grads(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from srr.cli import _parse_reg, main
+from srr.data import DatasetSpec
 from srr.errors import ConfigError, FormatError
 from srr.measures import FIELD_ORDER
 from srr.model import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from srr.training import TrainConfig
 from srr.zoo import measure_zoo
 
 SYNTH = {
@@ -175,6 +178,24 @@ class TestTrainCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [('{"model": {"L": 1},\n', "not valid JSON"),
+                                             ("[1, 2]", "config root must be a JSON object")],
+                             ids=["truncated", "list-root"])
+    def test_unreadable_config_names_its_file(self, tmp_path, capsys, text, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.npz")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {named}")
+
+    def test_cifar_directory_without_its_files_is_a_clean_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.npz"
+        assert main(["train", "--data", "cifar10", "--data-path", str(tmp_path), "--out", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing CIFAR files:")
+        assert str(tmp_path / "data_batch_1.bin") in err and str(tmp_path / "test_batch.bin") in err
+        assert not ckpt.exists()
+
     def test_fewer_model_classes_than_data_classes_is_a_clean_error(self, tmp_path, capsys):
         cfg = dict(SYNTH, data=dict(SYNTH["data"], classes=3), model=dict(SYNTH["model"], num_classes=2))
         ckpt = tmp_path / "m.npz"
@@ -208,6 +229,16 @@ class TestProbeCommand:
             rows[lam] = Path(out).read_text().strip().split("\n")[1].split(",")
         assert rows["0.1"][1] == rows["0.4"][1]  # r unchanged
         assert float(rows["0.1"][4]) != float(rows["0.4"][4])
+
+    def test_checkpoint_config_that_is_not_json_is_a_clean_error(self, tmp_path, capsys):
+        cfg, ckpt, _ = train_small(tmp_path)
+        with np.load(ckpt) as zf:
+            entries = {key: zf[key] for key in zf.files}
+        entries["meta.config"] = np.array(str(entries["meta.config"])[:-1])
+        np.savez(ckpt, **entries)
+        capsys.readouterr()
+        assert main(["probe", "--checkpoint", ckpt, "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: model config is not valid JSON")
 
     def test_token_count_mismatch_is_a_clean_error(self, tmp_path, capsys):
         _, ckpt, _ = train_small(tmp_path)
@@ -322,6 +353,45 @@ class TestZooCommand:
         assert err.startswith("error:") and named in err
         with pytest.raises(FormatError):
             measure_zoo(str(zoo_dir))
+
+    def test_truncated_manifest_names_its_file(self, tmp_path, capsys):
+        zoo_dir = tmp_path / "zoo"
+        zoo_dir.mkdir()
+        (zoo_dir / "manifest.json").write_text('{"cells": {\n')
+        assert main(["correlate", "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {zoo_dir / 'manifest.json'}: not valid JSON")
+
+    def test_measures_value_that_is_not_a_number_names_file_and_cell(self, tmp_path, capsys):
+        coords = {"batch_size": 8, "lr_init": 0.01, "width": 8, "dropout": 0.0, "model_variant": "crate_c"}
+        cell = {"status": "done", "coords": coords, "checkpoint": "a.ckpt.npz", "converged": True,
+                "diverged": False, "gap": 0.1}
+        zoo_dir = tmp_path / "zoo"
+        zoo_dir.mkdir()
+        (zoo_dir / "manifest.json").write_text(json.dumps({"cells": {"a": cell}, "data": {}, "grid": {}}))
+        row = ["1.0"] * len(FIELD_ORDER)
+        row[3] = "x"
+        (zoo_dir / "measures.csv").write_text("cell," + ",".join(FIELD_ORDER) + "\na," + ",".join(row) + "\n")
+        assert main(["correlate", "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {zoo_dir / 'measures.csv'}: row 'a': could not convert")
+
+    def test_grid_without_data_or_train_takes_the_desk_recipe(self, tmp_path, capsys):
+        cfg = {"grid": {"batch_sizes": [32], "lrs": [1e-2], "widths": [8], "dropouts": [0.0],
+                        "variants": ["crate_c"]}}
+        zoo_dir = tmp_path / "zoo"
+        assert main(["zoo", "--grid", write_config(tmp_path, cfg, "grid.json"), "--out", str(zoo_dir)]) == 0
+        assert "1 done" in capsys.readouterr().out
+        manifest = json.loads((zoo_dir / "manifest.json").read_text())
+        assert manifest["data"] == dataclasses.asdict(DatasetSpec(source="synthetic", separation=4.0))
+        assert manifest["train_template"] == dataclasses.asdict(TrainConfig(epochs=60, stop_criterion=0.05))
+
+    def test_paper_grid_without_data_is_a_clean_error(self, tmp_path, capsys):
+        zoo_dir = tmp_path / "zoo"
+        grid = write_config(tmp_path, {"grid": {"scale": "paper"}}, "grid.json")
+        assert main(["zoo", "--grid", grid, "--out", str(zoo_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: paper-scale zoo needs a data section")
+        assert not zoo_dir.exists()
 
     def test_correlate_without_measures_file(self, tmp_path, capsys):
         grid = self.grid_config(tmp_path)

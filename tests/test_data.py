@@ -246,9 +246,9 @@ class TestImageDataset:
 
     def test_lazy_patchification(self):
         ds = self.make()
-        assert ds._train_x is None
+        assert "train_x" not in vars(ds)
         assert ds.train_x.shape == (4, 48, 64)
-        assert ds._train_x is not None
+        assert "train_x" in vars(ds)
         assert ds.val_x.shape == (2, 48, 64)
         assert ds.n_train == 4
 

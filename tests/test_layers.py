@@ -225,6 +225,19 @@ class TestLayerNorm:
             assert np.isnan(out[:, 0]).all()
             assert np.array_equal(out[:, 1:], ref)
 
+    @pytest.mark.parametrize("shape", [(256, 32, 9), (8, 384, 65)], ids=["desk", "paper"])
+    def test_both_forwards_differ_only_in_dividing_by_std(self, shape):
+        # one mean and one std column for both; the kernel divides by s, the node multiplies by 1/s
+        Z = rng_for(52, *shape).standard_normal(shape) * 2 + 1.5
+        d = shape[-2]
+        gain, bias = rng_for(53).standard_normal(d), rng_for(54).standard_normal(d)
+        g, b = gain.reshape((d, 1)), bias.reshape((d, 1))
+        mu = Z.mean(axis=-2, keepdims=True)
+        s = np.sqrt(((Z - mu) ** 2).mean(axis=-2, keepdims=True) + ad.LN_EPS)
+        assert np.array_equal(layer_norm(Z, gain, bias), (Z - mu) / s * g + b)
+        node = ad.layer_norm_cols(ad.Tensor(Z, requires_grad=True), ad.Tensor(gain), ad.Tensor(bias))
+        assert np.array_equal(node.data, (Z - mu) * (1 / s) * g + b)
+
     def test_tensor_path_matches(self):
         Z = rng_for(46).standard_normal((8, 3))
         gain = rng_for(47).standard_normal(8)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from srr.autodiff import LN_EPS, _ln_stats
 from srr.errors import DefinitenessError, NumericError, ShapeError
 from srr.linalg import (
-    _reduce,
     _softmax,
     cross_entropy_np,
     logdet_psd,
@@ -99,6 +99,10 @@ class TestSoftmaxColumns:
         with pytest.raises(ShapeError):
             softmax_columns(np.zeros(3))
 
+    def test_nan_scores_rejected(self):
+        with pytest.raises(NumericError):
+            softmax_columns(np.array([[0.0, np.nan], [1.0, 2.0]]))
+
 
 def softmax_oracle(x, axis):
     """The softmax expression the in-place kernel replaced."""
@@ -115,9 +119,10 @@ def with_nonfinite(x):
 
 
 class TestSoftmaxKernel:
-    """``_softmax`` and ``_reduce`` give the bits of the plain numpy
-    expressions they replaced, on C-ordered stacks, on the attention heads'
-    softmax-axis-first buffers and in place, and leave their input alone."""
+    """``_softmax`` and layer norm's ``_ln_stats`` give the bits of the plain
+    numpy expressions they replaced, on C-ordered stacks, on the attention
+    heads' softmax-axis-first buffers and in place, and leave their input
+    alone."""
 
     # C-ordered stacks, softmax over axis -2: many small matrices, paper-size
     # heads, single large Grams, a tiny stack and single-column stacks
@@ -171,12 +176,21 @@ class TestSoftmaxKernel:
     @pytest.mark.parametrize(
         "shape", [(256, 9, 9), (2048, 9, 2), (64, 9, 9), (4096, 8, 3), (300, 16, 17), (1024, 16, 1), (4096, 9, 1)]
     )
-    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
-    def test_reduce_bitwise(self, shape, ufunc):
+    def test_ln_stats_bitwise(self, shape):
+        """Layer norm's column statistics are numpy's mean and std over axis
+        -2, on C-ordered stacks and reversed views, into given buffers or not."""
         x = rng_for(63, *shape).standard_normal(shape)
-        want = ufunc.reduce(x, axis=-2, keepdims=True)
-        assert np.array_equal(_reduce(ufunc, x, -2), want)
-        assert np.array_equal(_reduce(ufunc, x[::-1], -2), ufunc.reduce(x[::-1], axis=-2, keepdims=True))
+        for arr in (x, x[::-1]):
+            before = arr.copy()
+            mu = arr.mean(axis=-2, keepdims=True)
+            want_std = np.sqrt(((arr - mu) ** 2).mean(axis=-2, keepdims=True) + LN_EPS)
+            out, sq = np.empty(shape), np.empty(shape)
+            for xc, got_mu, std in (_ln_stats(arr), _ln_stats(arr, out, sq)):
+                assert np.array_equal(got_mu, mu)
+                assert np.array_equal(std, want_std)
+                assert np.array_equal(xc, arr - mu)
+            assert np.array_equal(out, arr - mu) and np.array_equal(sq, (arr - mu) ** 2)
+            assert np.array_equal(arr, before)
 
 
 class TestCrossEntropy:
@@ -239,6 +253,14 @@ class TestSpectralNorm:
         M = rng_for(23).standard_normal((7, 7))
         assert spectral_norm(M) == spectral_norm(M)
 
+    def test_stack_rejected(self):
+        with pytest.raises(ShapeError, match="expected a matrix"):
+            spectral_norm(np.ones((2, 3, 3)))
+
+    def test_nan_rejected(self):
+        with pytest.raises(NumericError):
+            spectral_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
 
 class TestOrthonormalBasis:
     def test_orthonormality(self):
@@ -263,6 +285,10 @@ class TestOrthonormalBasis:
     def test_too_many_columns(self):
         with pytest.raises(ShapeError):
             orthonormal_basis(3, seed=0, cols=4)
+
+    def test_zero_dimension(self):
+        with pytest.raises(ShapeError, match="must be positive"):
+            orthonormal_basis(0, 0)
 
 
 class TestSeeding:

@@ -47,6 +47,10 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(dropout=1.0)
 
+    def test_image_size_must_divide_by_patch(self):
+        with pytest.raises(ConfigError, match="image size 30 not divisible by patch 4"):
+            ModelConfig(image_size=30, patch=4)
+
     @pytest.mark.parametrize(
         "field, value",
         [("alpha", np.nan), ("alpha", np.inf), ("beta", np.nan), ("beta", -0.1), ("eps_sq", np.nan),
@@ -186,6 +190,11 @@ class TestEmbedInputs:
         with pytest.raises(ShapeError):
             model.embed_inputs(np.zeros((2, 7, 3)))
 
+    def test_training_dropout_needs_an_rng(self):
+        cfg = tiny_cfg(dropout=0.1)
+        with pytest.raises(ConfigError, match="needs an rng"):
+            init_model(cfg).embed_inputs(tiny_batch(cfg), train_mode=True)
+
 
 class TestForward:
     def test_probe_count_and_consistency(self):
@@ -300,6 +309,12 @@ class TestInferenceEntries:
             want, _ = model.run(model.embed_inputs(x), ln_identity=ln_identity)
             assert np.array_equal(whole, want)
             np.testing.assert_allclose(one, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("entry", ["logits", "probe"])
+    def test_empty_batch_is_a_config_error(self, entry):
+        cfg = tiny_cfg()
+        with pytest.raises(ConfigError, match="at least one sample"):
+            getattr(init_model(cfg), entry)(tiny_batch(cfg, B=0))
 
     def test_probe_is_the_layer_measure_with_layer_norm_bypassed(self):
         cfg = tiny_cfg(L=3)
@@ -610,3 +625,22 @@ class TestCheckpoint:
         _rewrite_checkpoint(path, edit_config)
         with pytest.raises(FormatError, match=named):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda e: e.pop("meta.config"), "missing or malformed model config"),
+            (lambda e: e.update({"meta.config": np.array('{"L": 2, "d": 8')}), "model config is not valid JSON"),
+            (lambda e: e.update({"meta.config": np.array(json.dumps(
+                {k: v for k, v in json.loads(str(e["meta.config"])).items() if k != "variant"}))}),
+             "model config key 'variant' is missing"),
+        ],
+        ids=["no_config", "not_json", "key_removed"],
+    )
+    def test_unreadable_config_rejected(self, tmp_path, edit, named):
+        path = str(tmp_path / "m.npz")
+        save_checkpoint(init_model(tiny_cfg()), path)
+        _rewrite_checkpoint(path, edit)
+        with pytest.raises(FormatError, match=named) as info:
+            load_checkpoint(path)
+        assert path in str(info.value)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from srr.errors import ConfigError, ShapeError
+from srr.errors import ConfigError, NumericError, ShapeError
 from srr.linalg import logdet_psd, orthonormal_basis, rng_for
 from srr.rates import (
     L0_TOL,
@@ -96,6 +96,14 @@ class TestCodingRate:
         with pytest.raises(ConfigError):
             coding_rate(np.ones((2, 2)), 0.0)
 
+    def test_token_stack_rejected(self):
+        with pytest.raises(ShapeError, match="must be 2-d"):
+            coding_rate(np.ones((2, 3, 3)), 1.0)
+
+    def test_nan_tokens_rejected(self):
+        with pytest.raises(NumericError):
+            coding_rate(np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0)
+
 
 class TestProjectedCodingRate:
     def test_zero_tokens(self):
@@ -128,6 +136,10 @@ class TestProjectedCodingRate:
     def test_head_split_mismatch(self):
         with pytest.raises(ShapeError):
             split_heads(np.ones((4, 5)), 2)
+
+    def test_head_split_of_a_stack_rejected(self):
+        with pytest.raises(ShapeError, match="must be a matrix"):
+            split_heads(np.ones((2, 4, 6)), 3)
 
 
 class TestExactGradient:
@@ -201,6 +213,10 @@ class TestSparsity:
     def test_boundary_is_strict(self):
         assert sparsity_l0(np.array([L0_TOL, -L0_TOL])) == 0
         assert sparsity_l0(np.array([np.nextafter(L0_TOL, 1.0)])) == 1
+
+    def test_nan_rejected(self):
+        with pytest.raises(NumericError):
+            sparsity_l0(np.array([0.0, np.nan]))
 
 
 class TestLayerMeasure:

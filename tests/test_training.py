@@ -183,6 +183,13 @@ class TestGradients:
         with pytest.raises(NumericError):
             gradients(Tensor(np.nan, requires_grad=True), model.trainable_params())
 
+    def test_non_finite_loss_names_the_first_bad_layer(self):
+        model = tiny_model(L=3, d=8, K=2)
+        model.params["layers.1.D"].data[:] = np.nan  # layer 1's output stays finite
+        loss, parts = srr_regularized_loss(model, tiny_batch(model), TrainConfig())
+        with pytest.raises(NumericError, match=r"not finite \(first non-finite activation at layer 2\)"):
+            gradients(loss, model.trainable_params(), layer_outputs=parts["cache"])
+
 
 class TestRegularizedLoss:
     def test_eta_zero_is_plain_ce(self):
@@ -428,6 +435,12 @@ class TestEvaluate:
 
 
 class TestTrain:
+    def test_empty_training_split_rejected(self):
+        ds = sep_dataset()
+        ds.train_x, ds.train_y = ds.train_x[:0], ds.train_y[:0]
+        with pytest.raises(ConfigError, match="empty training set"):
+            train(tiny_model(), ds, TrainConfig(epochs=1))
+
     def test_smoke_convergence_on_separable_data(self):
         ds = sep_dataset()
         model = tiny_model(L=1, d=8, K=2, seed=3)
