@@ -4,14 +4,15 @@ layer norm, and patch tokenization.
 Every operator is one ndarray kernel (inference, probing, toy dynamics)
 that works in place on its own temporaries.  Given a ``Workspace``, a
 kernel takes its temporaries and its result from it, so repeated calls of
-one shape allocate nothing.  On an autodiff ``Tensor`` token input
-(training) the attention update, the ISTA step and layer norm each become
-one autodiff node whose value is the kernel's: it keeps only what its VJP
-reads and adds to each parent the terms of the composed graph of matmuls,
-softmaxes and masks it replaces, in that graph's order, so every gradient
-keeps its bits.  Weights may be Tensors only when the token input is one.
-Token matrices are d x N with tokens as columns; batched inputs carry a
-leading batch axis (B, d, N).
+one shape allocate nothing.  The attention update and the ISTA step take
+the layer norm before them as ``pre_norm``.  On an autodiff ``Tensor``
+token input (training) each of them, its layer norm folded in, and a lone
+layer norm become one autodiff node whose value is the kernel's: it keeps
+only what its VJP reads and adds to each parent the terms of the composed
+graph of layer norms, matmuls, softmaxes and masks it replaces, in that
+graph's order, so every gradient keeps its bits.  Weights may be Tensors
+only when the token input is one.  Token matrices are d x N with tokens
+as columns; batched inputs carry a leading batch axis (B, d, N).
 """
 
 from __future__ import annotations
@@ -97,25 +98,36 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None, ws: Workspace
     output (training-time dropout).  ``Z`` and ``U`` are ndarrays.  Each
     head's scores live in an (N, …, N) buffer, the softmax's axis first, so
     its reductions run over contiguous rows; the kernels read its (…, N, N)
-    view.  Without a workspace, ``_saved`` (a list) receives each head's A_k
-    and the view S_k of its unmasked softmax, for the attention node's VJP.
-    Scores go through the softmax unchecked, for the reader to flag.
+    view (``_head_scores``).  Without a workspace, ``_saved`` (a list)
+    receives each head's A_k, for the attention node's VJP.  Scores go
+    through the softmax unchecked, for the reader to flag.
     """
     heads = split_heads(U, num_heads)
     p = heads[0].shape[1]
     lead, n = Z.shape[:-2], Z.shape[-1]
-    view_axes = (*range(1, len(lead) + 1), 0, len(lead) + 1)  # np.moveaxis(buf, 0, -2) without its checks
     # each head's A @ S lands in its row block of one preallocated stack
     stack = _take(ws, "heads.stack", lead + (num_heads * p, n))
     for k, Uk in enumerate(heads):
         A = np.matmul(Uk.mT, Z, out=_take(ws, "heads.A", lead + (p, n)))
-        buf = _take(ws, "heads.S", (n,) + lead + (n,))
-        S = np.matmul(A.mT, A, out=buf.transpose(view_axes))
-        linalg._softmax(buf, 0, out=buf)
+        S = _head_scores(A, _take(ws, "heads.S", (n,) + lead + (n,)))
         if _saved is not None:
-            _saved.append((A, S))
+            _saved.append(A)
         _head_output(A, S, None if attn_masks is None else attn_masks[k], stack[..., k * p : (k + 1) * p, :])
     return stack
+
+
+def _head_scores(A, buf=None):
+    """A head's column softmax S = softmax_cols(A^T A), the (..., N, N) view
+    of an (N, ..., N) buffer ``buf`` (fresh when None) that holds the Gram
+    with the softmax's axis first, then the softmax in place.  The forward
+    forms every S_k this way and the attention node's VJP re-forms it so."""
+    lead, n = A.shape[:-2], A.shape[-1]
+    if buf is None:
+        buf = np.empty((n,) + lead + (n,))
+    view_axes = (*range(1, len(lead) + 1), 0, len(lead) + 1)  # np.moveaxis(buf, 0, -2) without its checks
+    S = np.matmul(A.mT, A, out=buf.transpose(view_axes))
+    linalg._softmax(buf, 0, out=buf)
+    return S
 
 
 def _head_output(A, S, mask, out):
@@ -170,7 +182,7 @@ def _output_matrix(variant: str, U, W, d: int):
 
 def attention_update(
     Z, U, num_heads: int, variant: str, gamma: float, alpha: float = 1.0, W=None, attn_masks=None, out_mask=None,
-    ws: Workspace | None = None,
+    ws: Workspace | None = None, pre_norm=None,
 ):
     """Residual attention update: Z ± alpha * gamma^2 * Out @ HeadStack.
 
@@ -178,8 +190,10 @@ def attention_update(
     negative for the N variant, positive otherwise; ``Out`` is the variant's
     output matrix ([U_1...U_K], its transpose, the output matrix ``W`` of
     the crate/crate_fix variants, or the identity).  ``out_mask`` is an
-    optional multiplicative dropout mask on the projection output.  On a
-    Tensor ``Z`` the update is one autodiff node (``_attention_node``).
+    optional multiplicative dropout mask on the projection output.  With
+    ``pre_norm``, a (gain, bias) pair, the update is that of
+    ``layer_norm(Z, gain, bias)``.  On a Tensor ``Z`` the update, its layer
+    norm included, is one autodiff node (``_attention_node``).
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown attention variant {variant!r}")
@@ -187,7 +201,9 @@ def attention_update(
     if isinstance(Z, ad.Tensor):
         U = ad.as_tensor(U)
         W = None if W is None else ad.as_tensor(W)
-        return _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask)
+        return _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask, pre_norm)
+    if pre_norm is not None:
+        Z = layer_norm(Z, *pre_norm, ws)
     Out = _output_matrix(variant, U, W, Z.shape[-2])
     return _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws)
 
@@ -203,52 +219,60 @@ def _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws, saved=None
     return out
 
 
-def _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask):
-    """``attention_update`` of the Tensor ``Z`` as one autodiff node.
+def _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask, pre_norm):
+    """``attention_update`` of the Tensor ``Z`` as one autodiff node, its
+    layer norm folded in by ``autodiff._normed_node``.
 
-    It keeps each head's A_k and softmax S_k and the masks; the output
-    matrix's term re-forms the head stack from them by the forward's own
-    products.  Its terms are those of the composed graph (per-head
-    projections, Gram matrices, softmaxes and masks, the stack, the output
-    matrix, the mask, the scale and the residual), in its order: Z gets the
-    residual's term, then one term per head; U the output matrix's term
-    (crate_c/n/t), then one matrix of its head blocks; W (crate/crate_fix)
-    its one term.
+    It keeps each head's A_k and the masks.  Its VJP re-forms each softmax
+    S_k from A_k by ``_head_scores`` and, where the output matrix's term
+    reads it, the head stack from them by the forward's own products.  Its
+    terms are those of the composed graph (per-head projections, Gram
+    matrices, softmaxes and masks, the stack, the output matrix, the mask,
+    the scale and the residual), in its order: U gets the output matrix's
+    term (crate_c/n/t), then one matrix of its head blocks; W (crate/
+    crate_fix) its one term; the (normalized) input the residual's term,
+    then one term per head.
     """
-    z, u = Z.data, U.data
+    u = U.data
+    z, norm = (Z.data, None) if pre_norm is None else ad._ln_forward(Z.data, *pre_norm)
     Out = _output_matrix(variant, u, None if W is None else W.data, z.shape[-2])
-    saved: list[tuple[np.ndarray, np.ndarray]] = []
+    saved: list[np.ndarray] = []
     value = _attention(z, u, num_heads, Out, scale, attn_masks, out_mask, None, saved)
     p = u.shape[-1] // num_heads
     scale_arr = np.asarray(scale, dtype=np.float64)
+    stack_reader = U if variant in (CRATE_C, CRATE_N, CRATE_T) else W  # the parent whose term reads the stack
 
-    def prep(g):
+    def prep(g, z):
         g_out = g * scale_arr
         if out_mask is not None:
             g_out = g_out * out_mask
         g_stack = g_out if Out is None else Out.mT @ g_out
+        stack = None
+        if stack_reader is not None and stack_reader.requires_grad:
+            stack = np.empty(value.shape[:-2] + (u.shape[-1], value.shape[-1]))
         g_heads = []
-        for k, (A, S) in enumerate(saved):
+        for k, A in enumerate(saved):
             mask = None if attn_masks is None else attn_masks[k]
+            S = _head_scores(A)
+            if stack is not None:
+                _head_output(A, S, mask, stack[..., k * p : (k + 1) * p, :])
             g_AS = g_stack[..., k * p : (k + 1) * p, :]
             g_A = g_AS @ (S if mask is None else S * mask).mT
             g_S = np.matmul(A.mT, g_AS, out=np.empty_like(S))  # in S's layout
             if mask is not None:
                 g_S *= mask
             g_gram = ad._softmax_cols_vjp(S, g_S)
-            g_A = g_A + A @ g_gram
-            g_heads.append(g_A + (g_gram @ A.mT).mT)
-        return g, g_out, g_heads
+            g_A = g_A + A @ g_gram  # A's terms, summed in the composed graph's order
+            g_A += (g_gram @ A.mT).mT
+            g_heads.append(g_A)
+        return g, g_out, g_heads, stack, z
 
     def stack_term(c):
-        # the output matrix's term, g_out stack^T, with the stack re-formed
-        stack = np.empty(z.shape[:-2] + (u.shape[-1], z.shape[-1]))
-        for k, (A, S) in enumerate(saved):
-            _head_output(A, S, None if attn_masks is None else attn_masks[k], stack[..., k * p : (k + 1) * p, :])
-        return ad._matmul_sum(c[1], stack.mT, (z.shape[-2], u.shape[-1]))
+        # the output matrix's term, g_out stack^T
+        return ad._matmul_sum(c[1], c[3].mT, (value.shape[-2], u.shape[-1]))
 
-    parents = [Z] * (num_heads + 1)
-    maps = [_TERM_0] + [lambda c, k=k: u[:, k * p : (k + 1) * p] @ c[2][k] for k in range(num_heads)]
+    in_maps = (_TERM_0,) + tuple(lambda c, k=k: u[:, k * p : (k + 1) * p] @ c[2][k] for k in range(num_heads))
+    parents, maps = [], []
     if variant in (CRATE_C, CRATE_N):
         parents.append(U)
         maps.append(stack_term)
@@ -256,45 +280,48 @@ def _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask):
         parents.append(U)
         maps.append(lambda c: stack_term(c).mT)
     parents.append(U)
-    maps.append(lambda c: _head_blocks(u, c[2], z))
+    maps.append(lambda c: _head_blocks(u, c[2], c[4]))
     if variant in (CRATE, CRATE_FIX):
         parents.append(W)
         maps.append(stack_term)
-    return ad._node(value, tuple(parents), tuple(maps), prep)
+    return ad._normed_node(value, Z, norm, in_maps, tuple(parents), tuple(maps), prep)
 
 
-def ista_step(Y, D, beta: float, lambda_sparsity: float, ws: Workspace | None = None):
+def ista_step(Y, D, beta: float, lambda_sparsity: float, ws: Workspace | None = None, pre_norm=None):
     """One sparsifying step: ReLU(Y + beta D^T (Y - D Y) - beta*lambda).
 
     The threshold subtracts the scalar beta*lambda from every entry; the
-    ReLU guarantees a nonnegative output.  On a Tensor ``Y`` the step is
-    one autodiff node that keeps the residual Y - D Y and reads its ReLU
-    gate off its own output.
+    ReLU guarantees a nonnegative output.  With ``pre_norm``, a (gain, bias)
+    pair, the step is that of ``layer_norm(Y, gain, bias)``.  On a Tensor
+    ``Y`` the step, its layer norm included, is one autodiff node
+    (``autodiff._normed_node``) that keeps the residual Y - D Y and reads
+    its ReLU gate off its own output.
     """
     if beta < 0 or lambda_sparsity < 0:
         raise ConfigError("beta and lambda_sparsity must be nonnegative")
     if not isinstance(Y, ad.Tensor):
+        if pre_norm is not None:
+            Y = layer_norm(Y, *pre_norm, ws)
         return _ista(Y, D, beta, lambda_sparsity, ws)[0]
     D = ad.as_tensor(D)
-    y, dm = Y.data, D.data
+    dm = D.data
+    y, norm = (Y.data, None) if pre_norm is None else ad._ln_forward(Y.data, *pre_norm)
     value, resid = _ista(y, dm, beta, lambda_sparsity, None)
     beta_arr = np.asarray(beta, dtype=np.float64)
 
-    def prep(g):
+    def prep(g, y):
         # the composed graph's cotangents of the ReLU input, beta * D^T resid, resid and D Y
         g_pre = g * (value > 0.0)
         g_m = g_pre * beta_arr
         g_resid = dm @ g_m
-        return g_pre, g_m, g_resid, np.negative(g_resid)
+        return g_pre, g_m, g_resid, np.negative(g_resid), y
 
+    in_maps = (_TERM_0, _TERM_2, lambda c: dm.mT @ c[3])
     maps = (
-        _TERM_0,
-        _TERM_2,
-        lambda c: dm.mT @ c[3],
         lambda c: ad._matmul_sum(c[1], resid.mT, dm.mT.shape).mT,
-        lambda c: ad._matmul_sum(c[3], y.mT, dm.shape),
+        lambda c: ad._matmul_sum(c[3], c[4].mT, dm.shape),
     )
-    return ad._node(value, (Y, Y, Y, D, D), maps, prep)
+    return ad._normed_node(value, Y, norm, in_maps, (D, D), maps, prep)
 
 
 def _ista(Y, D, beta, lambda_sparsity, ws):

@@ -3,8 +3,10 @@ per-layer probes, parameter counting/initialization, and checkpoints.
 
 A layer maps Z to ista_step(LN2(attention_update(LN1(Z)))) — layer norm
 before each of the two operators, with the attention update carrying its
-own residual branch.  Probes evaluate the sparse-rate-reduction measure of
-each layer's raw (post-ISTA) output against that layer's own basis.
+own residual branch.  Each operator takes its layer norm as ``pre_norm``,
+so a traced layer is two autodiff nodes.  Probes evaluate the
+sparse-rate-reduction measure of each layer's raw (post-ISTA) output
+against that layer's own basis.
 """
 
 from __future__ import annotations
@@ -280,13 +282,14 @@ def _apply_layer(Z, P: dict, i: int, cfg: ModelConfig, ln_identity: bool, attn_m
     With a workspace ``ws`` the result is its ``ista.out`` buffer; each
     operator reads only buffers that the one it overwrites does not hold."""
     w = f"layers.{i}."
-    Zn = Z if ln_identity else ly.layer_norm(Z, P[w + "ln1_gain"], P[w + "ln1_bias"], ws)
+    norm1 = norm2 = None
+    if not ln_identity:
+        norm1, norm2 = ((P[w + f"ln{j}_gain"], P[w + f"ln{j}_bias"]) for j in (1, 2))
     gamma = cfg.attention_gamma(Z.shape[-1])
     Za = ly.attention_update(
-        Zn, P[w + "U"], cfg.K, cfg.variant, gamma, cfg.alpha, P.get(w + "W"), attn_masks, out_mask, ws
+        Z, P[w + "U"], cfg.K, cfg.variant, gamma, cfg.alpha, P.get(w + "W"), attn_masks, out_mask, ws, norm1
     )
-    Ya = Za if ln_identity else ly.layer_norm(Za, P[w + "ln2_gain"], P[w + "ln2_bias"], ws)
-    return ly.ista_step(Ya, P[w + "D"], cfg.beta, cfg.lambda_sparsity, ws)
+    return ly.ista_step(Za, P[w + "D"], cfg.beta, cfg.lambda_sparsity, ws, norm2)
 
 
 def _layer_rates(Z, U, num_heads: int, gamma: float, full_scale: float):

@@ -158,13 +158,17 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
 class Adam:
     """Adam with bias correction and the standard constants beta1 = 0.9,
     beta2 = 0.999, eps = 1e-8; the learning rate is passed per step so a
-    schedule can drive it."""
+    schedule can drive it.  A step updates the moments and the parameters
+    in place, its temporaries held in two scratch arrays of the largest
+    parameter's size."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
+        size = max((t.data.size for t in params.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
@@ -175,11 +179,22 @@ class Adam:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            # the operations, in order, of
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;  p -= lr (m / c1) / (sqrt(v / c2) + 1e-8)
+            s, t = (a[: m.size].reshape(m.shape) for a in self._scratch)
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=s)
             v *= b2
-            v += (1 - b2) * (g * g)
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            np.multiply(g, g, out=s)
+            s *= 1 - b2
+            v += s
+            np.divide(m, c1, out=s)
+            s *= lr
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
+            t += 1e-8
+            s /= t
+            p.data -= s
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -259,6 +274,7 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
             acc_sum += parts["acc"] * bsz
             reg_sum += parts["reg_value"] * bsz
             seen += bsz
+            loss = parts = grads = None  # the step's tape dies here, not after the next step
         if bad is None:  # the epoch's last step can still take the weights out of float64 range
             with np.errstate(over="ignore", invalid="ignore"):
                 val_ce, val_acc = evaluate(model, dataset.val_x, dataset.val_y)

@@ -448,6 +448,16 @@ class TestAccumulation:
         monkeypatch.setattr(ad, "_PRODUCT_BYTES", bytes_[budget])
         assert np.array_equal(ad._matmul_sum(a, z.mT, (m, k)), (a @ z.mT).sum(axis=0))
 
+    def test_one_sample_chunks_add_the_products_in_sample_order(self, monkeypatch):
+        # one product per chunk at paper geometry: every product after the first
+        # is written into one reused buffer and added in sample order
+        a, z = rng_for(45).standard_normal((8, 384, 65)), rng_for(46).standard_normal((8, 384, 65))
+        monkeypatch.setattr(ad, "_PRODUCT_BYTES", 8 * 384 * 384)
+        want = a[0] @ z[0].T
+        for i in range(1, 8):
+            want += a[i] @ z[i].T
+        assert np.array_equal(ad._matmul_sum(a, z.mT, (384, 384)), want)
+
 
 class TestEmbedNode:
     def test_train_mode_embedding_is_the_kernel_with_exact_gradients(self):

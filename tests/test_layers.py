@@ -12,6 +12,7 @@ from srr.layers import (
     CRATE_T,
     VARIANTS,
     Workspace,
+    _head_scores,
     attention_update,
     ista_step,
     layer_norm,
@@ -350,13 +351,17 @@ class TestKernelOracles:
         stacked_attention_heads(Z, U, 4, ws=ws)
         assert ws.buffers["heads.S"].shape == (9,) + batch + (9,)
         assert ws.buffers["heads.S"].flags.c_contiguous
+        # the one helper that forms S in the forward and re-forms it in the attention node's VJP
         saved = []
         stacked_attention_heads(Z, U, 4, _saved=saved)
         assert len(saved) == 4
-        for _, S in saved:
+        for k, (A, Uk) in enumerate(zip(saved, split_heads(U, 4))):
+            assert np.array_equal(A, Uk.T @ Z)
+            S = _head_scores(A)
             assert S.shape == batch + (9, 9)
             assert S.base.shape == (9,) + batch + (9,) and S.base.flags.c_contiguous
             assert np.shares_memory(S, S.base) and np.array_equal(np.moveaxis(S.base, 0, -2), S)
+            assert np.array_equal(S, softmax_oracle(A.mT @ A))
 
     @pytest.mark.parametrize(
         "shape, K", [((384, 196), 6), ((256, 32, 9), 4)], ids=["toy-paper", "desk-batch"]
@@ -504,20 +509,82 @@ class TestFusedNodes:
         for g, h in zip(got_grads, want_grads):
             assert np.array_equal(g, h)
 
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_attention_node_folds_its_layer_norm(self, batch, variant, dropout, segmented):
+        # one node against two: layer_norm_cols, then the attention node on its output
+        d, K, N = 12, 3, 5
+        Z = rng_for(105).standard_normal(batch + (d, N)) * 2.0 + 0.5
+        U = orthonormal_basis(d, seed=106) * 1.7
+        W = rng_for(107).standard_normal((d, d)) / np.sqrt(d) if variant in (CRATE, CRATE_FIX) else None
+        gain, bias = 1.0 + 0.3 * rng_for(108).standard_normal(d), rng_for(109).standard_normal(d)
+        masks = out_mask = None
+        if dropout:
+            masks = [(rng_for(110, k).random(batch + (N, N)) < 0.8) / 0.8 for k in range(K)]
+            out_mask = (rng_for(111).random(batch + (d, N)) < 0.8) / 0.8
+        leaves = [(Z, True), (gain, True), (bias, True), (U, True)] + ([] if W is None else [(W, variant == CRATE)])
+        w1, w2 = rng_for(112).standard_normal(Z.shape), rng_for(113).standard_normal(Z.shape)
+
+        def run(fold):
+            def build(z, g, b, u, w=None):
+                if fold:
+                    return attention_update(z, u, K, variant, 0.8, 0.9, w, masks, out_mask, pre_norm=(g, b))
+                return attention_update(ad.layer_norm_cols(z, g, b), u, K, variant, 0.8, 0.9, w, masks, out_mask)
+
+            return _walk_both(build, leaves, w1, w2, segmented)
+
+        (got, got_grads), (want, want_grads) = run(True), run(False)
+        assert np.array_equal(got, want)
+        for g, h in zip(got_grads, want_grads):
+            assert (g is None and h is None) or np.array_equal(g, h)
+        assert all(g is not None for g in got_grads[:4])
+
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_ista_node_folds_its_layer_norm(self, batch, segmented):
+        # one node against two: layer_norm_cols, then the ISTA node on its output
+        Y = rng_for(114).standard_normal(batch + (10, 6)) * 1.5 + 0.3
+        D = rng_for(115).standard_normal((10, 10)) / np.sqrt(10)
+        gain, bias = 1.0 + 0.3 * rng_for(116).standard_normal(10), 0.5 * rng_for(117).standard_normal(10)
+        w1, w2 = rng_for(118).standard_normal(Y.shape), rng_for(119).standard_normal(Y.shape)
+
+        def run(fold):
+            def build(y, dm, g, b):
+                if fold:
+                    return ista_step(y, dm, 0.4, 0.3, pre_norm=(g, b))
+                return ista_step(ad.layer_norm_cols(y, g, b), dm, 0.4, 0.3)
+
+            return _walk_both(build, [(Y, True), (D, True), (gain, True), (bias, True)], w1, w2, segmented)
+
+        (got, got_grads), (want, want_grads) = run(True), run(False)
+        assert np.array_equal(got, want)
+        assert (got == 0).any() and (got > 0).any()
+        for g, h in zip(got_grads, want_grads):
+            assert np.array_equal(g, h)
+
     def test_each_walk_reads_its_own_cotangent(self):
         # two walks over the same nodes, the second with twice the cotangent:
-        # doubling is exact, so any state kept from the first walk shows
+        # doubling is exact, so any state kept from the first walk (a
+        # re-formed softmax or layer-norm output among them) shows; the layer
+        # runs once without layer norms and once with both folded in
         Z = ad.Tensor(rng_for(101).standard_normal((2, 12, 5)), requires_grad=True)
         U = ad.Tensor(orthonormal_basis(12, seed=102), requires_grad=True)
         D = ad.Tensor(rng_for(103).standard_normal((12, 12)) / np.sqrt(12), requires_grad=True)
-        out = ista_step(attention_update(Z * 1.0, U, 3, CRATE_C, 0.8), D, 0.5, 0.1)
+        gains_biases = [ad.Tensor(rng_for(120, i).standard_normal(12), requires_grad=True) for i in range(4)]
+        norms = gains_biases[:2], gains_biases[2:]
+        leaves = [Z, U, D, *gains_biases]
+        plain = ista_step(attention_update(Z * 1.0, U, 3, CRATE_C, 0.8), D, 0.5, 0.1)
+        normed = attention_update(Z * 1.0, U, 3, CRATE_C, 0.8, pre_norm=norms[0])
+        out = plain + ista_step(normed, D, 0.5, 0.1, pre_norm=norms[1])
         w = rng_for(104).standard_normal(out.shape)
         (out * w).sum().backward()
-        first = [t.grad for t in (Z, U, D)]
-        for t in (Z, U, D):
+        first = [t.grad for t in leaves]
+        for t in leaves:
             t.grad = None
         (out * (2.0 * w)).sum().backward()
-        for t, g in zip((Z, U, D), first):
+        for t, g in zip(leaves, first):
             assert np.array_equal(t.grad, 2.0 * g)
 
 

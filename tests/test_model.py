@@ -420,12 +420,37 @@ class TestMemory:
         held(2)  # warm-up: one-time first-call allocations land here, not in the figure
         per_layer = held(3) - held(2)
         tokens, gram, column = B * d * N * 8, B * N * N * 8, B * N * 8
-        # each layer norm: its output and the mean and 1/std per column;
-        # attention: its output, every A_k (d rows in all) and every
-        # softmax S_k; ISTA: its output and the residual Y - D Y
-        arrays = 2 * (tokens + 2 * column) + 2 * tokens + K * gram + 2 * tokens
+        # two nodes, each with its layer norm's mean and 1/std columns:
+        # attention keeps its output and every A_k (d rows in all), ISTA its
+        # output and the residual Y - D Y; no softmax S_k, no normalized input
+        arrays = 2 * (2 * tokens + 2 * column)
+        assert arrays == 156_800
         # the rest is node and closure objects, far below one extra (B, N, N) array
         assert arrays <= per_layer < arrays + 16 * 1024, (per_layer, arrays)
+
+    def test_regularized_forward_keeps_only_the_head_projections_more(self):
+        # all_layers: bytes held per layer after srr_regularized_loss, L=3 minus L=2
+        from srr.training import TrainConfig, srr_regularized_loss
+
+        # R's Gram (B, N, N) and each R_c Gram (B, p, p) are over the slack below
+        B, d, K, N = 8, 48, 2, 41
+        cfg = TrainConfig(batch_size=B, reg_mode="all_layers", eta_reg=1e-3)
+
+        def held(L):
+            model = init_model(ModelConfig(L=L, d=d, K=K, feat_dim=6, num_tokens=N - 1, num_classes=3))
+            batch = rng_for(1).standard_normal((B, 6, N - 1)), np.arange(B) % 3
+            return traced(lambda: srr_regularized_loss(model, batch, cfg))[1]
+
+        held(2)  # warm-up
+        per_layer = held(3) - held(2)
+        tokens, column = B * d * N * 8, B * N * 8
+        # the layer's two nodes as without the regularizer; its R_c term keeps
+        # the K head projections U_k^T Z (d rows in all), and R keeps nothing
+        # beyond its input, the layer output the tape holds anyway
+        arrays = 2 * (2 * tokens + 2 * column) + tokens
+        slack = 32 * 1024  # node and closure objects
+        assert slack < min(B * N * N * 8, B * (d // K) ** 2 * 8)
+        assert arrays <= per_layer < arrays + slack, (per_layer, arrays)
 
     def test_backward_sums_weight_gradients_without_a_batch_stack(self, monkeypatch):
         # B = 8 per-sample (d, d) products of each weight gradient; two tokens

@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from tracemem import traced
+
 import srr.autodiff as ad
 import srr.model
 import srr.training
@@ -412,6 +414,32 @@ class TestAdam:
             ref -= lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         np.testing.assert_allclose(p.data, ref, atol=1e-14)
 
+    def test_in_place_steps_are_the_expression_they_replaced(self):
+        # three steps on parameters of two sizes, against the out-of-place
+        # expression of each moment and update, bit for bit
+        rng = rng_for(51)
+        shapes = {"w": (5, 3), "b": (3,)}
+        p0 = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        steps = [({k: rng.standard_normal(shape) for k, shape in shapes.items()}, lr) for lr in (0.01, 0.02, 0.005)]
+        params = {k: Tensor(a.copy(), requires_grad=True) for k, a in p0.items()}
+        opt = Adam(params)
+        ref = {k: a.copy() for k, a in p0.items()}
+        m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        b1, b2 = 0.9, 0.999
+        for t, (grads, lr) in enumerate(steps, start=1):
+            opt.step(grads, lr)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in grads.items():
+                m[k] *= b1
+                m[k] += (1 - b1) * g
+                v[k] *= b2
+                v[k] += (1 - b2) * (g * g)
+                ref[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
+            for k in shapes:
+                assert np.array_equal(params[k].data, ref[k])
+                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k])
+
 
 class TestEvaluate:
     def test_chunking_invariance(self, monkeypatch):
@@ -496,6 +524,31 @@ class TestTrain:
         trace = train(model, ds, TrainConfig(batch_size=10**6, lr_init=1e308, epochs=3))
         assert trace.diverged and not trace.converged and trace.epochs == []
         assert trace.note == "training diverged (non-finite validation loss) after epoch 0"
+
+    @pytest.mark.parametrize("reg_mode", ["none", "all_layers"])
+    def test_peak_is_one_step_plus_the_optimizer_state(self, reg_mode):
+        # each step's tape dies before the next step's forward, so four
+        # steps peak at one step's figure plus Adam's moments and scratch
+        B = 8
+        spec = DatasetSpec(
+            source="synthetic", classes=3, tokens=24, feat_dim=6, subspace_dim=2,
+            separation=1.0, noise=0.5, n_train=4 * B, n_val=8, seed=0,
+        )
+        ds = synth_dataset(spec)
+        model = init_model(ModelConfig(L=2, d=48, K=4, feat_dim=6, num_tokens=24, num_classes=3))
+        reg = dict(reg_mode=reg_mode, eta_reg=0.0 if reg_mode == "none" else 1e-3)
+        cfg = TrainConfig(batch_size=B, epochs=1, schedule="constant", stop_criterion=0.0, **reg)
+
+        def step():
+            loss, parts = srr_regularized_loss(model, (ds.train_x[:B], ds.train_y[:B]), cfg, rng=rng_for(0))
+            gradients(loss, model.trainable_params(), layer_outputs=parts["cache"])
+
+        step()  # warm-up, and every parameter holds a gradient, as after a step of train
+        step_peak = traced(step)[2]
+        train_peak = traced(lambda: train(model, ds, cfg))[2]
+        sizes = [t.data.nbytes for t in model.trainable_params().values()]
+        adam = 2 * sum(sizes) + 2 * max(sizes)
+        assert train_peak <= step_peak + adam + 64 * 1024, (train_peak, step_peak, adam)
 
     def test_regularized_training_records_reg_value(self):
         ds = sep_dataset()
