@@ -22,8 +22,7 @@ walk is done, so no walk writes into an array it did not allocate, nor
 into a gradient left by an earlier walk.  The additions and their order
 are those of a fresh ``grad + g`` per term.  A batched product summed down
 to a shared weight (``_matmul_sum``) is formed at most ``_PRODUCT_BYTES``
-of per-sample products at a time, each after the first chunk into one
-reused buffer.
+of per-sample products at a time.
 
 A ``cut`` is an identity node where a segment of the tape begins;
 ``segmented_sum``, the one op with a VJP of its own, walks two tapes in
@@ -33,22 +32,19 @@ second walk find the nodes it shares with the first fresh.
 
 Only the operations the models actually use are implemented, several of
 them fused (softmax over columns, layer norm over columns, the log-det Gram
-volume, softmax cross-entropy; the attention update and the ISTA step are
-fused in ``srr.layers``, each with the layer norm before it folded in by
-``_normed_node``, the subspace rate R_c in ``srr.model``) so their backward
-passes are both fast and numerically tight.  Besides its output and its
-parents, which the tape holds anyway, each keeps only what its VJP reads
-and cannot re-form from them with the forward's own operations:
+volume, softmax cross-entropy; a whole layer in ``srr.layers``, the
+subspace rate R_c in ``srr.model``) so their backward passes are both fast
+and numerically tight.  Besides its output and its parents, which the tape
+holds anyway, each keeps only what its VJP reads and cannot re-form from
+them with the forward's own operations:
 
 - layer norm: the (..., 1, N) mean and 1/std columns (x-hat is re-formed),
   from ``_ln_stats``, which also gives ``srr.layers.layer_norm`` its own;
-  folded into the op after it, the same, and that op's input, the layer
-  norm's output, is re-formed from x-hat;
 - log-det Gram volume: nothing (I + scale * Gram is re-formed);
-- attention: each head's A_k = U_k^T Z and the masks (each softmax S_k is
-  re-formed from A_k, and the head stack from both where a weight's term
-  reads it);
-- ISTA step: the residual Y - D Y (its ReLU gate is read off its output);
+- a layer: both layer norms' columns, each A_k, the masks, the attention
+  output, the ISTA residual (each normalized input and softmax S_k is
+  re-formed, and the head stack where a weight's term reads it; the ReLU
+  gate is read off the output);
 - R_c: each head's U_k^T Z.
 """
 
@@ -102,15 +98,14 @@ def _matmul_sum(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     """``_unbroadcast(a @ b, shape)``, bit for bit.  Two (B, ., .) stacks
     whose products sum to one matrix take at most ``_PRODUCT_BYTES`` of
     products at once: numpy sums axis 0 of a stack in order, so a reduce
-    over the first products and ``+=`` of each later one, formed in one
-    reused buffer, add the same terms in the same order."""
+    over the first products and ``+=`` of each later one add the same terms
+    in the same order."""
     if not (a.ndim == b.ndim == 3 and len(a) == len(b) and shape == (a.shape[1], b.shape[2])):
         return _unbroadcast(a @ b, shape)
     n = max(1, _PRODUCT_BYTES // (8 * shape[0] * shape[1]))
     total = np.add.reduce(a[:n] @ b[:n], axis=0)
-    product = np.empty(shape) if n < len(a) else None  # each later product, in turn
     for i in range(n, len(a)):
-        total += np.matmul(a[i], b[i], out=product)
+        total += a[i] @ b[i]
     return total
 
 
@@ -309,19 +304,17 @@ def layer_norm_cols(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     ``gain`` and ``bias`` are feature vectors of length d.  The node keeps
     the mean and 1/std columns; its VJP re-forms x-hat from the input.
     """
-    out, (gain, bias, mu, inv) = _ln_forward(x.data, gain, bias)
+    gain, bias = as_tensor(gain), as_tensor(bias)
+    out, mu, inv = _ln_forward(x.data, gain.data, bias.data)
     return _node(out, (x, gain, bias), _ln_maps(gain.data, inv, x.data.ndim), lambda g: (g, _ln_xhat(x.data, mu, inv)))
 
 
-def _ln_forward(x: np.ndarray, gain, bias):
-    """The forward of every Tensor layer norm of the ndarray x, with the
-    feature vectors gain and bias: (output, the fold (gain, bias, mean
-    column, 1/std column) that ``_normed_node`` takes), gain and bias as Tensors."""
-    gain, bias = as_tensor(gain), as_tensor(bias)
+def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """The forward of every Tensor layer norm, on ndarrays: (output, mean column, 1/std column)."""
     xc, mu, std = _ln_stats(x)  # x - mu, then x-hat, then the output
     inv = np.divide(1.0, std, out=std)
     xc *= inv
-    return _ln_output(xc, gain.data, bias.data, out=xc), (gain, bias, mu, inv)
+    return _ln_output(xc, gain, bias, out=xc), mu, inv
 
 
 def _ln_xhat(x: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -357,36 +350,6 @@ def _ln_maps(gain: np.ndarray, inv: np.ndarray, ndim: int) -> tuple:
         return gx
 
     return grad_x, lambda c: (c[0] * c[1]).sum(axis=cols), lambda c: c[0].sum(axis=cols)
-
-
-def _normed_node(value, x: Tensor, norm, in_maps: tuple, parents: tuple, maps: tuple, prep) -> Tensor:
-    """The node of ``value``, an op of the Tensor ``x`` or, with the fold
-    ``norm`` of ``_ln_forward``, of x's layer norm x_n, which the node does
-    not keep.
-
-    The op's VJP is ``prep(g, input)`` into c, ``in_maps`` from c to its
-    input's terms, in order, and ``maps`` to its other ``parents``.  Without
-    ``norm`` this is the op's node on x.  With it, the VJP re-forms x-hat
-    and x_n from x by the forward's own operations, sums x_n's terms as its
-    own node would (``Tensor._accumulate``), and adds the layer norm's terms
-    to x, gain and bias after the op's terms: those of the two nodes.
-    """
-    if norm is None:
-        return _node(value, (x,) * len(in_maps) + parents, in_maps + maps, lambda g: prep(g, x.data))
-    gain, bias, mu, inv = norm
-
-    def fused_prep(g):
-        xhat = _ln_xhat(x.data, mu, inv)
-        c = prep(g, _ln_output(xhat, gain.data, bias.data))
-        sink = Tensor(0.0)  # stands in for x_n
-        if x.requires_grad or gain.requires_grad or bias.requires_grad:
-            for term in in_maps:
-                sink._accumulate(term(c))
-        return c, (sink.grad, xhat)
-
-    op_maps = tuple(lambda c, m=m: m(c[0]) for m in maps)
-    norm_maps = tuple(lambda c, m=m: m(c[1]) for m in _ln_maps(gain.data, inv, x.data.ndim))
-    return _node(value, parents + (x, gain, bias), op_maps + norm_maps, fused_prep)
 
 
 def logdet_gram(z: Tensor, scale: float) -> Tensor:

@@ -4,20 +4,15 @@ layer norm, and patch tokenization.
 Every operator is one ndarray kernel (inference, probing, toy dynamics)
 that works in place on its own temporaries.  Given a ``Workspace``, a
 kernel takes its temporaries and its result from it, so repeated calls of
-one shape allocate nothing.  The attention update and the ISTA step take
-the layer norm before them as ``pre_norm``.  On an autodiff ``Tensor``
-token input (training) each of them, its layer norm folded in, and a lone
-layer norm become one autodiff node whose value is the kernel's: it keeps
-only what its VJP reads and adds to each parent the terms of the composed
-graph of layer norms, matmuls, softmaxes and masks it replaces, in that
-graph's order, so every gradient keeps its bits.  Weights may be Tensors
-only when the token input is one.  Token matrices are d x N with tokens
-as columns; batched inputs carry a leading batch axis (B, d, N).
+one shape allocate nothing.  A traced layer (training) runs the same
+kernels as one autodiff node, ``_traced_layer``: it keeps only what its VJP
+reads and adds to each parent the terms of the composed graph of layer
+norms, matmuls, softmaxes, masks and ReLU it replaces, in that graph's
+order, so every gradient keeps its bits.  Token matrices are d x N with
+tokens as columns; batched inputs carry a leading batch axis (B, d, N).
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 import numpy as np
 
@@ -54,8 +49,6 @@ CRATE_IDENTITY = "crate_identity"  # +, head stack used directly
 VARIANTS = (CRATE_C, CRATE_N, CRATE_T, CRATE, CRATE_FIX, CRATE_IDENTITY)
 
 _WORKSPACE_BYTES = 8 << 20  # buffers one Workspace keeps at most
-# node maps that pass on one of their prep's results as it is, shared by every node
-_TERM_0, _TERM_2 = itemgetter(0), itemgetter(2)
 
 
 class Workspace:
@@ -99,7 +92,7 @@ def stacked_attention_heads(Z, U, num_heads: int, attn_masks=None, ws: Workspace
     head's scores live in an (N, …, N) buffer, the softmax's axis first, so
     its reductions run over contiguous rows; the kernels read its (…, N, N)
     view (``_head_scores``).  Without a workspace, ``_saved`` (a list)
-    receives each head's A_k, for the attention node's VJP.  Scores go
+    receives each head's A_k, for the traced layer's VJP.  Scores go
     through the softmax unchecked, for the reader to flag.
     """
     heads = split_heads(U, num_heads)
@@ -120,7 +113,7 @@ def _head_scores(A, buf=None):
     """A head's column softmax S = softmax_cols(A^T A), the (..., N, N) view
     of an (N, ..., N) buffer ``buf`` (fresh when None) that holds the Gram
     with the softmax's axis first, then the softmax in place.  The forward
-    forms every S_k this way and the attention node's VJP re-forms it so."""
+    forms every S_k this way and the traced layer's VJP re-forms it so."""
     lead, n = A.shape[:-2], A.shape[-1]
     if buf is None:
         buf = np.empty((n,) + lead + (n,))
@@ -180,9 +173,17 @@ def _output_matrix(variant: str, U, W, d: int):
     return U
 
 
+def _attention_scale(variant: str, gamma: float, alpha: float) -> float:
+    """The update's signed scale, ± alpha * gamma^2 (negative for crate_n),
+    after the check that the variant is known."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown attention variant {variant!r}")
+    return (-1.0 if variant == CRATE_N else 1.0) * alpha * gamma * gamma
+
+
 def attention_update(
     Z, U, num_heads: int, variant: str, gamma: float, alpha: float = 1.0, W=None, attn_masks=None, out_mask=None,
-    ws: Workspace | None = None, pre_norm=None,
+    ws: Workspace | None = None,
 ):
     """Residual attention update: Z ± alpha * gamma^2 * Out @ HeadStack.
 
@@ -190,20 +191,9 @@ def attention_update(
     negative for the N variant, positive otherwise; ``Out`` is the variant's
     output matrix ([U_1...U_K], its transpose, the output matrix ``W`` of
     the crate/crate_fix variants, or the identity).  ``out_mask`` is an
-    optional multiplicative dropout mask on the projection output.  With
-    ``pre_norm``, a (gain, bias) pair, the update is that of
-    ``layer_norm(Z, gain, bias)``.  On a Tensor ``Z`` the update, its layer
-    norm included, is one autodiff node (``_attention_node``).
+    optional multiplicative dropout mask on the projection output.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown attention variant {variant!r}")
-    scale = (-1.0 if variant == CRATE_N else 1.0) * alpha * gamma * gamma
-    if isinstance(Z, ad.Tensor):
-        U = ad.as_tensor(U)
-        W = None if W is None else ad.as_tensor(W)
-        return _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask, pre_norm)
-    if pre_norm is not None:
-        Z = layer_norm(Z, *pre_norm, ws)
+    scale = _attention_scale(variant, gamma, alpha)
     Out = _output_matrix(variant, U, W, Z.shape[-2])
     return _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws)
 
@@ -219,109 +209,15 @@ def _attention(Z, U, num_heads, Out, scale, attn_masks, out_mask, ws, saved=None
     return out
 
 
-def _attention_node(Z, U, W, num_heads, variant, scale, attn_masks, out_mask, pre_norm):
-    """``attention_update`` of the Tensor ``Z`` as one autodiff node, its
-    layer norm folded in by ``autodiff._normed_node``.
-
-    It keeps each head's A_k and the masks.  Its VJP re-forms each softmax
-    S_k from A_k by ``_head_scores`` and, where the output matrix's term
-    reads it, the head stack from them by the forward's own products.  Its
-    terms are those of the composed graph (per-head projections, Gram
-    matrices, softmaxes and masks, the stack, the output matrix, the mask,
-    the scale and the residual), in its order: U gets the output matrix's
-    term (crate_c/n/t), then one matrix of its head blocks; W (crate/
-    crate_fix) its one term; the (normalized) input the residual's term,
-    then one term per head.
-    """
-    u = U.data
-    z, norm = (Z.data, None) if pre_norm is None else ad._ln_forward(Z.data, *pre_norm)
-    Out = _output_matrix(variant, u, None if W is None else W.data, z.shape[-2])
-    saved: list[np.ndarray] = []
-    value = _attention(z, u, num_heads, Out, scale, attn_masks, out_mask, None, saved)
-    p = u.shape[-1] // num_heads
-    scale_arr = np.asarray(scale, dtype=np.float64)
-    stack_reader = U if variant in (CRATE_C, CRATE_N, CRATE_T) else W  # the parent whose term reads the stack
-
-    def prep(g, z):
-        g_out = g * scale_arr
-        if out_mask is not None:
-            g_out = g_out * out_mask
-        g_stack = g_out if Out is None else Out.mT @ g_out
-        stack = None
-        if stack_reader is not None and stack_reader.requires_grad:
-            stack = np.empty(value.shape[:-2] + (u.shape[-1], value.shape[-1]))
-        g_heads = []
-        for k, A in enumerate(saved):
-            mask = None if attn_masks is None else attn_masks[k]
-            S = _head_scores(A)
-            if stack is not None:
-                _head_output(A, S, mask, stack[..., k * p : (k + 1) * p, :])
-            g_AS = g_stack[..., k * p : (k + 1) * p, :]
-            g_A = g_AS @ (S if mask is None else S * mask).mT
-            g_S = np.matmul(A.mT, g_AS, out=np.empty_like(S))  # in S's layout
-            if mask is not None:
-                g_S *= mask
-            g_gram = ad._softmax_cols_vjp(S, g_S)
-            g_A = g_A + A @ g_gram  # A's terms, summed in the composed graph's order
-            g_A += (g_gram @ A.mT).mT
-            g_heads.append(g_A)
-        return g, g_out, g_heads, stack, z
-
-    def stack_term(c):
-        # the output matrix's term, g_out stack^T
-        return ad._matmul_sum(c[1], c[3].mT, (value.shape[-2], u.shape[-1]))
-
-    in_maps = (_TERM_0,) + tuple(lambda c, k=k: u[:, k * p : (k + 1) * p] @ c[2][k] for k in range(num_heads))
-    parents, maps = [], []
-    if variant in (CRATE_C, CRATE_N):
-        parents.append(U)
-        maps.append(stack_term)
-    elif variant == CRATE_T:
-        parents.append(U)
-        maps.append(lambda c: stack_term(c).mT)
-    parents.append(U)
-    maps.append(lambda c: _head_blocks(u, c[2], c[4]))
-    if variant in (CRATE, CRATE_FIX):
-        parents.append(W)
-        maps.append(stack_term)
-    return ad._normed_node(value, Z, norm, in_maps, tuple(parents), tuple(maps), prep)
-
-
-def ista_step(Y, D, beta: float, lambda_sparsity: float, ws: Workspace | None = None, pre_norm=None):
+def ista_step(Y, D, beta: float, lambda_sparsity: float, ws: Workspace | None = None):
     """One sparsifying step: ReLU(Y + beta D^T (Y - D Y) - beta*lambda).
 
     The threshold subtracts the scalar beta*lambda from every entry; the
-    ReLU guarantees a nonnegative output.  With ``pre_norm``, a (gain, bias)
-    pair, the step is that of ``layer_norm(Y, gain, bias)``.  On a Tensor
-    ``Y`` the step, its layer norm included, is one autodiff node
-    (``autodiff._normed_node``) that keeps the residual Y - D Y and reads
-    its ReLU gate off its own output.
+    ReLU guarantees a nonnegative output.
     """
     if beta < 0 or lambda_sparsity < 0:
         raise ConfigError("beta and lambda_sparsity must be nonnegative")
-    if not isinstance(Y, ad.Tensor):
-        if pre_norm is not None:
-            Y = layer_norm(Y, *pre_norm, ws)
-        return _ista(Y, D, beta, lambda_sparsity, ws)[0]
-    D = ad.as_tensor(D)
-    dm = D.data
-    y, norm = (Y.data, None) if pre_norm is None else ad._ln_forward(Y.data, *pre_norm)
-    value, resid = _ista(y, dm, beta, lambda_sparsity, None)
-    beta_arr = np.asarray(beta, dtype=np.float64)
-
-    def prep(g, y):
-        # the composed graph's cotangents of the ReLU input, beta * D^T resid, resid and D Y
-        g_pre = g * (value > 0.0)
-        g_m = g_pre * beta_arr
-        g_resid = dm @ g_m
-        return g_pre, g_m, g_resid, np.negative(g_resid), y
-
-    in_maps = (_TERM_0, _TERM_2, lambda c: dm.mT @ c[3])
-    maps = (
-        lambda c: ad._matmul_sum(c[1], resid.mT, dm.mT.shape).mT,
-        lambda c: ad._matmul_sum(c[3], c[4].mT, dm.shape),
-    )
-    return ad._normed_node(value, Y, norm, in_maps, (D, D), maps, prep)
+    return _ista(Y, D, beta, lambda_sparsity, ws)[0]
 
 
 def _ista(Y, D, beta, lambda_sparsity, ws):
@@ -338,15 +234,113 @@ def _ista(Y, D, beta, lambda_sparsity, ws):
 def layer_norm(Z, gain, bias, ws: Workspace | None = None):
     """Column-wise layer norm: zero mean, unit variance over the d features,
     then per-feature gain and bias, from ``autodiff._ln_stats``'s statistics:
-    x - mu divided by the std column, where the ``Tensor`` node multiplies by 1/std."""
-    if isinstance(Z, ad.Tensor):
-        return ad.layer_norm_cols(Z, gain, bias)
+    x - mu divided by the std column, where the traced layer multiplies by 1/std."""
     d = Z.shape[-2]
     xc, _, std = ad._ln_stats(Z, _take(ws, "ln.out", Z.shape), _take(ws, "ln.sq", Z.shape))
     xc /= std
     xc *= np.asarray(gain).reshape((d, 1))
     xc += np.asarray(bias).reshape((d, 1))
     return xc
+
+
+def _traced_layer(
+    Z, norm1, U, W, norm2, D, num_heads: int, variant: str, gamma: float, alpha: float, beta: float,
+    lambda_sparsity: float, attn_masks=None, out_mask=None,
+):
+    """One layer on the Tensor ``Z`` as one autodiff node: the ISTA step of
+    the layer norm of the attention update of the layer norm of Z, with the
+    (gain, bias) Tensor pairs ``norm1`` and ``norm2`` and the kernels of the
+    ndarray path.
+
+    It keeps both layer norms' mean and 1/std columns, each head's A_k, the
+    masks, the attention output and the ISTA residual Y - D Y.  Its VJP
+    re-forms each x-hat and normalized input, each softmax S_k
+    (``_head_scores``) and, where the output matrix's term reads it, the
+    head stack, by the forward's own operations.  Each parent gets the
+    terms of the composed graph, in its order: D the residual's term, then
+    the normalized input's; U the output matrix's term (crate_c/n/t), then
+    one matrix of its head blocks; W (crate/crate_fix) its one term; Z and
+    each gain and bias one layer-norm term.  A normalized input's terms add
+    as its own node summed them: the first plus the second, then ``+=``.
+    """
+    (g1, b1), (g2, b2) = norm1, norm2
+    u, dm = U.data, D.data
+    scale = _attention_scale(variant, gamma, alpha)
+    Out = _output_matrix(variant, u, None if W is None else W.data, Z.shape[-2])
+    zn, mu1, inv1 = ad._ln_forward(Z.data, g1.data, b1.data)
+    saved: list[np.ndarray] = []
+    za = _attention(zn, u, num_heads, Out, scale, attn_masks, out_mask, None, saved)
+    del zn  # freed before the second layer norm allocates, which reuses its memory
+    y, mu2, inv2 = ad._ln_forward(za, g2.data, b2.data)
+    value, resid = _ista(y, dm, beta, lambda_sparsity, None)
+    p = u.shape[-1] // num_heads
+    stack_reader = U if variant in (CRATE_C, CRATE_N, CRATE_T) else W  # the parent whose term reads the stack
+    ln1, ln2 = ad._ln_maps(g1.data, inv1, za.ndim), ad._ln_maps(g2.data, inv2, za.ndim)
+
+    def give(parents, maps, c):
+        for t, grad_map in zip(parents, maps):
+            if t.requires_grad:
+                t._accumulate(grad_map(c))
+
+    def vjp(g):
+        # ISTA: the cotangents of the ReLU input, beta * D^T resid, resid and D Y
+        g_pre = g * (value > 0.0)
+        g_m = g_pre * beta
+        g_resid = dm @ g_m
+        g_dy = np.negative(g_resid)
+        xhat = ad._ln_xhat(za, mu2, inv2)
+        if D.requires_grad:
+            D._accumulate(ad._matmul_sum(g_m, resid.mT, dm.mT.shape).mT)
+            D._accumulate(ad._matmul_sum(g_dy, ad._ln_output(xhat, g2.data, b2.data).mT, dm.shape))
+        g_y = g_pre + g_resid  # the normalized input's terms
+        g_y += dm.mT @ g_dy
+        del g_pre, g_m, g_resid, g_dy
+        g_a = ln2[0]((g_y, xhat))  # the attention output's cotangent
+        give((g2, b2), ln2[1:], (g_y, xhat))
+        del g_y
+        # attention: the cotangents of the scaled output and the head stack
+        g_out = g_a * scale
+        if out_mask is not None:
+            g_out *= out_mask
+        g_stack = g_out if Out is None else Out.mT @ g_out
+        xhat = ad._ln_xhat(Z.data, mu1, inv1)
+        zn = ad._ln_output(xhat, g1.data, b1.data)
+        stack = None
+        if stack_reader is not None and stack_reader.requires_grad:
+            stack = np.empty(za.shape[:-2] + (u.shape[-1], za.shape[-1]))
+        g_heads = []
+        for k, A in enumerate(saved):
+            mask = None if attn_masks is None else attn_masks[k]
+            S = _head_scores(A)
+            if stack is not None:
+                _head_output(A, S, mask, stack[..., k * p : (k + 1) * p, :])
+            g_AS = g_stack[..., k * p : (k + 1) * p, :]
+            g_A = g_AS @ (S if mask is None else S * mask).mT
+            g_S = np.matmul(A.mT, g_AS, out=np.empty_like(S))  # in S's layout
+            if mask is not None:
+                g_S *= mask
+            g_gram = ad._softmax_cols_vjp(S, g_S)
+            g_A = g_A + A @ g_gram  # A's terms, summed in the composed graph's order
+            g_A += (g_gram @ A.mT).mT
+            g_heads.append(g_A)
+        del g_stack, S, g_AS, g_A, g_S, g_gram
+        g_zn = g_a + u[:, :p] @ g_heads[0]  # the normalized input's terms: the residual's, then one per head
+        del g_a
+        for k in range(1, num_heads):
+            g_zn += u[:, k * p : (k + 1) * p] @ g_heads[k]
+        stack_term = None if stack is None else ad._matmul_sum(g_out, stack.mT, (za.shape[-2], u.shape[-1]))
+        del g_out, stack
+        if U.requires_grad:
+            if variant in (CRATE_C, CRATE_N, CRATE_T):
+                U._accumulate(stack_term.mT if variant == CRATE_T else stack_term)
+            U._accumulate(_head_blocks(u, g_heads, zn))
+        if variant in (CRATE, CRATE_FIX) and W.requires_grad:
+            W._accumulate(stack_term)
+        del stack_term, g_heads, zn
+        give((Z, g1, b1), ln1, (g_zn, xhat))
+
+    parents = (Z, g1, b1, U) + (() if W is None else (W,)) + (g2, b2, D)
+    return ad.Tensor(value, _parents=parents, _vjp=vjp)
 
 
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:

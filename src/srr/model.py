@@ -3,10 +3,10 @@ per-layer probes, parameter counting/initialization, and checkpoints.
 
 A layer maps Z to ista_step(LN2(attention_update(LN1(Z)))) — layer norm
 before each of the two operators, with the attention update carrying its
-own residual branch.  Each operator takes its layer norm as ``pre_norm``,
-so a traced layer is two autodiff nodes.  Probes evaluate the
-sparse-rate-reduction measure of each layer's raw (post-ISTA) output
-against that layer's own basis.
+own residual branch.  A traced layer is one autodiff node
+(``layers._traced_layer``).  Probes evaluate the sparse-rate-reduction
+measure of each layer's raw (post-ISTA) output against that layer's own
+basis.
 """
 
 from __future__ import annotations
@@ -199,8 +199,9 @@ class Model:
         ``tokens``: a (d, N) or (B, d, N) ndarray (inference), or a traced
         Tensor (training, with dropout from ``rng`` when ``cfg.dropout > 0``).
         Returns (logits, cache); ``cache`` is None unless ``keep_cache``.
-        ``_cut_inputs`` (traced, LayerNorm on) feeds each layer a ``cut`` of
-        its input through ``apply_layer``; the cache then holds the cuts.
+        ``ln_identity`` bypasses LayerNorm, on inference only.
+        ``_cut_inputs`` (traced) feeds each layer a ``cut`` of its input
+        through ``apply_layer``; the cache then holds the cuts.
         """
         cfg = self.cfg
         traced = isinstance(tokens, Tensor)
@@ -209,6 +210,8 @@ class Model:
         if tokens.shape[-2] != cfg.d:
             raise ShapeError(f"token dimension {tokens.shape[-2]} does not match width {cfg.d}")
         n_tok = tokens.shape[-1]
+        if traced and ln_identity:
+            raise ConfigError("ln_identity is an inference option: a traced forward always normalizes")
         use_dropout = traced and cfg.dropout > 0.0
         if use_dropout and rng is None:
             raise ConfigError("training-mode dropout needs an rng")
@@ -278,18 +281,21 @@ def _dropout_mask(rng, shape, p: float) -> np.ndarray:
 
 def _apply_layer(Z, P: dict, i: int, cfg: ModelConfig, ln_identity: bool, attn_masks, out_mask, ws=None):
     """Layer ``i`` of the table ``P`` (Tensors or arrays) on ``Z``, with alpha,
-    beta, K, lambda, the variant and the attention scale for Z from ``cfg``.
-    With a workspace ``ws`` the result is its ``ista.out`` buffer; each
-    operator reads only buffers that the one it overwrites does not hold."""
+    beta, K, lambda, the variant and the attention scale for Z from ``cfg``:
+    on a Tensor one autodiff node, on an ndarray the four kernels.  With a
+    workspace ``ws`` the result is its ``ista.out`` buffer; each operator
+    reads only buffers that the one it overwrites does not hold."""
     w = f"layers.{i}."
-    norm1 = norm2 = None
-    if not ln_identity:
-        norm1, norm2 = ((P[w + f"ln{j}_gain"], P[w + f"ln{j}_bias"]) for j in (1, 2))
+    norm1, norm2 = ((P[w + f"ln{j}_gain"], P[w + f"ln{j}_bias"]) for j in (1, 2))
     gamma = cfg.attention_gamma(Z.shape[-1])
-    Za = ly.attention_update(
-        Z, P[w + "U"], cfg.K, cfg.variant, gamma, cfg.alpha, P.get(w + "W"), attn_masks, out_mask, ws, norm1
-    )
-    return ly.ista_step(Za, P[w + "D"], cfg.beta, cfg.lambda_sparsity, ws, norm2)
+    U, W, D = P[w + "U"], P.get(w + "W"), P[w + "D"]
+    if isinstance(Z, Tensor):
+        return ly._traced_layer(Z, norm1, U, W, norm2, D, cfg.K, cfg.variant, gamma, cfg.alpha, cfg.beta,
+                                cfg.lambda_sparsity, attn_masks, out_mask)
+    Zn = Z if ln_identity else ly.layer_norm(Z, *norm1, ws)
+    Za = ly.attention_update(Zn, U, cfg.K, cfg.variant, gamma, cfg.alpha, W, attn_masks, out_mask, ws)
+    Ya = Za if ln_identity else ly.layer_norm(Za, *norm2, ws)
+    return ly.ista_step(Ya, D, cfg.beta, cfg.lambda_sparsity, ws)
 
 
 def _layer_rates(Z, U, num_heads: int, gamma: float, full_scale: float):

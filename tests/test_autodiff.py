@@ -35,6 +35,19 @@ def grad_of(build, x0):
     return x.grad
 
 
+def layer_norm_ones(d):
+    return ad.Tensor(np.ones(d)), ad.Tensor(np.zeros(d))
+
+
+def layer_node(z, U, D, num_heads, variant, norm2=None, lam=0.1):
+    """A traced layer at gamma = alpha = 1, beta = 0.5, its first layer norm
+    plain (unit gain, zero bias), the second ``norm2`` (plain when None)."""
+    d = z.shape[-2]
+    norm2 = layer_norm_ones(d) if norm2 is None else tuple(ad.as_tensor(v) for v in norm2)
+    U, D = ad.as_tensor(U), ad.as_tensor(D)
+    return layers._traced_layer(z, layer_norm_ones(d), U, None, norm2, D, num_heads, variant, 1.0, 1.0, 0.5, lam)
+
+
 class TestBasicOps:
     def test_add_mul_values(self):
         a = ad.Tensor([1.0, 2.0])
@@ -56,8 +69,8 @@ class TestBasicOps:
             ad.logdet_gram(ad.softmax_cols(a @ a), 1.0),
             ad.layer_norm_cols(a, np.ones(4), np.zeros(4)),
             ad.softmax_cross_entropy(a[:, 0, :], np.array([0, 1])),
-            layers.ista_step(a * 2.0 - 1.0, np.eye(4), 0.5, 0.1) + np.zeros((3, 2, 4, 4)),
-            layers.attention_update(ad.Tensor(a.data.mT), np.eye(4), 2, layers.CRATE_C, 1.0).mean(),
+            layer_node(a * 2.0 - 1.0, np.eye(4), np.eye(4), 2, layers.CRATE_C) + np.zeros((3, 2, 4, 4)),
+            layer_node(ad.Tensor(a.data.mT), np.eye(4), np.eye(4), 2, layers.CRATE_IDENTITY).mean(),
         ]
         for out in outs:
             assert out._vjp is None and out._parents == () and not out.requires_grad
@@ -129,28 +142,31 @@ class TestBasicOps:
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_relu(self):
-        # the ReLU lives in the ISTA node: with D = 0 and no threshold the step is one
-        x0 = np.array([[-1.0, 0.0, 2.0]])
-        t = ad.Tensor(x0, requires_grad=True)
-        y = layers.ista_step(t, np.zeros((1, 1)), 0.5, 0.0)
-        np.testing.assert_allclose(y.data, [[0.0, 0.0, 2.0]])
+        # the ReLU lives in the layer node: with the second layer norm's gain
+        # 0, D = 0 and no threshold, a one-token layer is the ReLU of that
+        # layer norm's bias, one entry per feature
+        z = ad.Tensor(rng_for(10).standard_normal((3, 1)), requires_grad=True)
+        bias = ad.Tensor([-1.0, 0.0, 2.0], requires_grad=True)
+        y = layer_node(z, np.eye(3), np.zeros((3, 3)), 1, layers.CRATE_C, norm2=(np.zeros(3), bias), lam=0.0)
+        np.testing.assert_allclose(y.data, [[0.0], [0.0], [2.0]])
         y.sum().backward()
-        np.testing.assert_allclose(t.grad, [[0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(bias.grad, [0.0, 0.0, 1.0])
+        assert not z.grad.any()  # a zero gain passes no cotangent on
 
     def test_concat_gradient_split(self):
-        # the attention node splits the head stack's cotangent by rows: with
-        # the identity output, a cotangent on head 1's rows alone reaches
-        # only head 1's block of the basis
-        z0 = rng_for(10).standard_normal((4, 3))
-        u = ad.Tensor(rng_for(11).standard_normal((4, 4)), requires_grad=True)
-        w = np.zeros((4, 3))
-        w[2:] = np.arange(6.0).reshape(2, 3)
-        out = layers.attention_update(ad.Tensor(z0), u, 2, layers.CRATE_IDENTITY, 1.0)
-        (out * w).sum().backward()
-        assert not u.grad[:, :2].any() and u.grad[:, 2:].all()
+        # the layer node splits the head stack's cotangent by rows, one block
+        # of the basis per head: with the identity output, U's gradient is
+        # the ndarray layer's by finite differences
+        z0 = rng_for(11).standard_normal((4, 3))
+        u = ad.Tensor(rng_for(12).standard_normal((4, 4)), requires_grad=True)
+        d = rng_for(13).standard_normal((4, 4)) / 2.0
+        w = rng_for(14).standard_normal((4, 3))
+        (layer_node(ad.Tensor(z0), u, d, 2, layers.CRATE_IDENTITY) * w).sum().backward()
 
         def loss(a):
-            return float(np.sum(layers.attention_update(z0, a, 2, layers.CRATE_IDENTITY, 1.0) * w))
+            plain = np.ones(4), np.zeros(4)
+            za = layers.attention_update(layers.layer_norm(z0, *plain), a, 2, layers.CRATE_IDENTITY, 1.0)
+            return float(np.sum(layers.ista_step(layers.layer_norm(za, *plain), d, 0.5, 0.1) * w))
 
         np.testing.assert_allclose(u.grad, numeric_grad(loss, u.data.copy()), atol=1e-6)
 
@@ -450,7 +466,7 @@ class TestAccumulation:
 
     def test_one_sample_chunks_add_the_products_in_sample_order(self, monkeypatch):
         # one product per chunk at paper geometry: every product after the first
-        # is written into one reused buffer and added in sample order
+        # is added into the running sum in sample order
         a, z = rng_for(45).standard_normal((8, 384, 65)), rng_for(46).standard_normal((8, 384, 65))
         monkeypatch.setattr(ad, "_PRODUCT_BYTES", 8 * 384 * 384)
         want = a[0] @ z[0].T

@@ -13,6 +13,7 @@ from srr.layers import (
     VARIANTS,
     Workspace,
     _head_scores,
+    _traced_layer,
     attention_update,
     ista_step,
     layer_norm,
@@ -66,12 +67,15 @@ class TestMssa:
         assert np.isnan(out).any()
 
     def test_tensor_path_matches_numpy(self):
-        # on Tensors the per-head loop runs inside the attention node, whose
-        # crate_c update at gamma = 1 is Z + mssa(Z)
+        # on Tensors the per-head loop runs inside the layer node, whose
+        # crate_c update at gamma = 1 is Zn + mssa(Zn)
         Z = rng_for(7).standard_normal((8, 5))
-        U = orthonormal_basis(8, seed=8)
-        t = attention_update(ad.Tensor(Z, requires_grad=True), ad.Tensor(U), 2, CRATE_C, gamma=1.0)
-        np.testing.assert_allclose(t.data - Z, mssa(Z, U, num_heads=2), atol=1e-14)
+        U, D = orthonormal_basis(8, seed=8), rng_for(9).standard_normal((8, 8)) / np.sqrt(8)
+        (g1, b1), (g2, b2) = norms = layer_norms(8, 6)
+        zn = layer_norm(Z, g1, b1)
+        want = ista_step(layer_norm(zn + mssa(zn, U, num_heads=2), g2, b2), D, 0.5, 0.1)
+        got = traced_layer(ad.Tensor(Z, requires_grad=True), norms, U, D, 2, CRATE_C, gamma=1.0)
+        np.testing.assert_allclose(got.data, want, atol=1e-14)
 
 
 class TestAttentionUpdate:
@@ -174,10 +178,13 @@ class TestIstaStep:
             ista_step(np.zeros((2, 2)), np.eye(2), beta=-0.1, lambda_sparsity=0.1)
 
     def test_tensor_path(self):
-        Y = rng_for(34).standard_normal((5, 3))
-        D = rng_for(35).standard_normal((5, 5))
-        got = ista_step(ad.Tensor(Y, requires_grad=True), ad.Tensor(D), 0.5, 0.1)
-        np.testing.assert_allclose(got.data, ista_step(Y, D, 0.5, 0.1), atol=1e-15)
+        # on Tensors the step runs inside the layer node, on the second layer norm's output
+        Z = rng_for(34).standard_normal((2, 6, 3))
+        U, D = orthonormal_basis(6, seed=36), rng_for(35).standard_normal((6, 6))
+        (g1, b1), (g2, b2) = norms = layer_norms(6, 37)
+        za = attention_update(layer_norm(Z, g1, b1), U, 3, CRATE_T, 0.9)
+        got = traced_layer(ad.Tensor(Z, requires_grad=True), norms, U, D, 3, CRATE_T, 0.9)
+        np.testing.assert_allclose(got.data, ista_step(layer_norm(za, g2, b2), D, 0.5, 0.1), atol=1e-14)
 
 
 class TestLayerNorm:
@@ -219,9 +226,9 @@ class TestLayerNorm:
         gain, bias = rng_for(50).standard_normal(4), rng_for(51).standard_normal(4)
         with np.errstate(over="ignore"):
             outs = [layer_norm(Z, gain, bias),
-                    layer_norm(ad.Tensor(Z, requires_grad=True), ad.Tensor(gain), ad.Tensor(bias)).data]
+                    ad.layer_norm_cols(ad.Tensor(Z, requires_grad=True), ad.Tensor(gain), ad.Tensor(bias)).data]
         alone = [layer_norm(Z[:, 1:], gain, bias),
-                 layer_norm(ad.Tensor(Z[:, 1:], requires_grad=True), ad.Tensor(gain), ad.Tensor(bias)).data]
+                 ad.layer_norm_cols(ad.Tensor(Z[:, 1:], requires_grad=True), ad.Tensor(gain), ad.Tensor(bias)).data]
         for out, ref in zip(outs, alone):
             assert np.isnan(out[:, 0]).all()
             assert np.array_equal(out[:, 1:], ref)
@@ -243,8 +250,22 @@ class TestLayerNorm:
         Z = rng_for(46).standard_normal((8, 3))
         gain = rng_for(47).standard_normal(8)
         bias = rng_for(48).standard_normal(8)
-        got = layer_norm(ad.Tensor(Z, requires_grad=True), ad.Tensor(gain), ad.Tensor(bias))
+        got = ad.layer_norm_cols(ad.Tensor(Z, requires_grad=True), ad.Tensor(gain), ad.Tensor(bias))
         np.testing.assert_allclose(got.data, layer_norm(Z, gain, bias), atol=1e-14)
+
+
+def layer_norms(d, seed):
+    """Two (gain, bias) pairs of length d, away from the unit gain and zero bias."""
+    return [(1.0 + 0.3 * rng_for(seed, j).standard_normal(d), 0.5 * rng_for(seed, j + 2).standard_normal(d))
+            for j in (0, 1)]
+
+
+def traced_layer(Z, norms, U, D, num_heads, variant, gamma, W=None, beta=0.5, lam=0.1):
+    """``_traced_layer`` with every ndarray weight as a constant Tensor, at alpha = 1."""
+    (g1, b1), (g2, b2) = [[ad.as_tensor(v) for v in pair] for pair in norms]
+    U, D = ad.as_tensor(U), ad.as_tensor(D)
+    W = None if W is None else ad.as_tensor(W)
+    return _traced_layer(Z, (g1, b1), U, W, (g2, b2), D, num_heads, variant, gamma, 1.0, beta, lam)
 
 
 # Oracles: the plain ndarray expressions the in-place kernels replaced.  The
@@ -351,7 +372,7 @@ class TestKernelOracles:
         stacked_attention_heads(Z, U, 4, ws=ws)
         assert ws.buffers["heads.S"].shape == (9,) + batch + (9,)
         assert ws.buffers["heads.S"].flags.c_contiguous
-        # the one helper that forms S in the forward and re-forms it in the attention node's VJP
+        # the one helper that forms S in the forward and re-forms it in the layer node's VJP
         saved = []
         stacked_attention_heads(Z, U, 4, _saved=saved)
         assert len(saved) == 4
@@ -402,10 +423,10 @@ class TestKernelOracles:
         assert np.array_equal(model.embed_inputs(raw[0]), embed_oracle(model, raw[:1])[0])
 
 
-# Oracles of the fused autodiff nodes: the composed Tensor graphs that the
-# attention update and the ISTA step were built from, with the ReLU and the
-# row concatenation as the autodiff ops they were.  The nodes must give their
-# values and every gradient bit for bit.
+# Oracles of the layer node: the composed Tensor graph that a traced layer
+# was built from (layer norms, the attention update, the ISTA step), with the
+# ReLU and the row concatenation as the autodiff ops they were.  The node must
+# give its value and every gradient bit for bit.
 
 
 def relu_oracle(t):
@@ -449,6 +470,12 @@ def composed_ista(Y, D, beta, lam):
     return relu_oracle(Y + beta * (transpose_oracle(D) @ resid) - beta * lam)
 
 
+def composed_layer(Z, g1, b1, U, g2, b2, D, num_heads, variant, gamma, alpha, beta, lam, W=None, attn_masks=None,
+                   out_mask=None):
+    za = composed_attention(ad.layer_norm_cols(Z, g1, b1), U, num_heads, variant, gamma, alpha, W, attn_masks, out_mask)
+    return composed_ista(ad.layer_norm_cols(za, g2, b2), D, beta, lam)
+
+
 def _walk_both(build, leaves, first_w, second_w, segmented):
     """Value of ``build`` on fresh leaves, and each leaf's gradient after a
     plain walk of <out, first_w>, or a segmented one that adds <out, second_w>
@@ -464,120 +491,56 @@ def _walk_both(build, leaves, first_w, second_w, segmented):
     return out.data, [t.grad for t in tensors]
 
 
-class TestFusedNodes:
+class TestLayerNode:
     @pytest.mark.parametrize("batch", [(3,), ()])
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("segmented", [False, True])
-    def test_attention_node_is_the_composed_graph(self, batch, variant, dropout, segmented):
+    def test_layer_node_is_the_composed_layer(self, batch, variant, dropout, segmented):
         d, K, N = 12, 3, 5
-        Z = rng_for(90).standard_normal(batch + (d, N))
-        U = orthonormal_basis(d, seed=91) * 1.7
-        W = rng_for(92).standard_normal((d, d)) / np.sqrt(d) if variant in (CRATE, CRATE_FIX) else None
+        Z = rng_for(90).standard_normal(batch + (d, N)) * 2.0 + 0.5
+        (g1, b1), (g2, b2) = layer_norms(d, 91)
+        U = orthonormal_basis(d, seed=92) * 1.7
+        D = rng_for(93).standard_normal((d, d)) / np.sqrt(d)
+        W = rng_for(94).standard_normal((d, d)) / np.sqrt(d) if variant in (CRATE, CRATE_FIX) else None
         masks = out_mask = None
         if dropout:
-            masks = [(rng_for(93, k).random(batch + (N, N)) < 0.8) / 0.8 for k in range(K)]
-            out_mask = (rng_for(94).random(batch + (d, N)) < 0.8) / 0.8
-        leaves = [(Z, True), (U, True)] + ([] if W is None else [(W, variant == CRATE)])
-        w1, w2 = rng_for(95).standard_normal(Z.shape), rng_for(96).standard_normal(Z.shape)
+            masks = [(rng_for(95, k).random(batch + (N, N)) < 0.8) / 0.8 for k in range(K)]
+            out_mask = (rng_for(96).random(batch + (d, N)) < 0.8) / 0.8
+        leaves = [(a, True) for a in (Z, g1, b1, U, g2, b2, D)] + ([] if W is None else [(W, variant == CRATE)])
+        w1, w2 = rng_for(97).standard_normal(Z.shape), rng_for(98).standard_normal(Z.shape)
 
-        def run(op):
-            def build(z, u, w=None):
-                return op(z, u, K, variant, 0.8, 0.9, w, masks, out_mask)
-
-            return _walk_both(build, leaves, w1, w2, segmented)
-
-        (got, got_grads), (want, want_grads) = run(attention_update), run(composed_attention)
-        assert np.array_equal(got, want)
-        for g, h in zip(got_grads, want_grads):
-            assert (g is None and h is None) or np.array_equal(g, h)
-        assert got_grads[0] is not None and got_grads[1] is not None
-
-    @pytest.mark.parametrize("batch", [(3,), ()])
-    @pytest.mark.parametrize("segmented", [False, True])
-    def test_ista_node_is_the_composed_graph(self, batch, segmented):
-        Y = rng_for(97).standard_normal(batch + (10, 6))
-        D = rng_for(98).standard_normal((10, 10)) / np.sqrt(10)
-        w1, w2 = rng_for(99).standard_normal(Y.shape), rng_for(100).standard_normal(Y.shape)
-
-        def run(op):
-            return _walk_both(lambda y, dm: op(y, dm, 0.4, 0.3), [(Y, True), (D, True)], w1, w2, segmented)
-
-        (got, got_grads), (want, want_grads) = run(ista_step), run(composed_ista)
-        assert np.array_equal(got, want)
-        assert (got == 0).any() and (got > 0).any()
-        for g, h in zip(got_grads, want_grads):
-            assert np.array_equal(g, h)
-
-    @pytest.mark.parametrize("batch", [(3,), ()])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("dropout", [False, True])
-    @pytest.mark.parametrize("segmented", [False, True])
-    def test_attention_node_folds_its_layer_norm(self, batch, variant, dropout, segmented):
-        # one node against two: layer_norm_cols, then the attention node on its output
-        d, K, N = 12, 3, 5
-        Z = rng_for(105).standard_normal(batch + (d, N)) * 2.0 + 0.5
-        U = orthonormal_basis(d, seed=106) * 1.7
-        W = rng_for(107).standard_normal((d, d)) / np.sqrt(d) if variant in (CRATE, CRATE_FIX) else None
-        gain, bias = 1.0 + 0.3 * rng_for(108).standard_normal(d), rng_for(109).standard_normal(d)
-        masks = out_mask = None
-        if dropout:
-            masks = [(rng_for(110, k).random(batch + (N, N)) < 0.8) / 0.8 for k in range(K)]
-            out_mask = (rng_for(111).random(batch + (d, N)) < 0.8) / 0.8
-        leaves = [(Z, True), (gain, True), (bias, True), (U, True)] + ([] if W is None else [(W, variant == CRATE)])
-        w1, w2 = rng_for(112).standard_normal(Z.shape), rng_for(113).standard_normal(Z.shape)
-
-        def run(fold):
-            def build(z, g, b, u, w=None):
-                if fold:
-                    return attention_update(z, u, K, variant, 0.8, 0.9, w, masks, out_mask, pre_norm=(g, b))
-                return attention_update(ad.layer_norm_cols(z, g, b), u, K, variant, 0.8, 0.9, w, masks, out_mask)
+        def run(fused):
+            def build(z, g1, b1, u, g2, b2, dm, w=None):
+                if fused:
+                    return _traced_layer(
+                        z, (g1, b1), u, w, (g2, b2), dm, K, variant, 0.8, 0.9, 0.4, 0.3, masks, out_mask
+                    )
+                return composed_layer(z, g1, b1, u, g2, b2, dm, K, variant, 0.8, 0.9, 0.4, 0.3, w, masks, out_mask)
 
             return _walk_both(build, leaves, w1, w2, segmented)
 
         (got, got_grads), (want, want_grads) = run(True), run(False)
         assert np.array_equal(got, want)
-        for g, h in zip(got_grads, want_grads):
-            assert (g is None and h is None) or np.array_equal(g, h)
-        assert all(g is not None for g in got_grads[:4])
-
-    @pytest.mark.parametrize("batch", [(3,), ()])
-    @pytest.mark.parametrize("segmented", [False, True])
-    def test_ista_node_folds_its_layer_norm(self, batch, segmented):
-        # one node against two: layer_norm_cols, then the ISTA node on its output
-        Y = rng_for(114).standard_normal(batch + (10, 6)) * 1.5 + 0.3
-        D = rng_for(115).standard_normal((10, 10)) / np.sqrt(10)
-        gain, bias = 1.0 + 0.3 * rng_for(116).standard_normal(10), 0.5 * rng_for(117).standard_normal(10)
-        w1, w2 = rng_for(118).standard_normal(Y.shape), rng_for(119).standard_normal(Y.shape)
-
-        def run(fold):
-            def build(y, dm, g, b):
-                if fold:
-                    return ista_step(y, dm, 0.4, 0.3, pre_norm=(g, b))
-                return ista_step(ad.layer_norm_cols(y, g, b), dm, 0.4, 0.3)
-
-            return _walk_both(build, [(Y, True), (D, True), (gain, True), (bias, True)], w1, w2, segmented)
-
-        (got, got_grads), (want, want_grads) = run(True), run(False)
-        assert np.array_equal(got, want)
         assert (got == 0).any() and (got > 0).any()
         for g, h in zip(got_grads, want_grads):
-            assert np.array_equal(g, h)
+            assert (g is None and h is None) or np.array_equal(g, h)
+        assert all(g is not None for g in got_grads[:7])
+        assert (variant != CRATE_FIX) or got_grads[7] is None
 
     def test_each_walk_reads_its_own_cotangent(self):
-        # two walks over the same nodes, the second with twice the cotangent:
-        # doubling is exact, so any state kept from the first walk (a
-        # re-formed softmax or layer-norm output among them) shows; the layer
-        # runs once without layer norms and once with both folded in
+        # two walks over the same two layer nodes, the second with twice the
+        # cotangent: doubling is exact, so any state kept from the first walk
+        # (a re-formed softmax, x-hat or normalized input among them) shows
         Z = ad.Tensor(rng_for(101).standard_normal((2, 12, 5)), requires_grad=True)
         U = ad.Tensor(orthonormal_basis(12, seed=102), requires_grad=True)
         D = ad.Tensor(rng_for(103).standard_normal((12, 12)) / np.sqrt(12), requires_grad=True)
-        gains_biases = [ad.Tensor(rng_for(120, i).standard_normal(12), requires_grad=True) for i in range(4)]
-        norms = gains_biases[:2], gains_biases[2:]
+        gains_biases = [ad.Tensor(rng_for(120, i).standard_normal(12), requires_grad=True) for i in range(8)]
+        out = Z * 1.0
+        for j in (0, 4):  # both layers share U and D
+            g1, b1, g2, b2 = gains_biases[j : j + 4]
+            out = _traced_layer(out, (g1, b1), U, None, (g2, b2), D, 3, CRATE_C, 0.8, 1.0, 0.5, 0.1)
         leaves = [Z, U, D, *gains_biases]
-        plain = ista_step(attention_update(Z * 1.0, U, 3, CRATE_C, 0.8), D, 0.5, 0.1)
-        normed = attention_update(Z * 1.0, U, 3, CRATE_C, 0.8, pre_norm=norms[0])
-        out = plain + ista_step(normed, D, 0.5, 0.1, pre_norm=norms[1])
         w = rng_for(104).standard_normal(out.shape)
         (out * w).sum().backward()
         first = [t.grad for t in leaves]

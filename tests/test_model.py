@@ -238,6 +238,26 @@ class TestForward:
         with pytest.raises(ConfigError):
             model.run(tok)
 
+    def test_traced_forward_refuses_ln_identity(self):
+        # an inference option: the layer node always normalizes
+        cfg = tiny_cfg()
+        model = init_model(cfg)
+        with pytest.raises(ConfigError, match="ln_identity"):
+            model.run(model.embed_inputs(tiny_batch(cfg), train_mode=True), ln_identity=True)
+
+    @pytest.mark.parametrize("variant", [CRATE_C, CRATE])
+    def test_traced_forward_is_one_node_per_layer(self, variant):
+        # each layer's output is the node on its input and its own parameters
+        cfg = tiny_cfg(L=3, variant=variant)
+        model = init_model(cfg)
+        Z = model.embed_inputs(tiny_batch(cfg), train_mode=True)
+        _, cache = model.run(Z, keep_cache=True)
+        names = ("ln1_gain", "ln1_bias", "U") + (("W",) if variant == CRATE else ()) + ("ln2_gain", "ln2_bias", "D")
+        for i, entry in enumerate(cache):
+            assert entry["input"] is Z
+            assert entry["output"]._parents == (Z,) + tuple(model.params[f"layers.{i}.{n}"] for n in names)
+            Z = entry["output"]
+
     def test_ln_identity_composition(self):
         from srr.layers import attention_update, ista_step
 
@@ -420,9 +440,9 @@ class TestMemory:
         held(2)  # warm-up: one-time first-call allocations land here, not in the figure
         per_layer = held(3) - held(2)
         tokens, gram, column = B * d * N * 8, B * N * N * 8, B * N * 8
-        # two nodes, each with its layer norm's mean and 1/std columns:
-        # attention keeps its output and every A_k (d rows in all), ISTA its
-        # output and the residual Y - D Y; no softmax S_k, no normalized input
+        # one node: both layer norms' mean and 1/std columns, the attention
+        # output and every A_k (d rows in all), the layer output and the
+        # residual Y - D Y; no softmax S_k, no normalized input
         arrays = 2 * (2 * tokens + 2 * column)
         assert arrays == 156_800
         # the rest is node and closure objects, far below one extra (B, N, N) array
@@ -444,7 +464,7 @@ class TestMemory:
         held(2)  # warm-up
         per_layer = held(3) - held(2)
         tokens, column = B * d * N * 8, B * N * 8
-        # the layer's two nodes as without the regularizer; its R_c term keeps
+        # the layer's node as without the regularizer; its R_c term keeps
         # the K head projections U_k^T Z (d rows in all), and R keeps nothing
         # beyond its input, the layer output the tape holds anyway
         arrays = 2 * (2 * tokens + 2 * column) + tokens
@@ -470,6 +490,25 @@ class TestMemory:
 
         assert peak(ad._PRODUCT_BYTES) >= stack  # one reduce over the whole stack
         assert peak(d * d * 8) < stack  # one product at a time
+
+    @pytest.mark.parametrize("reg_mode", ["none", "all_layers"])
+    def test_backward_peak_is_the_two_node_tapes_and_one_token_array(self, reg_mode):
+        # tracemalloc peak rise of gradients() at paper width, three layers,
+        # after a warm-up walk.  The tape of two nodes a layer (attention and
+        # ISTA, each with its layer norm folded in) peaked at these figures;
+        # the layer node holds the layer output's cotangent through its whole
+        # VJP, at most one (B, d, N) array more
+        from srr.training import TrainConfig, gradients, srr_regularized_loss
+
+        B, d, N = 8, 384, 65
+        two_node_peak = {"none": 21_932_196, "all_layers": 23_347_428}[reg_mode]
+        model = init_model(ModelConfig(L=3, d=d, K=6, feat_dim=6, num_tokens=N - 1, num_classes=3))
+        cfg = TrainConfig(batch_size=B, reg_mode=reg_mode, eta_reg=0.0 if reg_mode == "none" else 1e-3)
+        batch = rng_for(1).standard_normal((B, 6, N - 1)), np.arange(B) % 3
+        for _ in range(2):
+            loss, _ = srr_regularized_loss(model, batch, cfg)
+            peak = traced(lambda: gradients(loss, model.trainable_params()))[2]
+        assert peak <= two_node_peak + B * d * N * 8, peak
 
     def test_second_logits_call_allocates_no_large_array(self):
         # desk geometry: (256, 32, 9) tokens; every (B, ., N) temporary comes
