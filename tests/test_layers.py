@@ -491,22 +491,27 @@ def _walk_both(build, leaves, first_w, second_w, segmented):
     return out.data, [t.grad for t in tensors]
 
 
+def layer_case(batch, variant, dropout, d=12, K=3, N=5):
+    """A layer's input, weights and dropout masks: (Z, norms, U, D, W, masks, out_mask)."""
+    Z = rng_for(90).standard_normal(batch + (d, N)) * 2.0 + 0.5
+    U = orthonormal_basis(d, seed=92) * 1.7
+    D = rng_for(93).standard_normal((d, d)) / np.sqrt(d)
+    W = rng_for(94).standard_normal((d, d)) / np.sqrt(d) if variant in (CRATE, CRATE_FIX) else None
+    masks = out_mask = None
+    if dropout:
+        masks = [(rng_for(95, k).random(batch + (N, N)) < 0.8) / 0.8 for k in range(K)]
+        out_mask = (rng_for(96).random(batch + (d, N)) < 0.8) / 0.8
+    return Z, layer_norms(d, 91), U, D, W, masks, out_mask
+
+
 class TestLayerNode:
     @pytest.mark.parametrize("batch", [(3,), ()])
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("segmented", [False, True])
     def test_layer_node_is_the_composed_layer(self, batch, variant, dropout, segmented):
-        d, K, N = 12, 3, 5
-        Z = rng_for(90).standard_normal(batch + (d, N)) * 2.0 + 0.5
-        (g1, b1), (g2, b2) = layer_norms(d, 91)
-        U = orthonormal_basis(d, seed=92) * 1.7
-        D = rng_for(93).standard_normal((d, d)) / np.sqrt(d)
-        W = rng_for(94).standard_normal((d, d)) / np.sqrt(d) if variant in (CRATE, CRATE_FIX) else None
-        masks = out_mask = None
-        if dropout:
-            masks = [(rng_for(95, k).random(batch + (N, N)) < 0.8) / 0.8 for k in range(K)]
-            out_mask = (rng_for(96).random(batch + (d, N)) < 0.8) / 0.8
+        K = 3
+        Z, ((g1, b1), (g2, b2)), U, D, W, masks, out_mask = layer_case(batch, variant, dropout)
         leaves = [(a, True) for a in (Z, g1, b1, U, g2, b2, D)] + ([] if W is None else [(W, variant == CRATE)])
         w1, w2 = rng_for(97).standard_normal(Z.shape), rng_for(98).standard_normal(Z.shape)
 
@@ -528,19 +533,84 @@ class TestLayerNode:
         assert all(g is not None for g in got_grads[:7])
         assert (variant != CRATE_FIX) or got_grads[7] is None
 
-    def test_each_walk_reads_its_own_cotangent(self):
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_layer_node_value_is_the_ndarray_layer(self, batch, variant, dropout):
+        # the training forward against the inference one (layer norm,
+        # attention update, layer norm, ISTA step on a workspace); the node
+        # leaves every input untouched, in its forward and in its VJP
+        Z, ((g1, b1), (g2, b2)), U, D, W, masks, out_mask = layer_case(batch, variant, dropout)
+        ws = Workspace()
+        za = attention_update(layer_norm(Z, g1, b1, ws), U, 3, variant, 0.8, 0.9, W, masks, out_mask, ws)
+        want = ista_step(layer_norm(za, g2, b2, ws), D, 0.4, 0.3, ws).copy()
+        inputs = [Z, g1, b1, U, g2, b2, D] + ([] if W is None else [W])
+        copies = [a.copy() for a in inputs] + [m.copy() for m in (masks or [])]
+        z = ad.Tensor(Z, requires_grad=True)
+        w = None if W is None else ad.Tensor(W, requires_grad=True)
+        got = _traced_layer(z, [ad.Tensor(g1), ad.Tensor(b1)], ad.Tensor(U, requires_grad=True), w,
+                            [ad.Tensor(g2), ad.Tensor(b2)], ad.Tensor(D), 3, variant, 0.8, 0.9, 0.4, 0.3, masks,
+                            out_mask)
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+        (got * rng_for(99).standard_normal(Z.shape)).sum().backward()
+        for a, c in zip(inputs + (masks or []), copies):
+            assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_layer_node_matches_finite_differences(self, batch, variant, dropout):
+        # each trained leaf's gradient against a central difference of
+        # <out, w> along a random direction: a check that reads no oracle
+        Z, ((g1, b1), (g2, b2)), U, D, W, masks, out_mask = layer_case(batch, variant, dropout)
+        arrays = [Z, g1, b1, U, g2, b2, D] + ([] if W is None else [W])
+        trained = [True] * 7 + ([] if W is None else [variant == CRATE])
+        w = rng_for(110).standard_normal(Z.shape)
+
+        def loss(*values, grad=False):
+            ts = [ad.Tensor(a, requires_grad=grad and t) for a, t in zip(values, trained)]
+            z, g1, b1, u, g2, b2, dm, *rest = ts
+            out = _traced_layer(z, (g1, b1), u, rest[0] if rest else None, (g2, b2), dm, 3, variant, 0.8, 0.9, 0.4,
+                                0.3, masks, out_mask)
+            return (out * w).sum(), out, ts
+
+        total, out, leaves = loss(*arrays, grad=True)
+        assert (out.data == 0).any() and (out.data > 0).any()
+        total.backward()
+        eps = 1e-6
+        for i, (t, is_trained) in enumerate(zip(leaves, trained)):
+            if not is_trained:
+                assert t.grad is None
+                continue
+            v = rng_for(111, i).standard_normal(arrays[i].shape)
+            shifted = [[a + s * eps * v if j == i else a for j, a in enumerate(arrays)] for s in (1.0, -1.0)]
+            fd = (loss(*shifted[0])[0].item() - loss(*shifted[1])[0].item()) / (2 * eps)
+            exact = float(np.sum(t.grad * v))
+            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_each_walk_reads_its_own_cotangent(self, variant, dropout):
         # two walks over the same two layer nodes, the second with twice the
         # cotangent: doubling is exact, so any state kept from the first walk
-        # (a re-formed softmax, x-hat or normalized input among them) shows
+        # (a re-formed softmax, head stack, x-hat or normalized input among
+        # them) shows
         Z = ad.Tensor(rng_for(101).standard_normal((2, 12, 5)), requires_grad=True)
         U = ad.Tensor(orthonormal_basis(12, seed=102), requires_grad=True)
         D = ad.Tensor(rng_for(103).standard_normal((12, 12)) / np.sqrt(12), requires_grad=True)
+        W = None
+        if variant in (CRATE, CRATE_FIX):
+            W = ad.Tensor(rng_for(105).standard_normal((12, 12)) / np.sqrt(12), requires_grad=variant == CRATE)
+        masks = out_mask = None
+        if dropout:
+            masks = [(rng_for(106, k).random((2, 5, 5)) < 0.8) / 0.8 for k in range(3)]
+            out_mask = (rng_for(107).random((2, 12, 5)) < 0.8) / 0.8
         gains_biases = [ad.Tensor(rng_for(120, i).standard_normal(12), requires_grad=True) for i in range(8)]
         out = Z * 1.0
-        for j in (0, 4):  # both layers share U and D
+        for j in (0, 4):  # both layers share U, W, D and the masks
             g1, b1, g2, b2 = gains_biases[j : j + 4]
-            out = _traced_layer(out, (g1, b1), U, None, (g2, b2), D, 3, CRATE_C, 0.8, 1.0, 0.5, 0.1)
-        leaves = [Z, U, D, *gains_biases]
+            out = _traced_layer(out, (g1, b1), U, W, (g2, b2), D, 3, variant, 0.8, 1.0, 0.5, 0.1, masks, out_mask)
+        leaves = [Z, U, D, *gains_biases] + ([W] if variant == CRATE else [])
         w = rng_for(104).standard_normal(out.shape)
         (out * w).sum().backward()
         first = [t.grad for t in leaves]
