@@ -24,12 +24,6 @@ are those of a fresh ``grad + g`` per term.  A batched product summed down
 to a shared weight (``_matmul_sum``) is formed at most ``_PRODUCT_BYTES``
 of per-sample products at a time.
 
-A ``cut`` is an identity node where a segment of the tape begins;
-``segmented_sum``, the one op with a VJP of its own, walks two tapes in
-turn, the second with its cuts closed, so a term of the second tape is
-differentiated only inside its own segment.  Released cotangents let the
-second walk find the nodes it shares with the first fresh.
-
 Only the operations the models actually use are implemented, several of
 them fused (softmax over columns, layer norm over columns, the log-det Gram
 volume, softmax cross-entropy; a whole layer in ``srr.layers``, the
@@ -44,7 +38,7 @@ them with the forward's own operations:
 - a layer: both layer norms' columns, each A_k, the masks, the attention
   output, the ISTA residual (each normalized input and softmax S_k is
   re-formed, and the head stack where a weight's term reads it; the ReLU
-  gate is read off the output);
+  gate is read off the output), shared with its weights-only twin;
 - R_c: each head's U_k^T Z.
 """
 
@@ -58,8 +52,6 @@ from .linalg import _softmax, cross_entropy_np
 __all__ = [
     "Tensor",
     "as_tensor",
-    "cut",
-    "segmented_sum",
     "softmax_cols",
     "layer_norm_cols",
     "logdet_gram",
@@ -220,10 +212,10 @@ def _node(value, parents: tuple, maps: tuple, prep=None) -> Tensor:
 def _walk(root: Tensor, g: np.ndarray) -> None:
     """Accumulate ``g`` into ``root``, then run the VJP of every node behind
     it in reverse topological order.  The walk stops at nodes that need no
-    gradient (constants, closed cuts).  Each interior node's ``.grad`` is
-    dropped once its VJP has run, so a cotangent lives only until its
-    node's parents have their terms; leaves keep theirs.  Every node
-    forgets the sum it owns once all its terms are in.
+    gradient (constants).  Each interior node's ``.grad`` is dropped once
+    its VJP has run, so a cotangent lives only until its node's parents
+    have their terms; leaves keep theirs.  Every node forgets the sum it
+    owns once all its terms are in.
     """
     root._accumulate(g)
     order: list[Tensor] = []
@@ -245,41 +237,6 @@ def _walk(root: Tensor, g: np.ndarray) -> None:
             node._vjp(node.grad)
             node.grad = None
         node._sum = None
-
-
-def cut(x: Tensor) -> Tensor:
-    """Identity node where a segment of the tape begins.
-
-    Open, it passes its cotangent on to ``x``.  ``segmented_sum`` closes it
-    for its second walk: it then reads as a constant, and a walk stops there
-    as it would at the constant ``Tensor(x.data)``.
-    """
-    return _node(x.data, (x,), (None,))
-
-
-def segmented_sum(first: Tensor, second: Tensor, cuts) -> Tensor:
-    """``first + second`` whose backward walks two tapes in turn: first's
-    with the ``cuts`` open, then second's with them closed.
-
-    Every leaf gradient is first's contributions followed by second's, the
-    order one walk of ``first + second`` gives when second's tape begins at
-    constant copies of the cut nodes' inputs.
-    """
-    cuts = tuple(cuts)
-
-    def vjp(g):
-        _walk(first, _unbroadcast(g, first.data.shape))
-        for c in cuts:
-            c.requires_grad = False
-        try:
-            _walk(second, _unbroadcast(g, second.data.shape))
-        finally:
-            for c in cuts:
-                c.requires_grad = True
-
-    return Tensor(
-        first.data + second.data, requires_grad=first.requires_grad or second.requires_grad, _vjp=vjp
-    )
 
 
 def softmax_cols(scores: Tensor) -> Tensor:

@@ -63,12 +63,13 @@ def _model_config(cfg: dict, data_spec: DatasetSpec) -> ModelConfig:
 
 def _parse_reg(reg: str, eta: float | None) -> dict:
     modes = {"all": "all_layers", "random": "random_layer", "none": "none"}
-    if reg.startswith("layer:"):
-        out = {"reg_mode": "fixed_layer", "reg_layer": int(reg.split(":", 1)[1])}
+    name, _, layer = reg.partition(":")
+    if name == "layer" and layer.isdecimal():
+        out = {"reg_mode": "fixed_layer", "reg_layer": int(layer)}
     elif reg in modes:
         out = {"reg_mode": modes[reg]}
     else:
-        raise ConfigError(f"unknown regularization mode {reg!r}")
+        raise ConfigError(f"--reg {reg!r}: expected none | all | layer:K | random")
     out["eta_reg"] = 0.0 if reg == "none" else (0.001 if eta is None else float(eta))
     return out
 

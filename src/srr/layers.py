@@ -8,8 +8,10 @@ one shape allocate nothing.  A traced layer (training) runs the same
 kernels as one autodiff node, ``_traced_layer``: it keeps only what its VJP
 reads and adds to each parent the terms of the composed graph of layer
 norms, matmuls, softmaxes, masks and ReLU it replaces, in that graph's
-order, so every gradient keeps its bits.  Token matrices are d x N with
-tokens as columns; batched inputs carry a leading batch axis (B, d, N).
+order, so every gradient keeps its bits.  Its twin (``_weights_twin``)
+reads the same output and moves only the layer's weights.  Token matrices
+are d x N with tokens as columns; batched inputs carry a leading batch
+axis (B, d, N).
 """
 
 from __future__ import annotations
@@ -262,6 +264,7 @@ def _traced_layer(
     one matrix of its head blocks; W (crate/crate_fix) its one term; Z and
     each gain and bias one layer-norm term.  A normalized input's terms add
     as its own node summed them: the first plus the second, then ``+=``.
+    The VJP called with ``to_input`` off gives Z no term (``_weights_twin``).
     """
     (g1, b1), (g2, b2) = norm1, norm2
     u, dm = U.data, D.data
@@ -282,7 +285,7 @@ def _traced_layer(
             if t.requires_grad:
                 t._accumulate(grad_map(c))
 
-    def vjp(g):
+    def vjp(g, to_input=True):
         # ISTA: the cotangents of the ReLU input, beta * D^T resid, resid and D Y
         g_pre = g * (value > 0.0)
         g_m = g_pre * beta
@@ -337,10 +340,20 @@ def _traced_layer(
         if variant in (CRATE, CRATE_FIX) and W.requires_grad:
             W._accumulate(stack_term)
         del stack_term, g_heads, zn
-        give((Z, g1, b1), ln1, (g_zn, xhat))
+        first = 0 if to_input else 1
+        give((Z, g1, b1)[first:], ln1[first:], (g_zn, xhat))
 
     parents = (Z, g1, b1, U) + (() if W is None else (W,)) + (g2, b2, D)
     return ad.Tensor(value, _parents=parents, _vjp=vjp)
+
+
+def _weights_twin(node):
+    """The weights-only twin of a ``_traced_layer`` node: a second node over
+    the same output array whose parents are the layer's weights alone and
+    whose VJP is the node's without the input's term.  It shares the node's
+    saved state, so a term read off it moves only that layer's weights,
+    within the one walk that also carries the node's own cotangent."""
+    return ad.Tensor(node.data, _parents=node._parents[1:], _vjp=lambda g: node._vjp(g, to_input=False))
 
 
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:

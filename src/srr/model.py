@@ -21,7 +21,7 @@ import numpy as np
 
 from . import layers as ly
 from . import rates
-from .autodiff import Tensor, _gram_volume, _matmul_sum, _node, as_tensor, cut, logdet_gram
+from .autodiff import Tensor, _gram_volume, _matmul_sum, _node, as_tensor, logdet_gram
 from .errors import COUNT, FINITE, FRACTION, INT, NONNEGATIVE, POSITIVE, check_fields, one_of, optional, rule
 from .errors import ConfigError, FormatError, NumericError, ShapeError, config_fields
 from .linalg import rng_for
@@ -186,22 +186,23 @@ class Model:
 
     def apply_layer(self, i: int, Z, attn_masks=None, out_mask=None):
         """Run layer ``i`` (0-based) on ``Z`` with the given dropout masks.
-        A regularized forward builds each layer this way on a ``cut`` of its
-        input, so the layer's subgraph is a segment of its own."""
+        A regularized forward builds each layer this way, and keeps the
+        node's weights-only twin (``layers._weights_twin``) beside it."""
         P = self._table(isinstance(Z, Tensor))
         return _apply_layer(Z, P, i, self.cfg, False, attn_masks, out_mask)
 
     # ------------------------------------------------------------------
     @np.errstate(over="ignore", invalid="ignore")  # each reader of the result flags a non-finite value
-    def run(self, tokens, rng=None, ln_identity: bool = False, keep_cache: bool = False, _cut_inputs: bool = False):
+    def run(self, tokens, rng=None, ln_identity: bool = False, keep_cache: bool = False, _twins: bool = False):
         """Forward pass.
 
         ``tokens``: a (d, N) or (B, d, N) ndarray (inference), or a traced
         Tensor (training, with dropout from ``rng`` when ``cfg.dropout > 0``).
         Returns (logits, cache); ``cache`` is None unless ``keep_cache``.
         ``ln_identity`` bypasses LayerNorm, on inference only.
-        ``_cut_inputs`` (traced) feeds each layer a ``cut`` of its input
-        through ``apply_layer``; the cache then holds the cuts.
+        ``_twins`` (traced, with ``keep_cache``) builds each layer through
+        ``apply_layer`` and adds the node's weights-only twin to its cache
+        entry under ``"twin"``, for the regularizer to read.
         """
         cfg = self.cfg
         traced = isinstance(tokens, Tensor)
@@ -230,16 +231,17 @@ class Model:
                     _dropout_mask(rng, batch_shape + (n_tok, n_tok), cfg.dropout) for _ in range(cfg.K)
                 ]
                 out_mask = _dropout_mask(rng, batch_shape + (cfg.d, n_tok), cfg.dropout)
-            if _cut_inputs:
-                layer_in = cut(Z)
-                Z = self.apply_layer(i, layer_in, attn_masks, out_mask)
+            layer_in = Z
+            if _twins:
+                Z = self.apply_layer(i, Z, attn_masks, out_mask)
             else:
-                layer_in = Z
                 Z = _apply_layer(Z, P, i, cfg, ln_identity, attn_masks, out_mask, ws)
             if cache is not None:
                 cache.append(
                     {"input": layer_in, "attn_masks": attn_masks, "out_mask": out_mask, "output": Z}
                 )
+                if _twins:
+                    cache[-1]["twin"] = ly._weights_twin(Z)
         return (P["head.weight"] @ Z[..., :, 0:1])[..., 0] + P["head.bias"], cache
 
     def logits(self, raw: np.ndarray, ln_identity: bool = False) -> np.ndarray:

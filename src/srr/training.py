@@ -2,13 +2,12 @@
 and the stop-gradient SRR regularizer in its three selection modes.
 
 The regularizer adds eta times the mean of selected per-layer measures,
-each evaluated on the layer's output node of the forward itself.  With the
-regularizer on, every layer's input enters its subgraph through an autodiff
-``cut``, and the loss is a ``segmented_sum``: the backward walks the
-cross-entropy tape with the cuts open, then the regularizer's tape with
-them closed, so term l's gradient reaches only layer l's parameters.  The
-l0 part of the measure contributes its value but no gradient (it is
-piecewise constant).
+each evaluated on the weights-only twin of the forward's own layer node
+(``layers._weights_twin``): the twin's parents are that layer's weights,
+so term l's gradient reaches only layer l's parameters.  The loss is
+``ce + eta * mean_term``, and one walk gives every leaf its cross-entropy
+terms first, then its regularizer terms.  The l0 part of the measure
+contributes its value but no gradient (it is piecewise constant).
 """
 
 from __future__ import annotations
@@ -91,9 +90,10 @@ def gradients(loss: Tensor, params: dict[str, Tensor], layer_outputs=None) -> di
 
 def _layer_srr_term(model: Model, i: int, zout: Tensor) -> Tensor:
     """Regularizer term for layer i (0-based): lambda*l0 + R_c - R on the
-    layer's output node ``zout``.  l0 is a count, so the lambda*l0 addend
-    is a constant that carries no gradient: lambda moves the term's value
-    (``reg_value``) and the ISTA threshold, not the regularizer's gradient."""
+    layer's output ``zout``, in training its node's weights-only twin.  l0
+    is a count, so the lambda*l0 addend is a constant that carries no
+    gradient: lambda moves the term's value (``reg_value``) and the ISTA
+    threshold, not the regularizer's gradient."""
     cfg = model.cfg
     gamma = cfg.attention_gamma(zout.shape[-1])
     r, rc, l0 = _layer_rates(zout, model.params[f"layers.{i}.U"], cfg.K, gamma, cfg.K * gamma)
@@ -115,7 +115,7 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
     y = np.asarray(y)
     tokens = model.embed_inputs(x, train_mode=True, rng=rng)
     reg_on = train_cfg.reg_mode != "none"
-    logits, cache = model.run(tokens, rng=rng, keep_cache=True, _cut_inputs=reg_on)
+    logits, cache = model.run(tokens, rng=rng, keep_cache=True, _twins=reg_on)
     ce = ad.softmax_cross_entropy(logits, y)
     acc = float(np.mean(np.argmax(logits.data, axis=-1) == y))
 
@@ -137,13 +137,13 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
         if _first_nonfinite_layer(cache) is None:
             total = None
             for layer_no in selected:
-                term = _layer_srr_term(model, layer_no - 1, cache[layer_no - 1]["output"])
+                term = _layer_srr_term(model, layer_no - 1, cache[layer_no - 1]["twin"])
                 total = term if total is None else total + term
             mean_term = total * (1.0 / len(selected))
         else:  # a non-finite layer has no measure: the NaN loss flags the divergence
             mean_term = Tensor(np.nan)
         reg_value = mean_term.item()
-        loss = ad.segmented_sum(ce, train_cfg.eta_reg * mean_term, [entry["input"] for entry in cache])
+        loss = ce + train_cfg.eta_reg * mean_term  # ce first: the walk runs the regularizer's VJPs last
 
     parts = {
         "ce": ce.item(),

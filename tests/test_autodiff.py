@@ -48,6 +48,18 @@ def layer_node(z, U, D, num_heads, variant, norm2=None, lam=0.1):
     return layers._traced_layer(z, layer_norm_ones(d), U, None, norm2, D, num_heads, variant, 1.0, 1.0, 0.5, lam)
 
 
+def twin_case(detach=lambda h: h):
+    """A crate_c layer node on the interior input h = 1.5 x (or on
+    ``detach(h)``) with trainable layer norms, U and D: (x, h, weights, node)."""
+    x = ad.Tensor(rng_for(20).standard_normal((2, 4, 3)), requires_grad=True)
+    h = x * 1.5
+    norms = [ad.Tensor(1.0 + 0.2 * rng_for(21, j).standard_normal(4), requires_grad=True) for j in range(4)]
+    U = ad.Tensor(rng_for(22).standard_normal((4, 4)), requires_grad=True)
+    D = ad.Tensor(rng_for(23).standard_normal((4, 4)) / 2.0, requires_grad=True)
+    node = layers._traced_layer(detach(h), norms[:2], U, None, norms[2:], D, 2, layers.CRATE_C, 1.0, 1.0, 0.5, 0.1)
+    return x, h, norms + [U, D], node
+
+
 class TestBasicOps:
     def test_add_mul_values(self):
         a = ad.Tensor([1.0, 2.0])
@@ -370,58 +382,43 @@ class TestTape:
         assert all(t.grad is None for t in (h, y, loss))
         assert x.grad.shape == (3, 4) and w.grad.shape == (4, 4)
 
-    def test_segmented_walks_release_interior_grads(self):
-        # with no cut, a segmented sum is first + second: h feeds both tapes,
-        # so the second walk must find it without the first walk's cotangent
-        x0 = rng_for(11).standard_normal((3, 4))
-        w = ad.Tensor(rng_for(12).standard_normal((4, 4)), requires_grad=True)
+    def test_twin_walk_leaves_the_input_grad_none(self):
+        # the twin's parents are the layer's weights: a walk from it reaches
+        # each of them and stops short of the layer's input
+        x, h, weights, node = twin_case()
+        twin = layers._weights_twin(node)
+        assert twin.data is node.data
+        (twin * rng_for(24).standard_normal(node.shape)).sum().backward()
+        assert x.grad is None and h.grad is None and node.grad is None
+        assert all(t.grad is not None and t.grad.any() for t in weights)
 
-        def parts(v):
-            h = ad.softmax_cols(v @ w)
-            y = ad.layer_norm_cols(h * v, np.ones(3), np.zeros(3))
-            return h, (y * y).sum(), (h * h).sum()
+    def test_twin_weight_grads_are_the_detached_layers(self):
+        # the twin's VJP is the node's without the input's term: each weight
+        # gets the bits of the same layer built on a constant copy of its input
+        w = rng_for(25).standard_normal((2, 4, 3))
+        _, _, weights, node = twin_case()
+        (layers._weights_twin(node) * w).sum().backward()
+        got = [t.grad for t in weights]
+        _, _, weights, copy = twin_case(lambda h: ad.Tensor(h.data))
+        (copy * w).sum().backward()
+        for g, t in zip(got, weights):
+            assert np.array_equal(g, t.grad)
 
-        x = ad.Tensor(x0, requires_grad=True)
-        h, first, second = parts(x)
-        loss = ad.segmented_sum(first, second, [])
+    def test_node_and_twin_walk_releases_interior_grads(self):
+        # one walk through a node and its twin leaves only leaf gradients,
+        # and the input's is the node's term alone
+        w1, w2 = rng_for(26).standard_normal((2, 4, 3)), rng_for(27).standard_normal((2, 4, 3))
+        x, _, _, node = twin_case()
+        (node * w1).sum().backward()
+        alone = x.grad
+        x, h, weights, node = twin_case()
+        twin = layers._weights_twin(node)
+        first, second = (node * w1).sum(), (twin * w2).sum()
+        loss = first + second
         loss.backward()
-        assert all(t.grad is None for t in (h, first, second))
-        fx = lambda v: sum(t.item() for t in parts(ad.Tensor(v))[1:])
-        np.testing.assert_allclose(x.grad, numeric_grad(fx, x0), atol=1e-6)
-        assert w.grad.shape == (4, 4) and w.grad.any()
-
-    def test_closed_cut_stops_a_walk(self):
-        x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        h = x * 3.0
-        c = ad.cut(h)
-        assert np.array_equal(c.data, h.data)
-        first = (c * c).sum()  # d/dx = 18 x
-        second = (c * 2.0).sum()  # d/dx = 6 behind the cut
-        loss = ad.segmented_sum(first, second, [c])
-        assert loss.item() == first.item() + second.item()
-        loss.backward()
-        np.testing.assert_array_equal(x.grad, 18.0 * x.data)
-        # the cut is open again: the same graph walked from second reaches x
-        assert c.requires_grad
-        x.grad = None
-        second.backward()
-        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
-
-    def test_segmented_sum_matches_one_walk_over_detached_copies(self):
-        # the second tape sees the cut node's input as a constant, exactly as
-        # a copy built on ad.Tensor(h.data) would
-        x0 = rng_for(13).standard_normal((2, 3))
-        x = ad.Tensor(x0, requires_grad=True)
-        w = ad.Tensor(rng_for(14).standard_normal((3, 3)), requires_grad=True)
-        h = x @ w
-        c = ad.cut(h)
-        ad.segmented_sum((c * c).sum(), (c @ w).sum(), [c]).backward()
-        seg = (x.grad, w.grad)
-        x.grad = w.grad = None
-        h = x @ w
-        ((h * h).sum() + (ad.Tensor(h.data) @ w).sum()).backward()
-        np.testing.assert_array_equal(seg[0], x.grad)
-        np.testing.assert_array_equal(seg[1], w.grad)
+        assert all(t.grad is None for t in (h, node, twin, first, second, loss))
+        assert np.array_equal(x.grad, alone)
+        assert all(t.grad is not None for t in weights)
 
 
 class TestAccumulation:

@@ -173,6 +173,11 @@ class TestTrainCommand:
         assert err.startswith("error:") and "lr_init" in err
         assert not ckpt.exists()
 
+    def test_bad_reg_names_the_flag_and_its_forms(self, tmp_path, capsys):
+        args = ["train", "--config", write_config(tmp_path), "--reg", "layer:x", "--out", str(tmp_path / "m.npz")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --reg 'layer:x': expected none | all | layer:K | random\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "nope.json")])
         assert rc == 2

@@ -14,6 +14,7 @@ from srr.layers import (
     Workspace,
     _head_scores,
     _traced_layer,
+    _weights_twin,
     attention_update,
     ista_step,
     layer_norm,
@@ -476,17 +477,16 @@ def composed_layer(Z, g1, b1, U, g2, b2, D, num_heads, variant, gamma, alpha, be
     return composed_ista(ad.layer_norm_cols(za, g2, b2), D, beta, lam)
 
 
-def _walk_both(build, leaves, first_w, second_w, segmented):
+def _walk_both(build, leaves, first_w, second_w, twin_of=None):
     """Value of ``build`` on fresh leaves, and each leaf's gradient after a
-    plain walk of <out, first_w>, or a segmented one that adds <out, second_w>
-    with the op's input behind a cut."""
+    walk of <out, first_w>, plus <twin_of(x, out, weights), second_w> when
+    ``twin_of`` is given, x being the op's input."""
     tensors = [ad.Tensor(a, requires_grad=grad) for a, grad in leaves]
     x = tensors[0] * 1.5  # an interior input, so the op's first parent gathers terms
-    inp = ad.cut(x) if segmented else x
-    out = build(inp, *tensors[1:])
+    out = build(x, *tensors[1:])
     loss = (out * first_w).sum()
-    if segmented:
-        loss = ad.segmented_sum(loss, (out * second_w).sum(), [inp])
+    if twin_of is not None:
+        loss = loss + (twin_of(x, out, tensors[1:]) * second_w).sum()
     loss.backward()
     return out.data, [t.grad for t in tensors]
 
@@ -508,8 +508,8 @@ class TestLayerNode:
     @pytest.mark.parametrize("batch", [(3,), ()])
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("dropout", [False, True])
-    @pytest.mark.parametrize("segmented", [False, True])
-    def test_layer_node_is_the_composed_layer(self, batch, variant, dropout, segmented):
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_layer_node_is_the_composed_layer(self, batch, variant, dropout, twin):
         K = 3
         Z, ((g1, b1), (g2, b2)), U, D, W, masks, out_mask = layer_case(batch, variant, dropout)
         leaves = [(a, True) for a in (Z, g1, b1, U, g2, b2, D)] + ([] if W is None else [(W, variant == CRATE)])
@@ -523,7 +523,10 @@ class TestLayerNode:
                     )
                 return composed_layer(z, g1, b1, u, g2, b2, dm, K, variant, 0.8, 0.9, 0.4, 0.3, w, masks, out_mask)
 
-            return _walk_both(build, leaves, w1, w2, segmented)
+            def twin_of(x, out, weights):  # the fused node's twin, or the composed layer on a copy of x
+                return _weights_twin(out) if fused else build(ad.Tensor(x.data), *weights)
+
+            return _walk_both(build, leaves, w1, w2, twin_of if twin else None)
 
         (got, got_grads), (want, want_grads) = run(True), run(False)
         assert np.array_equal(got, want)

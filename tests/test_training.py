@@ -334,7 +334,8 @@ class TestRegularizedLoss:
 def replay_loss(model, batch, train_cfg, rng):
     """The regularized loss as one tape whose regularizer replays each
     selected layer from a detached copy of its cached input, with the cached
-    dropout masks: the bitwise oracle of the segmented backward."""
+    dropout masks: the bitwise oracle of the backward through the layer
+    nodes' weights-only twins."""
     x, y = batch
     tokens = model.embed_inputs(x, train_mode=True, rng=rng)
     logits, cache = model.run(tokens, rng=rng, keep_cache=True)
@@ -380,12 +381,31 @@ class TestSegmentedGradient:
             assert g_seg.keys() == g_rep.keys()
             for name in g_seg:
                 assert np.array_equal(g_seg[name], g_rep[name]), (step, name)
-            # the walk leaves every cut open and no interior cotangent behind
+            # the walk leaves no interior cotangent behind, the twins' included
             for entry in parts["cache"]:
-                assert entry["input"].requires_grad
                 assert entry["input"].grad is None and entry["output"].grad is None
+                assert entry["twin"].grad is None
             adam_seg.step(g_seg, 1e-2)
             adam_rep.step(g_rep, 1e-2)
+
+    @pytest.mark.parametrize(
+        "train_kw",
+        [dict(reg_mode="all_layers"), dict(reg_mode="fixed_layer", reg_layer=2), dict(reg_mode="random_layer")],
+        ids=["all", "fixed", "random"],
+    )
+    def test_regularized_step_walks_the_tape_once(self, monkeypatch, train_kw):
+        model = tiny_model(L=3, d=8, K=2)
+        cfg = TrainConfig(eta_reg=0.3, **train_kw)
+        loss, _ = srr_regularized_loss(model, tiny_batch(model, B=4), cfg, rng=rng_for(6))
+        walk, calls = ad._walk, []
+
+        def counted(root, g):
+            calls.append(root)
+            walk(root, g)
+
+        monkeypatch.setattr(ad, "_walk", counted)
+        gradients(loss, model.trainable_params())
+        assert len(calls) == 1 and calls[0] is loss
 
 
 class TestAdam:
