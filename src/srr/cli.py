@@ -42,9 +42,9 @@ def _load_config(path: str | None) -> dict:
 
 def _dataset_spec(args, cfg: dict) -> DatasetSpec:
     section = config_fields(DatasetSpec, cfg.get("data", {}), "data")
-    if getattr(args, "data", None):
+    if args.data:
         section["source"] = args.data
-    if getattr(args, "data_path", None):
+    if args.data_path:
         section["path"] = args.data_path
     return DatasetSpec(**section)
 
@@ -208,6 +208,9 @@ def _cmd_correlate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="srr", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)  # the data flags of train, probe and measure
+    data.add_argument("--data", choices=["cifar10", "cifar100", "synthetic"])
+    data.add_argument("--data-path", help="directory or file with CIFAR binaries")
 
     p = sub.add_parser("toy", help="layer-wise coding-rate dynamics under one update rule")
     p.add_argument("--rule", required=True, choices=sorted(toy_dynamics.RULES))
@@ -219,10 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="trace.csv")
     p.set_defaults(func=_cmd_toy)
 
-    p = sub.add_parser("train", help="train one model")
+    p = sub.add_parser("train", parents=[data], help="train one model")
     p.add_argument("--config", help="JSON config with model/train/data sections")
-    p.add_argument("--data", choices=["cifar10", "cifar100", "synthetic"])
-    p.add_argument("--data-path", help="directory or file with CIFAR binaries")
     p.add_argument("--reg", help="none | all | layer:K | random (default: the config's reg_mode, else none)")
     p.add_argument("--eta", type=float, help="regularization weight (default: the config's eta_reg, else 0.001)")
     p.add_argument("--epochs", type=int, default=None)
@@ -231,11 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="per-epoch trace CSV (default: none written)")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("probe", help="per-layer rate/sparsity probes of a checkpoint")
+    p = sub.add_parser("probe", parents=[data], help="per-layer rate/sparsity probes of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", help="JSON config with a data section")
-    p.add_argument("--data", choices=["cifar10", "cifar100", "synthetic"])
-    p.add_argument("--data-path")
     # unset rate scales take Model.probe's defaults, those of RateConfig
     p.add_argument("--lambda", dest="lambda_sparsity", type=float, default=argparse.SUPPRESS)
     p.add_argument("--eps-sq", type=float, default=argparse.SUPPRESS)
@@ -251,12 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", action="store_true", help="also evaluate measures.csv afterwards")
     p.set_defaults(func=_cmd_zoo)
 
-    p = sub.add_parser("measure", help="complexity-measure vector of a checkpoint")
+    p = sub.add_parser("measure", parents=[data], help="complexity-measure vector of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--init-snapshot", help="npz of initial parameters; 'none' disables init-relative fields")
     p.add_argument("--config", help="JSON config with a data section")
-    p.add_argument("--data", choices=["cifar10", "cifar100", "synthetic"])
-    p.add_argument("--data-path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="row.csv")
     p.set_defaults(func=_cmd_measure)

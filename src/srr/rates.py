@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .errors import COUNT, NONNEGATIVE, POSITIVE, ConfigError, NumericError, ShapeError, check_fields, rule
+from .errors import COUNT, NONNEGATIVE, POSITIVE, ConfigError, NumericError, ShapeError, check_fields, check_value, rule
 from .linalg import logdet_psd
 
 __all__ = [
@@ -77,6 +77,7 @@ class RateConfig:
 def split_heads(U, num_heads: int) -> list:
     """Views of the K contiguous column blocks U_1..U_K of U (d x K*p), an
     ndarray or an autodiff Tensor."""
+    num_heads = check_value("num_heads", num_heads, COUNT)
     if U.ndim != 2:
         raise ShapeError(f"subspace basis must be a matrix, got shape {U.shape}")
     if U.shape[1] % num_heads != 0:
@@ -175,13 +176,25 @@ def grad_taylor_terms(
     d(second)/dZ = -gamma^2 * sum_k U_k U_k^T Z (U_k^T Z)^T (U_k^T Z)
     """
     Z = _check_tokens(Z)
+    blocks = split_heads(U, num_heads)
+    return _grad_first_order(Z, blocks, gamma), _grad_second_order(Z, blocks, gamma)
+
+
+def _grad_first_order(Z: np.ndarray, blocks, gamma: float) -> np.ndarray:
+    """gamma * sum_k U_k U_k^T Z over the head bases ``blocks``, unchecked."""
     g1 = np.zeros_like(Z)
+    for Uk in blocks:
+        g1 += gamma * (Uk @ (Uk.T @ Z))
+    return g1
+
+
+def _grad_second_order(Z: np.ndarray, blocks, gamma: float) -> np.ndarray:
+    """-gamma^2 * sum_k U_k A_k A_k^T A_k with A_k = U_k^T Z, unchecked."""
     g2 = np.zeros_like(Z)
-    for Uk in split_heads(U, num_heads):
+    for Uk in blocks:
         A = Uk.T @ Z
-        g1 += gamma * (Uk @ A)
         g2 -= gamma**2 * (Uk @ (A @ (A.T @ A)))
-    return g1, g2
+    return g2
 
 
 def sparsity_l0(Z: np.ndarray) -> int:

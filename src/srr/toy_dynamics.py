@@ -13,15 +13,15 @@ against that same U^l before and after the update:
 
 Rules b/d cube the token magnitudes every layer, which leaves float64
 range almost immediately.  The state is therefore carried as a normalized
-matrix plus a log-scale (Z = exp(c) * Zhat), updates for b/d are formed
-directly in the normalized variables, and R_c is evaluated from per-head
-singular values in the log domain.  When even the *shape* of the spectrum
-stops being representable (dynamic range beyond ~1e95, so the cubed
-spectrum would underflow), the trace is truncated and flagged rather than
-reporting silently wrong rates — growth is the expected phenomenon.  Rules
-a/c/e/n carry the state at its true scale.  Under every rule, a layer whose
-update leaves float64 range (gamma**2 included) ends the trace the same
-way, with the rows before it kept.
+matrix plus a log-scale (Z = exp(c) * Zhat), and R_c is evaluated from
+per-head singular values in the log domain.  Every layer checks that its
+state is representable, then updates it: b/d in the normalized variables,
+so a trace stops when the *shape* of the spectrum is lost (dynamic range
+beyond ~1e95, so the cubed spectrum would underflow), and a/c/e/n at the
+true scale, so a trace stops when exp(c) would overflow.  Either way, and
+when an update leaves float64 range (gamma**2 included), the trace is
+truncated and flagged, with the rows before it kept, rather than
+reporting silently wrong rates — growth is the expected phenomenon.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import COUNT, FINITE, INT, POSITIVE, ConfigError, check_value, one_of
 from .layers import mssa
 from .linalg import orthonormal_basis, rng_for, stable_seed
-from .rates import grad_projected_coding_rate, grad_taylor_terms, split_heads
+from .rates import _grad_first_order, _grad_second_order, grad_projected_coding_rate, split_heads
 
 __all__ = [
     "RULES",
@@ -116,7 +116,7 @@ def run_dynamics(
     """Iterate one update rule for L layers and record R_c before/after
     each layer against that layer's own fresh orthonormal basis."""
     tags = {**{k: k for k in RULES}, **{v.lower(): k for k, v in RULES.items()}}
-    tag = tags[check_value("rule", rule.lower(), one_of(*tags))]
+    tag = tags[check_value("rule", rule.lower() if isinstance(rule, str) else rule, one_of(*tags))]
     for name, value, r in (("N", N, COUNT), ("L", L, COUNT), ("d", d, COUNT), ("K", K, COUNT),
                            ("alpha", alpha, FINITE), ("gamma", gamma, POSITIVE), ("seed", seed, INT)):
         check_value(name, value, r)
@@ -131,58 +131,37 @@ def run_dynamics(
     Z0 = rng_for(seed, "tokens").standard_normal((d, N))
     Zh, c = _normalize(Z0)
     trace = DynamicsTrace(rule=tag)
+    cubic = tag in ("b", "d")
 
     for layer in range(1, L + 1):
         U = orthonormal_basis(d, stable_seed(seed, "basis", layer))
         blocks = split_heads(U, K)
-
-        if tag in ("b", "d"):
-            if not _spread_ok(Zh):
-                trace.truncated = True
-                break
-            rc_before = _rc_scaled(Zh, c, blocks, gamma)
-            # unit-scale Taylor gradients: g1 the head projection sum, -g2 the cubic sum
-            g1, g2 = grad_taylor_terms(Zh, U, K, 1.0)
-            damp = np.exp(-2.0 * c) if -2.0 * c < _RECON_LOG_LIMIT else np.inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                if tag == "b":
-                    bracket = -step2 * g2 + damp * (Zh - alpha * gamma * g1)
+        if (not _spread_ok(Zh)) if cubic else c > _RECON_LOG_LIMIT:
+            trace.truncated = True
+            break
+        rc_before = _rc_scaled(Zh, c, blocks, gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                if cubic:  # formed in the normalized variables, from unit-scale Taylor gradients
+                    damp = np.exp(-2.0 * c) if -2.0 * c < _RECON_LOG_LIMIT else np.inf
+                    keep = Zh - alpha * gamma * _grad_first_order(Zh, blocks, 1.0) if tag == "b" else Zh
+                    Z = -step2 * _grad_second_order(Zh, blocks, 1.0) + damp * keep
                 else:
-                    bracket = -step2 * g2 + damp * Zh
-            if not np.isfinite(bracket).all():  # the damping or the step left float64 range
-                trace.truncated = True
-                break
-            bh, blog = _normalize(bracket)
-            Zh, c = bh, 3.0 * c + blog
-            rc_after = _rc_scaled(Zh, c, blocks, gamma)
-        else:
-            if c > _RECON_LOG_LIMIT:
-                trace.truncated = True
-                break
-            rc_before = _rc_scaled(Zh, c, blocks, gamma)
-            Z = np.exp(c) * Zh
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
+                    Z = np.exp(c) * Zh
                     if tag == "a":
                         Z = Z - alpha * grad_projected_coding_rate(Z, U, K, gamma)
                     elif tag == "c":
-                        # summed as grad_taylor_terms sums its first term: its bits, without the cubic term
-                        g1 = np.zeros_like(Z)
-                        for Uk in blocks:
-                            g1 += gamma * (Uk @ (Uk.T @ Z))
-                        Z = Z - alpha * g1
-                    elif tag == "e":
-                        Z = Z + step2 * mssa(Z, U, K)
-                    else:  # n
-                        Z = Z - step2 * mssa(Z, U, K)
-                except np.linalg.LinAlgError:
-                    Z = None  # rule a's solve met a Gram matrix out of float64 range
-            if Z is None or not np.isfinite(Z).all():
-                trace.truncated = True
-                break
-            Zh, c = _normalize(Z)
-            rc_after = _rc_scaled(Zh, c, blocks, gamma)
-
+                        Z = Z - alpha * _grad_first_order(Z, blocks, gamma)
+                    else:  # e, or n with its residual negated (Z + (-x) is Z - x, bit for bit)
+                        Z = Z + (step2 if tag == "e" else -step2) * mssa(Z, U, K)
+            except np.linalg.LinAlgError:
+                Z = None  # rule a's solve met a Gram matrix out of float64 range
+        if Z is None or not np.isfinite(Z).all():  # the update (or b/d's damping) left float64 range
+            trace.truncated = True
+            break
+        Zh, log_scale = _normalize(Z)
+        c = (3.0 * c if cubic else 0.0) + log_scale
+        rc_after = _rc_scaled(Zh, c, blocks, gamma)
         trace.rows.append(LayerRates(layer=layer, rc_before=rc_before, rc_after=rc_after))
 
     return trace

@@ -19,6 +19,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import signal
 import warnings
 
@@ -29,7 +30,7 @@ from srr.data import DatasetSpec
 from srr.errors import ConfigError
 from srr.model import ModelConfig, init_model, save_checkpoint
 from srr.rates import RateConfig
-from srr.toy_dynamics import RULES
+from srr.toy_dynamics import RULES, run_dynamics
 from srr.training import TrainConfig
 from srr.zoo import GridSpec
 
@@ -226,3 +227,11 @@ def test_rate_config_fields():
                 RateConfig(**dict(dict(d=8, N=4, K=2), **{f.name: value}))
             except ConfigError as exc:
                 assert f.name in str(exc) and repr(value) in str(exc)
+
+
+@pytest.mark.parametrize("rule", [5, None, 1.5, ["a"], b"a", "x"])
+def test_run_dynamics_rule(rule):
+    # no flag reaches a rule that is not a string (argparse holds --rule to the tags): called directly
+    got = re.escape(f", got {rule.lower() if isinstance(rule, str) else rule!r}")
+    with pytest.raises(ConfigError, match=re.escape("rule must be one of 'a', ") + ".*" + got):
+        run_dynamics(rule, L=1)

@@ -141,6 +141,14 @@ class TestProjectedCodingRate:
         with pytest.raises(ShapeError, match="must be a matrix"):
             split_heads(np.ones((2, 4, 6)), 3)
 
+    @pytest.mark.parametrize("num_heads", [-2, -4, 0, 2.0, True, "2"])
+    @pytest.mark.parametrize("fn", [projected_coding_rate, grad_projected_coding_rate, taylor_terms, grad_taylor_terms])
+    def test_head_count_must_be_a_count(self, fn, num_heads):
+        # unchecked, -2 and -4 would split into no heads (rate 0.0, zero gradients) and 0 would divide by zero
+        Z = rng_for(6).standard_normal((8, 5))
+        with pytest.raises(ConfigError, match=re.escape(f"num_heads must be an int >= 1, got {num_heads!r}")):
+            fn(Z, orthonormal_basis(8, seed=0), num_heads, 1.0)
+
 
 class TestExactGradient:
     def test_zero_input_zero_gradient(self):

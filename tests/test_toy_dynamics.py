@@ -161,7 +161,8 @@ class TestQualitativeBehavior:
 
 
 class TestFirstOrderRule:
-    """Rule c forms its step alone, with the bits of the Taylor gradient's first term."""
+    """Rule c forms its step alone, with the bits of the Taylor gradient's first term, and rule d
+    forms the second term alone."""
 
     @pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (0.5, 1.3)])
     def test_rows_match_the_taylor_gradient_replay(self, alpha, gamma):
@@ -182,12 +183,23 @@ class TestFirstOrderRule:
 
     def test_never_forms_the_cubic_term(self, monkeypatch):
         calls = []
-        real = toy_dynamics.grad_taylor_terms
-        monkeypatch.setattr(toy_dynamics, "grad_taylor_terms", lambda *a: calls.append(a) or real(*a))
+        real = toy_dynamics._grad_second_order
+        monkeypatch.setattr(toy_dynamics, "_grad_second_order", lambda *a: calls.append(a) or real(*a))
         run_dynamics("c", L=3)
         assert calls == []
         run_dynamics("b", L=3)  # the spy does see the rules that call it
-        assert len(calls) == 3
+        run_dynamics("d", L=3)
+        assert len(calls) == 6
+
+    def test_rule_d_never_forms_the_first_order_term(self, monkeypatch):
+        calls = []
+        real = toy_dynamics._grad_first_order
+        monkeypatch.setattr(toy_dynamics, "_grad_first_order", lambda *a: calls.append(a) or real(*a))
+        run_dynamics("d", L=3)
+        assert calls == []
+        run_dynamics("b", L=3)  # the spy does see the rules that call it
+        run_dynamics("c", L=3)
+        assert len(calls) == 6
 
 
 class TestTruncation:
