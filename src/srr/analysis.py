@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "HyperPoint",
@@ -55,11 +55,15 @@ def _sign(x: float) -> int:
 
 def kendall_tau(samples) -> float:
     """Rank correlation over ordered pairs: (1/(n(n-1))) * sum of
-    sign(mu_i - mu_j) * sign(g_i - g_j); ties contribute zero."""
+    sign(mu_i - mu_j) * sign(g_i - g_j); ties contribute zero.  A sample
+    with a NaN or inf has no rank: NumericError names the first."""
     pts = [(float(m), float(g)) for m, g in samples]
     n = len(pts)
     if n < 2:
         raise ConfigError("kendall tau needs at least 2 samples")
+    bad = next((i for i, (m, g) in enumerate(pts) if not (math.isfinite(m) and math.isfinite(g))), None)
+    if bad is not None:
+        raise NumericError(f"kendall tau sample {bad} is not finite: {pts[bad]}")
     total = 0
     for mi, gi in pts:
         for mj, gj in pts:  # the i == j term is zero

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import DefinitenessError, NumericError, ShapeError
+from .errors import ConfigError, DefinitenessError, NumericError, ShapeError
 
 __all__ = [
     "logdet_psd",
@@ -73,9 +73,15 @@ def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndar
 
 
 def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of integer labels under row-wise softmax of a
-    (B, C) logit matrix.  Never negative, which the PAC-Bayes early exit
-    relies on: the shifted maximum is exactly 0, so each row's lse is >= 0."""
+    """Mean cross-entropy of one integer label in [0, C) per row (else a
+    ShapeError or ConfigError) under row-wise softmax of a (B, C) logit
+    matrix.  Never negative, which the PAC-Bayes early exit relies on: the
+    shifted maximum is exactly 0, so each row's lse is >= 0."""
+    labels = np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise ShapeError(f"expected one label per row of a (B, C) logit matrix, got {labels.shape}, {logits.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < logits.shape[1]:
+        raise ConfigError(f"labels must lie in [0, {logits.shape[1]}), got {labels.min()} to {labels.max()}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(len(labels)), labels]
@@ -83,8 +89,9 @@ def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def spectral_norm(mat: np.ndarray) -> np.float64:
-    """Largest singular value by power iteration on the smaller Gram matrix
-    (500 steps at most, stopping once a step moves it by <= 1e-12 relative).
+    """Largest singular value of a matrix (ShapeError for any other rank) by
+    power iteration on its smaller Gram (500 steps at most, stopping once a
+    step moves it by <= 1e-12 relative).
 
     A matrix whose largest entry lies outside [2^-10, 2^200] is iterated on
     scaled by an exact power of two that brings that entry into [0.5, 1), so
@@ -94,8 +101,6 @@ def spectral_norm(mat: np.ndarray) -> np.float64:
     float64, so squaring a norm past 1e154 gives inf rather than OverflowError.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1)
     if mat.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():

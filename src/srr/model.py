@@ -142,23 +142,26 @@ class Model:
         return [(name, t.data) for name, t in self.params.items() if t.ndim == 2 and name != "pos"]
 
     def check_labels(self, dataset) -> None:
-        """ConfigError naming both class counts unless every label of both splits is below ``cfg.num_classes``."""
-        if max(np.max(dataset.train_y, initial=-1), np.max(dataset.val_y, initial=-1)) >= self.cfg.num_classes:
-            raise ConfigError(f"the data has {dataset.num_classes} classes, the model {self.cfg.num_classes}")
+        """ConfigError naming a label and both class counts unless every label of both splits lies in [0, C)."""
+        low = min(np.min(dataset.train_y, initial=0), np.min(dataset.val_y, initial=0))
+        high = max(np.max(dataset.train_y, initial=-1), np.max(dataset.val_y, initial=-1))
+        if low < 0 or high >= self.cfg.num_classes:
+            raise ConfigError(f"label {low if low < 0 else high} is outside [0, {self.cfg.num_classes}): "
+                              f"the data has {dataset.num_classes} classes, the model {self.cfg.num_classes}")
 
     # ------------------------------------------------------------------
     def embed_inputs(self, raw: np.ndarray, train_mode: bool = False, rng=None, _pooled: bool = False):
-        """Feature columns (B, F, T) or (F, T) -> token matrix with CLS and
-        positional encoding, by one ndarray kernel on both paths.  Training
-        mode returns the tokens as one autodiff node behind the embedding,
-        CLS and positional parameters (each gets one gradient term per
-        walk) and applies embedding dropout.  ``_pooled`` (inference) writes
-        the tokens into the model's workspace, for ``run`` to read before
-        the next pooled embedding overwrites them."""
+        """A (B, F, T) batch of feature columns (ShapeError for any other
+        rank) -> (B, d, T + 1) tokens with CLS and positional encoding, by
+        one ndarray kernel on both paths.  Training mode returns the tokens
+        as one autodiff node behind the embedding, CLS and positional
+        parameters (each gets one gradient term per walk) and applies
+        embedding dropout.  ``_pooled`` (inference) writes the tokens into
+        the model's workspace, for ``run`` to read before the next pooled
+        embedding overwrites them."""
         raw = np.asarray(raw, dtype=np.float64)
-        single = raw.ndim == 2
-        if single:
-            raw = raw[None]
+        if raw.ndim != 3:
+            raise ShapeError(f"expected a (batch, features, tokens) array, got shape {raw.shape}")
         if raw.shape[1] != self.cfg.in_dim:
             raise ShapeError(f"expected {self.cfg.in_dim}-dim feature columns, got {raw.shape[1]}")
         if raw.shape[2] != self.cfg.grid_tokens:
@@ -180,8 +183,6 @@ class Model:
                 raise ConfigError("training-mode dropout needs an rng")
             mask = _dropout_mask(rng, (B, self.cfg.d, T + 1), self.cfg.dropout)
             tok = tok * mask
-        if single:
-            tok = tok[0]
         return tok
 
     def apply_layer(self, i: int, Z, attn_masks=None, out_mask=None):
@@ -261,8 +262,8 @@ class Model:
         eps_sq: float = rates.RateConfig.eps_sq,
         lambda_sparsity: float = rates.RateConfig.lambda_sparsity,
     ) -> list[ProbeRecord]:
-        """Per-layer probes of the feature columns ``raw`` with LayerNorm
-        bypassed, at the rate scales eps_sq and lambda_sparsity."""
+        """Per-layer probes of the (B, F, T) feature batch ``raw`` with
+        LayerNorm bypassed, at the rate scales eps_sq and lambda_sparsity."""
         if len(raw) == 0:
             raise ConfigError("probe needs at least one sample")
         tokens = self.embed_inputs(raw)

@@ -1,8 +1,8 @@
 """Layer-update dynamics on random Gaussian tokens.
 
-Six update rules are iterated for L layers, each layer drawing a fresh
-random orthonormal basis U^l, and the subspace coding rate R_c is recorded
-against that same U^l before and after the update:
+Six update rules (the tags of ``RULES``) are iterated for L layers, each
+layer drawing a fresh random orthonormal basis U^l, and the subspace coding
+rate R_c is recorded against that same U^l before and after the update:
 
   a: exact gradient descent on R_c
   b: descent on the two-term expansion of R_c (first + second)
@@ -43,15 +43,7 @@ __all__ = [
     "traces_to_csv",
 ]
 
-# short tag -> canonical rule name
-RULES = {
-    "a": "A_exact_gd",
-    "b": "B_taylor_gd",
-    "c": "C_first_only",
-    "d": "D_second_only",
-    "e": "E_softmax",
-    "n": "N_negative",
-}
+RULES = ("a", "b", "c", "d", "e", "n")
 
 _RECON_LOG_LIMIT = 700.0  # exp() beyond this leaves float64 range
 _SPREAD_FLOOR = 1e-95  # min/max singular-value ratio the cubic rules require
@@ -113,10 +105,9 @@ def run_dynamics(
     gamma: float = 1.0,
     seed: int = 0,
 ) -> DynamicsTrace:
-    """Iterate one update rule for L layers and record R_c before/after
-    each layer against that layer's own fresh orthonormal basis."""
-    tags = {**{k: k for k in RULES}, **{v.lower(): k for k, v in RULES.items()}}
-    tag = tags[check_value("rule", rule.lower() if isinstance(rule, str) else rule, one_of(*tags))]
+    """Iterate the rule tagged ``rule`` (one of ``RULES``) for L layers and
+    record R_c before/after each layer against that layer's own fresh basis."""
+    tag = check_value("rule", rule, one_of(*RULES))
     for name, value, r in (("N", N, COUNT), ("L", L, COUNT), ("d", d, COUNT), ("K", K, COUNT),
                            ("alpha", alpha, FINITE), ("gamma", gamma, POSITIVE), ("seed", seed, INT)):
         check_value(name, value, r)

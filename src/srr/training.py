@@ -97,10 +97,7 @@ def _layer_srr_term(model: Model, i: int, zout: Tensor) -> Tensor:
     cfg = model.cfg
     gamma = cfg.attention_gamma(zout.shape[-1])
     r, rc, l0 = _layer_rates(zout, model.params[f"layers.{i}.U"], cfg.K, gamma, cfg.K * gamma)
-    diff = rc - r
-    if diff.data.ndim:
-        diff = diff.mean()
-    return diff + cfg.lambda_sparsity * float(np.mean(l0))
+    return (rc - r).mean() + cfg.lambda_sparsity * float(np.mean(l0))
 
 
 def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):

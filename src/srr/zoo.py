@@ -296,12 +296,14 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
     header = rows[0].split(",")
     if header[0] != "cell" or tuple(header[1:]) != FIELD_ORDER:
         raise FormatError("unexpected measures.csv header")
-    records = []
+    records: dict[str, ZooRecord] = {}
     for row in rows[1:]:
         parts = row.split(",")
         key = parts[0]
         if len(parts) != len(header):
             raise FormatError(f"measures.csv row {key!r} has {len(parts)} fields, its header {len(header)}")
+        if key in records:
+            raise FormatError(f"measures.csv repeats the row of cell {key!r}")
         entry = manifest["cells"].get(key)
         if entry is None or entry["status"] != "done":
             raise FormatError(f"measures.csv row {key!r} is not a trained cell of the manifest")
@@ -309,15 +311,13 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
             measures = {name: float(v) for name, v in zip(FIELD_ORDER, parts[1:])}
         except ValueError as exc:
             raise FormatError(f"{mpath}: row {key!r}: {exc}") from exc
-        records.append(
-            ZooRecord(
-                theta=HyperPoint(**entry["coords"]),
-                measures=measures,
-                gap=math.nan if entry["gap"] is None else float(entry["gap"]),
-                converged=entry["converged"] and not entry["diverged"],
-            )
+        records[key] = ZooRecord(
+            theta=HyperPoint(**entry["coords"]),
+            measures=measures,
+            gap=math.nan if entry["gap"] is None else float(entry["gap"]),
+            converged=entry["converged"] and not entry["diverged"],
         )
-    return records
+    return list(records.values())
 
 
 def correlate_zoo(

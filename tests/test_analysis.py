@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from srr.analysis import (
     granulated_psi,
     kendall_tau,
 )
-from srr.errors import ConfigError
+from srr.errors import ConfigError, NumericError
 from srr.linalg import rng_for
 from srr.measures import MeasureVector
 
@@ -59,6 +60,11 @@ class TestKendallTau:
             kendall_tau([(1, 1)])
         with pytest.raises(ConfigError):
             kendall_tau([])
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (2.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(NumericError, match=re.escape(f"sample 1 is not finite: {bad}")):
+            kendall_tau([(2.0, 3.0), bad, (math.nan, 0.0)])
 
     def test_antisymmetry_under_negation(self):
         rng = rng_for(0)

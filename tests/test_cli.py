@@ -367,19 +367,34 @@ class TestZooCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {zoo_dir / 'manifest.json'}: not valid JSON")
 
-    def test_measures_value_that_is_not_a_number_names_file_and_cell(self, tmp_path, capsys):
+    @staticmethod
+    def one_cell_zoo(tmp_path, rows):
+        """A zoo directory with one trained cell ``a`` and the given measures.csv rows of it."""
         coords = {"batch_size": 8, "lr_init": 0.01, "width": 8, "dropout": 0.0, "model_variant": "crate_c"}
         cell = {"status": "done", "coords": coords, "checkpoint": "a.ckpt.npz", "converged": True,
                 "diverged": False, "gap": 0.1}
         zoo_dir = tmp_path / "zoo"
         zoo_dir.mkdir()
         (zoo_dir / "manifest.json").write_text(json.dumps({"cells": {"a": cell}, "data": {}, "grid": {}}))
+        (zoo_dir / "measures.csv").write_text(
+            "cell," + ",".join(FIELD_ORDER) + "\n" + "".join("a," + ",".join(row) + "\n" for row in rows)
+        )
+        return zoo_dir
+
+    def test_measures_value_that_is_not_a_number_names_file_and_cell(self, tmp_path, capsys):
         row = ["1.0"] * len(FIELD_ORDER)
         row[3] = "x"
-        (zoo_dir / "measures.csv").write_text("cell," + ",".join(FIELD_ORDER) + "\na," + ",".join(row) + "\n")
+        zoo_dir = self.one_cell_zoo(tmp_path, [row])
         assert main(["correlate", "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {zoo_dir / 'measures.csv'}: row 'a': could not convert")
+
+    def test_repeated_measures_row_is_a_clean_error(self, tmp_path, capsys):
+        zoo_dir = self.one_cell_zoo(tmp_path, [["1.0"] * len(FIELD_ORDER)] * 2)
+        out = tmp_path / "r.csv"
+        assert main(["correlate", "--zoo", str(zoo_dir), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: measures.csv repeats the row of cell 'a'\n"
+        assert not out.exists()
 
     def test_grid_without_data_or_train_takes_the_desk_recipe(self, tmp_path, capsys):
         cfg = {"grid": {"batch_sizes": [32], "lrs": [1e-2], "widths": [8], "dropouts": [0.0],

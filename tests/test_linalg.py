@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srr.autodiff import LN_EPS, _ln_stats
-from srr.errors import DefinitenessError, NumericError, ShapeError
+from srr.errors import ConfigError, DefinitenessError, NumericError, ShapeError
 from srr.linalg import (
     _softmax,
     cross_entropy_np,
@@ -213,6 +213,16 @@ class TestCrossEntropy:
         with np.errstate(invalid="ignore", over="ignore"):
             assert cross_entropy_np(logits, np.asarray(labels)) >= 0.0
 
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 0, 1], [[0, 1, 2, 0]], 1])
+    def test_one_label_per_row(self, labels):
+        with pytest.raises(ShapeError, match="one label per row"):
+            cross_entropy_np(np.zeros((4, 3)), labels)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 3, 0], [0, -1, 2, 0]])
+    def test_label_outside_the_classes(self, labels):
+        with pytest.raises(ConfigError, match=r"\[0, 3\)"):
+            cross_entropy_np(np.zeros((4, 3)), labels)
+
 
 class TestSpectralNorm:
     def test_identity(self):
@@ -246,7 +256,7 @@ class TestSpectralNorm:
             assert spectral_norm(1e200 * np.eye(3)) ** 2 == np.inf
 
     def test_vector_input(self):
-        v = np.array([3.0, 4.0])
+        v = np.array([[3.0, 4.0]])  # a 1 x n matrix
         assert spectral_norm(v) == pytest.approx(5.0, abs=1e-10)
 
     def test_deterministic(self):
@@ -256,6 +266,10 @@ class TestSpectralNorm:
     def test_stack_rejected(self):
         with pytest.raises(ShapeError, match="expected a matrix"):
             spectral_norm(np.ones((2, 3, 3)))
+
+    def test_vector_rejected(self):
+        with pytest.raises(ShapeError, match="expected a matrix"):
+            spectral_norm(np.array([3.0, 4.0]))
 
     def test_nan_rejected(self):
         with pytest.raises(NumericError):

@@ -402,6 +402,13 @@ class TestPacBayesEarlyExit:
 
 
 class TestMeasureVectorOfModel:
+    def test_negative_label_rejected(self):
+        model, ds = tiny_setup()
+        ds.val_y = ds.val_y.copy()
+        ds.val_y[-1] = -1
+        with pytest.raises(ConfigError, match=re.escape("label -1 is outside [0, 3)")):
+            measure_vector(model, ds)
+
     def test_untrained_model_has_zero_distances(self):
         model, ds = tiny_setup()
         mv, errors = measure_vector(model, ds)

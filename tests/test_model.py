@@ -172,7 +172,7 @@ class TestEmbedInputs:
         x = tiny_batch(cfg)
         tok = model.embed_inputs(x)
         assert tok.shape == (3, cfg.d, cfg.tokens)
-        single = model.embed_inputs(x[0])
+        single = model.embed_inputs(x[:1])[0]
         np.testing.assert_allclose(single, tok[0], atol=0)
 
     def test_matches_tokenize_for_images(self):
@@ -200,8 +200,8 @@ class TestForward:
     def test_probe_count_and_consistency(self):
         cfg = tiny_cfg()
         model = init_model(cfg)
-        x = tiny_batch(cfg, B=1)[0]
-        logits, _ = model.run(model.embed_inputs(x))
+        x = tiny_batch(cfg, B=1)
+        logits, _ = model.run(model.embed_inputs(x)[0])
         probes = model.probe(x)
         assert logits.shape == (cfg.num_classes,)
         assert [p.layer for p in probes] == [1, 2]
@@ -263,7 +263,7 @@ class TestForward:
 
         cfg = tiny_cfg(L=1)
         model = init_model(cfg)
-        tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
+        tok = model.embed_inputs(tiny_batch(cfg, B=1))[0]
         logits, _ = model.run(tok, ln_identity=True)
         P = {k: t.data for k, t in model.params.items()}
         Z = ista_step(
@@ -279,7 +279,7 @@ class TestForward:
 
         cfg = tiny_cfg(L=1)
         model = init_model(cfg)
-        tok = model.embed_inputs(tiny_batch(cfg, B=1)[0])
+        tok = model.embed_inputs(tiny_batch(cfg, B=1))[0]
         P = {k: t.data for k, t in model.params.items()}
         Zn = layer_norm(tok, P["layers.0.ln1_gain"], P["layers.0.ln1_bias"])
         Za = attention_update(Zn, P["layers.0.U"], cfg.K, cfg.variant, 1.0, cfg.alpha)
@@ -292,7 +292,7 @@ class TestForward:
     def test_probe_rate_override(self):
         cfg = tiny_cfg()
         model = init_model(cfg)
-        x = tiny_batch(cfg, B=1)[0]
+        x = tiny_batch(cfg, B=1)
         probes_a = model.probe(x, eps_sq=2.0, lambda_sparsity=0.5)
         probes_b = model.probe(x)
         assert probes_a[0].srr != probes_b[0].srr
@@ -301,7 +301,7 @@ class TestForward:
         cfg_c = tiny_cfg(variant=CRATE_C)
         model_c = init_model(cfg_c)
         model_n = Model(dataclasses.replace(cfg_c, variant=CRATE_N), model_c.params, model_c.init_snapshot)
-        tok = model_c.embed_inputs(tiny_batch(cfg_c, B=1)[0])
+        tok = model_c.embed_inputs(tiny_batch(cfg_c, B=1))[0]
         P = {k: t.data for k, t in model_c.params.items()}
         Zn = layer_norm(tok, P["layers.0.ln1_gain"], P["layers.0.ln1_bias"])
         from srr.layers import attention_update
@@ -335,6 +335,12 @@ class TestInferenceEntries:
         cfg = tiny_cfg()
         with pytest.raises(ConfigError, match="at least one sample"):
             getattr(init_model(cfg), entry)(tiny_batch(cfg, B=0))
+
+    @pytest.mark.parametrize("entry", ["embed_inputs", "logits", "probe"])
+    def test_one_unbatched_sample_is_a_shape_error(self, entry):
+        cfg = tiny_cfg()
+        with pytest.raises(ShapeError, match=r"\(batch, features, tokens\)"):
+            getattr(init_model(cfg), entry)(tiny_batch(cfg)[0])
 
     def test_probe_is_the_layer_measure_with_layer_norm_bypassed(self):
         cfg = tiny_cfg(L=3)

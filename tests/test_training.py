@@ -10,7 +10,7 @@ import srr.model
 import srr.training
 from srr.autodiff import Tensor
 from srr.data import DatasetSpec, synth_dataset
-from srr.errors import ConfigError, NumericError
+from srr.errors import ConfigError, NumericError, ShapeError
 from srr.linalg import cross_entropy_np, orthonormal_basis, rng_for
 from srr.model import ModelConfig, _layer_rates, init_model
 from srr.rates import coding_rate, grad_projected_coding_rate, sparsity_l0
@@ -481,6 +481,11 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(tiny_model(), ds.val_x[:0], ds.val_y[:0])
 
+    def test_one_label_per_sample(self):
+        ds = sep_dataset()
+        with pytest.raises(ShapeError, match="one label per row"):
+            evaluate(tiny_model(), ds.val_x[:5], ds.val_y[:1])
+
 
 class TestTrain:
     def test_empty_training_split_rejected(self):
@@ -488,6 +493,16 @@ class TestTrain:
         ds.train_x, ds.train_y = ds.train_x[:0], ds.train_y[:0]
         with pytest.raises(ConfigError, match="empty training set"):
             train(tiny_model(), ds, TrainConfig(epochs=1))
+
+    def test_negative_label_rejected(self):
+        spec = DatasetSpec(n_train=16, n_val=8)
+        ds = synth_dataset(spec)
+        ds.train_y = ds.train_y.copy()
+        ds.train_y[3] = -1
+        model = init_model(ModelConfig(L=1, d=8, K=2, feat_dim=spec.feat_dim, num_tokens=spec.tokens,
+                                       num_classes=spec.classes))
+        with pytest.raises(ConfigError, match=re.escape(f"label -1 is outside [0, {spec.classes})")):
+            train(model, ds, TrainConfig(epochs=2))
 
     def test_smoke_convergence_on_separable_data(self):
         ds = sep_dataset()

@@ -546,6 +546,15 @@ class TestRecordsAndReport:
         with pytest.raises(FormatError, match="ghost-cell"):
             load_zoo_records(str(tmp_path))
 
+    def test_repeated_row_rejected(self, tmp_path):
+        run_mini(tmp_path)
+        path = Path(measure_zoo(str(tmp_path)))
+        first = path.read_text().split("\n")[1]
+        with open(path, "a") as fh:
+            fh.write(first + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"repeats the row of cell {first.split(',')[0]!r}")):
+            load_zoo_records(str(tmp_path))
+
     @pytest.mark.parametrize(
         "edit", [lambda row: row.rsplit(",", 1)[0], lambda row: row + ",1.0"], ids=["short", "long"]
     )
