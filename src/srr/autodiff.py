@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .linalg import _softmax, cross_entropy_np
 
 __all__ = [
@@ -310,7 +310,7 @@ def _ln_maps(gain: np.ndarray, inv: np.ndarray, ndim: int) -> tuple:
 
 
 def logdet_gram(z: Tensor, scale: float) -> Tensor:
-    """1/2 logdet(I + scale * z^T z) per matrix in a stack.
+    """1/2 logdet(I + scale * z^T z) per matrix in a stack, not finite past float64 range.
 
     ``z`` has shape (..., d, N); the result has the leading batch shape.
     """
@@ -326,14 +326,15 @@ def _gram_volume(z: np.ndarray, scale: float):
       d/dz 1/2 logdet(I + s z^T z) = s * z (I + s z^T z)^{-1}
                                    = s * (I + s z z^T)^{-1} z,
 
-    solved on whichever side is smaller.
+    solved on whichever side is smaller.  A matrix past float64 range has a
+    non-finite log-volume (NaN for a stack that Cholesky cannot factor).
     """
     use_cols = z.shape[-1] <= z.shape[-2]
     try:
         chol = np.linalg.cholesky(_volume_matrix(z, scale, use_cols))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("Gram log-volume: matrix lost positive definiteness") from exc
-    value = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        value = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    except np.linalg.LinAlgError:
+        value = np.full(z.shape[:-2], np.nan)
 
     def grad(g):
         M = _volume_matrix(z, scale, use_cols)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
 from . import toy_dynamics
 from .data import DatasetSpec, build_dataset
 from .errors import COUNT, ConfigError, check_value, config_fields, one_of
-from .measures import measure_csv_row, measure_vector, measures_csv_header
+from .measures import _NOT_FINITE, measure_csv_row, measure_vector, measures_csv_header
 from .model import ModelConfig, _check_entries, _read_npz, init_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 from .zoo import GridSpec, correlate_zoo, measure_zoo, run_zoo
@@ -133,6 +134,9 @@ def _cmd_probe(args) -> int:
     lines = ["layer,r,rc,l0,srr"]
     for p in probes:
         lines.append(f"{p.layer},{p.r!r},{p.rc!r},{p.l0!r},{p.srr!r}")
+        bad = [f for f in ("r", "rc", "srr") if not math.isfinite(getattr(p, f))]
+        if bad:
+            print(f"note: layer {p.layer}: {', '.join(bad)} {_NOT_FINITE}", file=sys.stderr)
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(probes)} layer probes to {args.out}")

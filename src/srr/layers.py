@@ -363,8 +363,8 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     flattened row-major with channel fastest.
     """
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        images = images[None]
+    if images.ndim != 4:
+        raise ShapeError(f"expected a (batch, height, width, channels) array, got shape {images.shape}")
     B, H, W, C = images.shape
     if H % patch != 0 or W % patch != 0:
         raise ShapeError(f"image {H}x{W} not divisible by patch {patch}")

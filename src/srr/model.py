@@ -23,7 +23,7 @@ from . import layers as ly
 from . import rates
 from .autodiff import Tensor, _gram_volume, _matmul_sum, _node, as_tensor, logdet_gram
 from .errors import COUNT, FINITE, FRACTION, INT, NONNEGATIVE, POSITIVE, check_fields, one_of, optional, rule
-from .errors import ConfigError, FormatError, NumericError, ShapeError, config_fields
+from .errors import ConfigError, FormatError, ShapeError, config_fields
 from .linalg import rng_for
 
 __all__ = [
@@ -131,10 +131,6 @@ class Model:
     def trainable_params(self) -> dict[str, Tensor]:
         return {name: t for name, t in self.params.items() if t.requires_grad}
 
-    def _table(self, traced: bool) -> dict:
-        """The parameter table as Tensors (traced) or as plain arrays."""
-        return self.params if traced else {name: t.data for name, t in self.params.items()}
-
     def tracked_matrices(self) -> list[tuple[str, np.ndarray]]:
         """Weight matrices entering the spectral/Frobenius measure families,
         in table order: embedding, each layer's U and D (and W when present),
@@ -186,20 +182,19 @@ class Model:
         return tok
 
     def apply_layer(self, i: int, Z, attn_masks=None, out_mask=None):
-        """Run layer ``i`` (0-based) on ``Z`` with the given dropout masks.
-        A regularized forward builds each layer this way, and keeps the
-        node's weights-only twin (``layers._weights_twin``) beside it."""
-        P = self._table(isinstance(Z, Tensor))
-        return _apply_layer(Z, P, i, self.cfg, False, attn_masks, out_mask)
+        """Run layer ``i`` (0-based) on the Tensor ``Z`` with the given dropout
+        masks.  A regularized forward builds each layer this way, and keeps
+        the node's weights-only twin (``layers._weights_twin``) beside it."""
+        return _apply_layer(Z, self.params, i, self.cfg, False, attn_masks, out_mask)
 
     # ------------------------------------------------------------------
     @np.errstate(over="ignore", invalid="ignore")  # each reader of the result flags a non-finite value
     def run(self, tokens, rng=None, ln_identity: bool = False, keep_cache: bool = False, _twins: bool = False):
         """Forward pass.
 
-        ``tokens``: a (d, N) or (B, d, N) ndarray (inference), or a traced
-        Tensor (training, with dropout from ``rng`` when ``cfg.dropout > 0``).
-        Returns (logits, cache); ``cache`` is None unless ``keep_cache``.
+        ``tokens``: a (B, d, N) ndarray (inference) or traced Tensor (training,
+        with dropout from ``rng`` when ``cfg.dropout > 0``), any other shape a
+        ShapeError.  Returns (B, C) logits and a cache, None unless ``keep_cache``.
         ``ln_identity`` bypasses LayerNorm, on inference only.
         ``_twins`` (traced, with ``keep_cache``) builds each layer through
         ``apply_layer`` and adds the node's weights-only twin to its cache
@@ -209,8 +204,8 @@ class Model:
         traced = isinstance(tokens, Tensor)
         if not traced:
             tokens = np.asarray(tokens, dtype=np.float64)
-        if tokens.shape[-2] != cfg.d:
-            raise ShapeError(f"token dimension {tokens.shape[-2]} does not match width {cfg.d}")
+        if tokens.ndim != 3 or tokens.shape[1] != cfg.d:
+            raise ShapeError(f"expected a (batch, {cfg.d}, tokens) array, got shape {tokens.shape}")
         n_tok = tokens.shape[-1]
         if traced and ln_identity:
             raise ConfigError("ln_identity is an inference option: a traced forward always normalizes")
@@ -218,7 +213,7 @@ class Model:
         if use_dropout and rng is None:
             raise ConfigError("training-mode dropout needs an rng")
 
-        P = self._table(traced)
+        P = self.params if traced else {name: t.data for name, t in self.params.items()}
         # the temporaries of an inference pass come from the model's workspace;
         # a traced pass and a cached one keep theirs
         ws = None if traced or keep_cache else self._workspace
@@ -256,6 +251,7 @@ class Model:
         ]
         return np.concatenate(chunks, axis=0)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a layer past float64 range gets NaN rates, which each reader flags
     def probe(
         self,
         raw: np.ndarray,
@@ -307,11 +303,10 @@ def _layer_rates(Z, U, num_heads: int, gamma: float, full_scale: float):
     R is the Gram log-volume of Z at ``full_scale``; R_c sums the log-volumes
     of the K head projections U_k^T Z at ``gamma``.  ``Z`` and ``U`` may be
     ndarrays or Tensors: R and R_c come back as Tensors (on the tape when an
-    input is), the l0 counts as an integer array of the leading shape.
+    input is), NaN where Z or its Gram leaves float64 range, and the l0
+    counts as an integer array of the leading shape.
     """
     z = as_tensor(Z)
-    if not np.isfinite(z.data).all():
-        raise NumericError("token matrix contains non-finite entries")
     rc = _subspace_rate(z, as_tensor(U), num_heads, gamma)
     r = logdet_gram(z, full_scale)
     l0 = np.count_nonzero(np.abs(z.data) > rates.L0_TOL, axis=(-2, -1))

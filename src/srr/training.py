@@ -7,7 +7,8 @@ each evaluated on the weights-only twin of the forward's own layer node
 so term l's gradient reaches only layer l's parameters.  The loss is
 ``ce + eta * mean_term``, and one walk gives every leaf its cross-entropy
 terms first, then its regularizer terms.  The l0 part of the measure
-contributes its value but no gradient (it is piecewise constant).
+contributes its value but no gradient (it is piecewise constant).  A
+layer past float64 range reads NaN rates, and ``train`` flags the NaN loss.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
     ``batch`` is (features, labels) with features (B, F, T).  Returns the
     scalar loss tensor and a dict with the CE value, batch accuracy, the
     regularizer value (before eta), the selected layers, and the layer
-    cache (for divergence attribution).
+    cache (for divergence attribution).  The loss is NaN where a selected
+    layer's output or Gram leaves float64 range.
     """
     x, y = batch
     y = np.asarray(y)
@@ -131,14 +133,11 @@ def srr_regularized_loss(model: Model, batch, train_cfg: TrainConfig, rng=None):
             if rng is None:
                 raise ConfigError("random_layer mode needs an rng")
             selected = [int(rng.integers(1, L + 1))]
-        if _first_nonfinite_layer(cache) is None:
-            total = None
-            for layer_no in selected:
-                term = _layer_srr_term(model, layer_no - 1, cache[layer_no - 1]["twin"])
-                total = term if total is None else total + term
-            mean_term = total * (1.0 / len(selected))
-        else:  # a non-finite layer has no measure: the NaN loss flags the divergence
-            mean_term = Tensor(np.nan)
+        total = None
+        for layer_no in selected:
+            term = _layer_srr_term(model, layer_no - 1, cache[layer_no - 1]["twin"])
+            total = term if total is None else total + term
+        mean_term = total * (1.0 / len(selected))
         reg_value = mean_term.item()
         loss = ce + train_cfg.eta_reg * mean_term  # ce first: the walk runs the regularizer's VJPs last
 
@@ -301,11 +300,9 @@ def train(model: Model, dataset, cfg: TrainConfig, trace_path: str | None = None
 
 
 def _first_nonfinite_layer(cache) -> int | None:
-    """1-based index of the first cached layer output with a NaN or inf."""
+    """1-based index of the first traced layer output with a NaN or inf."""
     for i, entry in enumerate(cache or ()):
-        out = entry["output"]
-        val = out.data if isinstance(out, Tensor) else out
-        if not np.isfinite(val).all():
+        if not np.isfinite(entry["output"].data).all():
             return i + 1
     return None
 

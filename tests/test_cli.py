@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -234,6 +235,20 @@ class TestProbeCommand:
             rows[lam] = Path(out).read_text().strip().split("\n")[1].split(",")
         assert rows["0.1"][1] == rows["0.4"][1]  # r unchanged
         assert float(rows["0.1"][4]) != float(rows["0.4"][4])
+
+    @pytest.mark.parametrize("name, scale", [("pos", 1e160), ("layers.1.U", 1e60)])
+    def test_layer_past_float64_range_has_a_note(self, tmp_path, capsys, name, scale):
+        model = init_model(ModelConfig(L=2, d=8, K=2, feat_dim=6, num_tokens=4, num_classes=2))
+        model.params[name].data *= scale
+        ckpt, out = str(tmp_path / "huge.ckpt.npz"), tmp_path / "p.csv"
+        save_checkpoint(model, ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["probe", "--checkpoint", ckpt, "--config", write_config(tmp_path), "--out", str(out)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        bad = [row[0] for row in rows if not math.isfinite(float(row[4]))]  # srr, not finite where r or rc is not
+        note = re.compile(r"note: layer (\d+): (r, )?(rc, )?srr not finite: a weight or a forward .+ float64 range")
+        assert code == 0 and bad and [note.fullmatch(n)[1] for n in capsys.readouterr().err.splitlines()] == bad
 
     def test_checkpoint_config_that_is_not_json_is_a_clean_error(self, tmp_path, capsys):
         cfg, ckpt, _ = train_small(tmp_path)
@@ -532,8 +547,8 @@ class TestMeasureCommand:
 
     @pytest.mark.parametrize("name, scale, error", [
         ("layers.1.U", 1e100, None),
-        ("layers.1.U", 1e60, "error: Gram log-volume: matrix lost positive definiteness"),
-        ("pos", 1e160, "error: token matrix contains non-finite entries"),
+        ("layers.1.U", 1e60, None),
+        ("pos", 1e160, None),
     ])
     def test_huge_weights_warn_nothing(self, tmp_path, capsys, name, scale, error):
         model = init_model(ModelConfig(L=2, d=8, K=2, feat_dim=6, num_tokens=4, num_classes=2))

@@ -631,7 +631,7 @@ def embed_image(image, patch, embed, pos, cls):
     model = init_model(ModelConfig(L=1, d=len(cls), K=1, patch=patch, image_size=H, channels=C))
     for name, value in (("embed", embed), ("pos", pos), ("cls", cls)):
         model.params[name].data = np.asarray(value, dtype=np.float64)
-    return model.embed_inputs(patchify(image, patch))[0]
+    return model.embed_inputs(patchify(image[None], patch))[0]
 
 
 class TestTokenize:
@@ -671,14 +671,14 @@ class TestTokenize:
     def test_indivisible_patch_rejected(self):
         model = init_model(ModelConfig(L=1, d=2, K=1, patch=2, image_size=4, channels=1))
         with pytest.raises(ShapeError):
-            model.embed_inputs(patchify(np.zeros((5, 5, 1)), 2))
+            model.embed_inputs(patchify(np.zeros((1, 5, 5, 1)), 2))
 
 
 class TestPatchify:
     def test_row_major_patch_order(self):
         # 4x4 single-channel, patch 2: values encode (row, col)
         img = np.arange(16.0).reshape(4, 4, 1)
-        cols = patchify(img, 2)[0]  # (4, 4): patch-dim x num-patches
+        cols = patchify(img[None], 2)[0]  # (4, 4): patch-dim x num-patches
         # first patch = rows 0-1, cols 0-1 flattened row-major
         np.testing.assert_allclose(cols[:, 0], [0, 1, 4, 5])
         np.testing.assert_allclose(cols[:, 1], [2, 3, 6, 7])  # top-right
@@ -688,7 +688,7 @@ class TestPatchify:
     def test_channel_fastest_flattening(self):
         img = np.zeros((2, 2, 2))
         img[0, 0] = [7.0, 9.0]
-        cols = patchify(img, 2)[0]
+        cols = patchify(img[None], 2)[0]
         np.testing.assert_allclose(cols[:2, 0], [7.0, 9.0])
 
     def test_batch_axis(self):
@@ -696,3 +696,8 @@ class TestPatchify:
         cols = patchify(imgs, 4)
         assert cols.shape == (3, 48, 4)
         np.testing.assert_allclose(cols[1], patchify(imgs[1][None], 4)[0], atol=0)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 1), (1, 1, 4, 4, 1)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(ShapeError, match=rf"got shape \({shape[0]}, "):
+            patchify(np.zeros(shape), 2)

@@ -552,6 +552,17 @@ class TestTrain:
         assert not trace.converged
         assert trace.note == "training diverged (non-finite loss at layer 1) at epoch 0, step 0"
 
+    @pytest.mark.parametrize("reg_mode", ["all_layers", "fixed_layer"])
+    def test_gram_past_float64_range_flags_a_divergence(self, reg_mode):
+        # the layer output stays finite and its Gram overflows: R and R_c read NaN, and so does the loss
+        ds = synth_dataset(DatasetSpec(n_train=16, n_val=8))
+        model = init_model(ModelConfig(L=1, d=8, K=2, feat_dim=16, num_tokens=8, num_classes=2))
+        model.params["layers.0.D"].data *= 1e60
+        cfg = TrainConfig(batch_size=8, epochs=1, eta_reg=0.1, reg_mode=reg_mode, reg_layer=1)
+        trace = train(model, ds, cfg)
+        assert trace.diverged and not trace.converged and trace.epochs == []
+        assert trace.note == "training diverged (non-finite loss) at epoch 0, step 0"
+
     def test_weights_overflowed_by_the_last_step_flag_a_divergence(self):
         # one finite step per epoch at lr 1e308 leaves only the evaluation to see it
         ds = sep_dataset()

@@ -213,6 +213,19 @@ class TestRunZoo:
             assert all(entry[k] is None for k in ("train_ce", "val_ce", "gap"))
             assert entry["note"].startswith("training diverged")
 
+    def test_gram_past_float64_range_is_a_done_diverged_cell(self, tmp_path, monkeypatch):
+        def overflowing_gram(cfg):  # each layer output finite, its regularizer Gram past float64 range
+            model = init_model(cfg)
+            model.params["layers.0.D"].data *= 1e60
+            return model
+
+        monkeypatch.setattr(zoo, "init_model", overflowing_gram)
+        grid = dataclasses.replace(MINI, dropouts=(0.0,), variants=("crate_c",))
+        reg = dataclasses.replace(TRAIN, eta_reg=0.1, reg_mode="all_layers")
+        (entry,) = run_zoo(grid, DATA, reg, str(tmp_path), model_template=MODEL)["cells"].values()
+        assert entry["status"] == "done" and entry["diverged"] and not entry["converged"]
+        assert entry["note"] == "training diverged (non-finite loss) at epoch 0, step 0"
+
     def test_retry_failed(self, tmp_path):
         run_zoo(WIDE, DATA, TRAIN, str(tmp_path), model_template=BAD_MODEL)
         # without the flag, failures stay as they are
