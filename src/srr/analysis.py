@@ -6,7 +6,7 @@ Psi, and assembly of the final report table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, NumericError
 
@@ -21,16 +21,6 @@ __all__ = [
     "CorrelationReport",
 ]
 
-# Grid axes a zoo varies; `width` is handled as a report filter, not a column.
-AXES = ("batch_size", "lr_init", "width", "dropout", "model_variant")
-REPORT_AXES = ("batch_size", "lr_init", "dropout", "model_variant")
-_COLUMN_OF = {
-    "batch_size": "batch_size",
-    "lr_init": "learning_rate",
-    "dropout": "dropout",
-    "model_variant": "model_type",
-}
-
 
 @dataclass(frozen=True)
 class HyperPoint:
@@ -39,6 +29,17 @@ class HyperPoint:
     width: int
     dropout: float
     model_variant: str
+
+
+# Grid axes a zoo varies; `width` is handled as a report filter, not a column.
+AXES = tuple(f.name for f in fields(HyperPoint))
+_COLUMN_OF = {
+    "batch_size": "batch_size",
+    "lr_init": "learning_rate",
+    "dropout": "dropout",
+    "model_variant": "model_type",
+}
+REPORT_AXES = tuple(_COLUMN_OF)
 
 
 @dataclass
@@ -111,7 +112,7 @@ class CorrelationReport:
     n_excluded: int = 0
     width_filter: int | None = None
 
-    COLUMNS = ("measure", "batch_size", "learning_rate", "dropout", "model_type", "overall_tau", "psi")
+    COLUMNS = ("measure", *_COLUMN_OF.values(), "overall_tau", "psi")
 
     def _cell(self, row: dict, col: str) -> str:
         v = row[col]

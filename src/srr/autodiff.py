@@ -282,7 +282,7 @@ def _ln_xhat(x: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 def _ln_output(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x-hat * gain + bias, per feature row: the layer norm's output, into ``out`` (fresh when None)."""
+    """x-hat * gain + bias, per feature row: both layer norms' output, into ``out`` (fresh when None)."""
     d = xhat.shape[-2]
     out = np.multiply(xhat, gain.reshape((d, 1)), out=out)
     out += bias.reshape((d, 1))
@@ -360,16 +360,12 @@ def _volume_matrix(z: np.ndarray, scale: float, use_cols: bool) -> np.ndarray:
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer labels under row-wise softmax.
 
-    ``logits`` is (B, C); the fused backward is (softmax - onehot) / B.
+    ``logits`` is (B, C), checked by ``cross_entropy_np``; the fused backward is (softmax - onehot) / B.
     """
-    if logits.data.ndim != 2:
-        raise ShapeError("cross-entropy expects a (batch, classes) logit matrix")
-    labels = np.asarray(labels)
-    B = logits.data.shape[0]
 
     def grad(g):
         probs = _softmax(logits.data, 1)
-        probs[np.arange(B), labels] -= 1.0
-        return float(g) * probs / B
+        probs[np.arange(len(probs)), labels] -= 1.0
+        return float(g) * probs / len(probs)
 
     return _node(cross_entropy_np(logits.data, labels), (logits,), (grad,))

@@ -134,7 +134,7 @@ def _cmd_probe(args) -> int:
     lines = ["layer,r,rc,l0,srr"]
     for p in probes:
         lines.append(f"{p.layer},{p.r!r},{p.rc!r},{p.l0!r},{p.srr!r}")
-        bad = [f for f in ("r", "rc", "srr") if not math.isfinite(getattr(p, f))]
+        bad = [f for f in ("r", "rc", "l0", "srr") if not math.isfinite(getattr(p, f))]
         if bad:
             print(f"note: layer {p.layer}: {', '.join(bad)} {_NOT_FINITE}", file=sys.stderr)
     with open(args.out, "w") as fh:

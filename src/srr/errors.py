@@ -63,10 +63,10 @@ def optional(r: Rule) -> Rule:
 
 
 def axis(r: Rule, kind: type) -> Rule:
-    """A nonempty list (or tuple) of values that obey ``r``, stored as a tuple of ``kind``."""
+    """A nonempty list (or tuple) of values that obey ``r``, no two equal as ``kind``, stored as a tuple of ``kind``."""
     return Rule(
-        f"a nonempty list whose elements are each {r.what}",
-        lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(r.ok, v)),
+        f"a nonempty list whose elements are each {r.what}, no two equal",
+        lambda v: isinstance(v, (list, tuple)) and bool(v) and all(map(r.ok, v)) and len({*map(kind, v)}) == len(v),
         lambda v: tuple(map(kind, v)),
     )
 

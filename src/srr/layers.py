@@ -234,15 +234,12 @@ def _ista(Y, D, beta, lambda_sparsity, ws):
 
 
 def layer_norm(Z, gain, bias, ws: Workspace | None = None):
-    """Column-wise layer norm: zero mean, unit variance over the d features,
-    then per-feature gain and bias, from ``autodiff._ln_stats``'s statistics:
-    x - mu divided by the std column, where the traced layer multiplies by 1/std."""
-    d = Z.shape[-2]
+    """Column-wise layer norm over the d features with per-feature gain and bias:
+    ``autodiff._ln_stats``' x - mu divided by its std column (the traced layer
+    multiplies by 1/std), then ``autodiff._ln_output`` in place."""
     xc, _, std = ad._ln_stats(Z, _take(ws, "ln.out", Z.shape), _take(ws, "ln.sq", Z.shape))
     xc /= std
-    xc *= np.asarray(gain).reshape((d, 1))
-    xc += np.asarray(bias).reshape((d, 1))
-    return xc
+    return ad._ln_output(xc, np.asarray(gain), np.asarray(bias), out=xc)
 
 
 def _traced_layer(

@@ -91,14 +91,16 @@ def cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:
 def spectral_norm(mat: np.ndarray) -> np.float64:
     """Largest singular value of a matrix (ShapeError for any other rank) by
     power iteration on its smaller Gram (500 steps at most, stopping once a
-    step moves it by <= 1e-12 relative).
+    step after the first moves it by <= 1e-12 relative).
 
     A matrix whose largest entry lies outside [2^-10, 2^200] is iterated on
     scaled by an exact power of two that brings that entry into [0.5, 1), so
     its Gram neither overflows nor underflows the stop test.  The start
     vector is a fixed seeded Gaussian, so repeated calls on the same matrix
-    give the same value.  A zero matrix returns 0.0.  The result is a numpy
-    float64, so squaring a norm past 1e154 gives inf rather than OverflowError.
+    give the same value; should it lie in the Gram's null space, numpy's
+    ``norm(mat, 2)`` gives the value.  A zero matrix returns 0.0.  The result
+    is a numpy float64, so squaring a norm past 1e154 gives inf rather than
+    OverflowError.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
@@ -117,12 +119,12 @@ def spectral_norm(mat: np.ndarray) -> np.float64:
     n = gram.shape[0]
     vec = np.random.default_rng(0xC0FFEE).standard_normal(n)
     vec /= np.linalg.norm(vec)
-    prev = 0.0
+    prev = np.nan  # the first step may only shed the start vector's null-space part
     for _ in range(500):
         vec = gram @ vec
         norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            return np.float64(0.0)
+        if norm == 0.0:  # the start vector lies in the null space
+            return np.ldexp(np.linalg.norm(mat, 2), exp)
         vec /= norm
         if abs(norm - prev) <= 1e-12 * max(1.0, norm):
             break

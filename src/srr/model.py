@@ -334,9 +334,9 @@ def _subspace_rate(z: Tensor, U: Tensor, num_heads: int, gamma: float) -> Tensor
 
 
 def _probe_layer(layer_no: int, Z, U, pc: rates.RateConfig) -> ProbeRecord:
-    """Batch means of the layer rates at the probe scales of ``pc``."""
+    """Batch means of the layer rates at the probe scales of ``pc``; l0 is NaN where Z holds one."""
     r, rc, l0 = _layer_rates(Z, U, pc.K, pc.gamma, pc.full_scale)
-    r, rc, l0 = (float(np.mean(v)) for v in (r.data, rc.data, l0))
+    r, rc, l0 = (float(np.mean(v)) for v in (r.data, rc.data, np.nan if np.isnan(Z).any() else l0))
     return ProbeRecord(layer=layer_no, r=r, rc=rc, l0=l0, srr=pc.lambda_sparsity * l0 + rc - r)
 
 

@@ -14,7 +14,7 @@ layer past float64 range reads NaN rates, and ``train`` flags the NaN loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -196,8 +196,6 @@ class Adam:
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Plain-inference CE and accuracy over a dataset split."""
     y = np.asarray(y)
-    if len(y) == 0:
-        raise ConfigError("cannot evaluate an empty split")
     logits = model.logits(x)
     return cross_entropy_np(logits, y), float(np.mean(np.argmax(logits, axis=-1) == y))
 
@@ -213,7 +211,7 @@ class EpochStats:
     reg_value: float = 0.0
 
 
-TRACE_COLUMNS = ("epoch", "train_ce", "train_acc", "val_ce", "val_acc", "lr", "reg_value")
+TRACE_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
 
 def _trace_row(e: EpochStats) -> str:

@@ -22,7 +22,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from . import layers as ly
-from .analysis import HyperPoint, ZooRecord, CorrelationReport, correlation_report
+from .analysis import AXES, HyperPoint, ZooRecord, CorrelationReport, correlation_report
 from .data import DatasetSpec, build_dataset
 from .errors import COUNT, FRACTION, INT, POSITIVE, axis, check_fields, check_value, one_of, rule
 from .errors import ConfigError, FormatError, config_fields
@@ -45,7 +45,7 @@ MANIFEST_NAME = "manifest.json"
 MEASURES_NAME = "measures.csv"
 # the keys the readers of a done cell's manifest entry index, each with a test of its JSON value
 _DONE_CELL_KEYS = {
-    "coords": lambda v: isinstance(v, dict) and sorted(v) == sorted(f.name for f in dataclasses.fields(HyperPoint)),
+    "coords": lambda v: isinstance(v, dict) and sorted(v) == sorted(AXES),
     "checkpoint": lambda v: isinstance(v, str),
     "converged": lambda v: isinstance(v, bool),
     "diverged": lambda v: isinstance(v, bool),
@@ -255,9 +255,7 @@ def measure_zoo(out_dir: str, seed: int = 0) -> str:
     manifest = _read_manifest(out_dir)
     if not manifest["cells"]:
         raise FormatError(f"no manifest with trained cells under {out_dir}")
-    data = DatasetSpec(**config_fields(DatasetSpec, manifest["data"], "data"))
-    data = dataclasses.replace(data, augment_flip=False, augment_crop=False)
-    dataset = build_dataset(data)
+    dataset = build_dataset(DatasetSpec(**config_fields(DatasetSpec, manifest["data"], "data")))
     grid = GridSpec(**config_fields(GridSpec, manifest["grid"], "grid"))
     trained = [
         (key, entry) for key, _ in grid.cells()
@@ -293,15 +291,14 @@ def load_zoo_records(out_dir: str) -> list[ZooRecord]:
         rows = [ln.strip() for ln in fh if ln.strip()]
     if not rows:
         raise FormatError(f"{mpath}: empty measures file")
-    header = rows[0].split(",")
-    if header[0] != "cell" or tuple(header[1:]) != FIELD_ORDER:
+    if rows[0] != measures_csv_header():
         raise FormatError("unexpected measures.csv header")
     records: dict[str, ZooRecord] = {}
     for row in rows[1:]:
         parts = row.split(",")
         key = parts[0]
-        if len(parts) != len(header):
-            raise FormatError(f"measures.csv row {key!r} has {len(parts)} fields, its header {len(header)}")
+        if len(parts) != len(FIELD_ORDER) + 1:
+            raise FormatError(f"measures.csv row {key!r} has {len(parts)} fields, its header {len(FIELD_ORDER) + 1}")
         if key in records:
             raise FormatError(f"measures.csv repeats the row of cell {key!r}")
         entry = manifest["cells"].get(key)

@@ -275,6 +275,23 @@ class TestSpectralNorm:
         with pytest.raises(NumericError):
             spectral_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @staticmethod
+    def start_vector():
+        v = np.random.default_rng(0xC0FFEE).standard_normal(6)  # the power iteration's start
+        return v / np.linalg.norm(v)
+
+    def test_start_vector_near_the_null_space(self):
+        # its first step moved the estimate by ~1e-16 from 0.0 and stopped there, at 0.507
+        v = self.start_vector()
+        assert spectral_norm(np.eye(6) - np.outer(v, v)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_start_vector_in_the_null_space(self):
+        # M v is exactly zero, which returned 0.0
+        v = self.start_vector()
+        M = np.tile([v[1], -v[0], 0.0, 0.0, 0.0, 0.0], (7, 1))
+        assert spectral_norm(M) == pytest.approx(np.sqrt(7 * (v[0] ** 2 + v[1] ** 2)), rel=1e-12)
+        assert spectral_norm(M * 1e-100) == pytest.approx(spectral_norm(M) * 1e-100, rel=1e-12)
+
 
 class TestOrthonormalBasis:
     def test_orthonormality(self):

@@ -364,6 +364,16 @@ class TestInferenceEntries:
             assert p.srr == pytest.approx(want, rel=1e-12, abs=0)
             assert p.srr == pytest.approx(0.3 * p.l0 + p.rc - p.r, rel=1e-12, abs=0)
 
+    def test_probe_l0_is_nan_only_where_a_layer_output_holds_one(self):
+        cfg = tiny_cfg()
+        model = init_model(cfg)
+        x = tiny_batch(cfg, B=4)
+        _, cache = model.run(model.embed_inputs(x), ln_identity=True, keep_cache=True)
+        # a finite model's l0 keeps its bits: the batch mean of the per-sample counts
+        assert [p.l0 for p in model.probe(x)] == [np.mean([rates.sparsity_l0(z) for z in e["output"]]) for e in cache]
+        model.params["pos"].data *= 1e160  # every layer output holds a NaN, which l0 counted as zero
+        assert all(np.isnan([p.r, p.rc, p.l0, p.srr]).all() for p in model.probe(x))
+
 
 class TestLayerRates:
     @pytest.mark.parametrize("scale", ["probe", "regularizer"])

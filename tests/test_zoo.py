@@ -118,6 +118,15 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(variants=("crate_c", "transformer"))
 
+    @pytest.mark.parametrize("axis, values", [("variants", ("crate_c", "crate_c")), ("lrs", (1e-2, 0.01)),
+                                              ("batch_sizes", (8, np.int64(8))), ("dropouts", (0, 0.0))],
+                             ids=["variants", "lrs", "batch_sizes", "dropouts"])
+    def test_repeated_axis_value_rejected(self, axis, values):
+        # two cells with one key: run_zoo trained it twice and measure_zoo wrote its row twice
+        with pytest.raises(ConfigError, match=re.escape(f"{axis} must be a nonempty list whose elements are each ")
+                           + ".*, no two equal, got"):
+            dataclasses.replace(GridSpec(batch_sizes=(8,), lrs=(1e-2,), widths=(8,), dropouts=(0.0,)), **{axis: values})
+
     @pytest.mark.parametrize(
         "axis, value",
         [
